@@ -301,8 +301,8 @@ int main(int argc, char** argv) {
     };
     const std::vector<index_t> lens(static_cast<std::size_t>(cfg.batch), 1);
     if (is2d) {
+      optimus::summa::PipelineGuard guard(false);
       oc::run_cluster(kMeshQ * kMeshQ, [&](oc::Context& ctx) {
-        optimus::summa::PipelineGuard guard(false);
         optimus::mesh::Mesh2D mesh(ctx.world);
         optimus::core::OptimusTransformer<float> m(cfg, mesh);
         os::OptimusDecodeEngine<float> eng(m, cfg.batch);

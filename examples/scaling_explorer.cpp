@@ -110,8 +110,8 @@ bool run_validation(optimus::comm::Cluster::Report* optimus_report) {
   const int q = 2;
   const ot::index_t nb = 48;  // 96×96 global matrices, 48×48 blocks
   const auto run_mode = [&](bool pipelined) {
+    os::PipelineGuard guard(pipelined);
     const auto report = oc::run_cluster(p, [&](oc::Context& ctx) {
-      os::PipelineGuard guard(pipelined);
       optimus::mesh::Mesh2D mesh(ctx.world);
       ot::TensorT<float> A = ot::TensorT<float>::zeros(ot::Shape{nb, nb});
       ot::TensorT<float> B = ot::TensorT<float>::zeros(ot::Shape{nb, nb});
@@ -152,8 +152,8 @@ bool run_validation(optimus::comm::Cluster::Report* optimus_report) {
   // reduction), again under both schedules.
   const int depth = 2;
   const auto run_mode_25d = [&](bool pipelined) {
+    os::PipelineGuard guard(pipelined);
     const auto report = oc::run_cluster(q * q * depth, [&](oc::Context& ctx) {
-      os::PipelineGuard guard(pipelined);
       optimus::mesh::Mesh2D mesh(ctx.world, depth);
       ot::TensorT<float> A = ot::TensorT<float>::zeros(ot::Shape{nb, nb});
       ot::TensorT<float> B = ot::TensorT<float>::zeros(ot::Shape{nb, nb});
@@ -165,7 +165,7 @@ bool run_validation(optimus::comm::Cluster::Report* optimus_report) {
   const oc::Topology topo25(q * q * depth, /*gpus_per_node=*/4, oc::Arrangement::kBunched, 0);
   const oc::CostModel cost25(topo25, oc::MachineParams{});
   const auto pred25 =
-      opm::predict_summa25_ab_times(cost25, q, depth, q * nb, q * nb, q * nb, sizeof(float));
+      opm::predict_summa_ab_times(cost25, q, q * nb, q * nb, q * nb, sizeof(float), depth);
   std::cout << "\nmeasured vs predicted 2.5D summa_ab sim time, 96x96x96 f32 at q=2 d=2\n";
   Table s25({"schedule", "measured s", "predicted s", "rel err", "ok?"});
   bool depth_ok = true;
@@ -201,8 +201,8 @@ bool run_validation(optimus::comm::Cluster::Report* optimus_report) {
   };
   {
     double meas = 0, predicted = 0;
+    os::PipelineGuard guard(false);  // the closed form models blocking SUMMA
     oc::run_cluster(p, [&](oc::Context& ctx) {
-      os::PipelineGuard guard(false);  // the closed form models blocking SUMMA
       optimus::mesh::Mesh2D mesh(ctx.world);
       optimus::core::OptimusTransformer<float> engine(cfg, mesh);
       optimus::serving::OptimusDecodeEngine<float> dec(engine, cfg.batch);

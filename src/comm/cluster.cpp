@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <string>
 #include <thread>
 
 #include "kernel/thread_pool.hpp"
@@ -9,6 +10,20 @@
 #include "obs/trace.hpp"
 
 namespace optimus::comm {
+
+namespace {
+
+std::string exception_message(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "non-standard exception";
+  }
+}
+
+}  // namespace
 
 double Cluster::Report::max_sim_time() const {
   double t = 0;
@@ -102,6 +117,11 @@ Cluster::Report Cluster::run(const std::function<void(Context&)>& body) {
         // rank's track (flight dumps are keyed by obs::current_rank()).
         obs::flight_write_postmortem();
         st.error = std::current_exception();
+        // Fail-stop: wake every peer blocked in a collective or receive so it
+        // unwinds with FabricAborted instead of waiting for this rank forever.
+        // The first reason wins, so after a fault (which aborts at its throw
+        // site) or on a peer's FabricAborted unwind this is a no-op.
+        fabric.abort("rank " + std::to_string(rank) + " failed: " + exception_message(st.error));
       }
     });
   }

@@ -9,10 +9,11 @@
 //     ... ctx.world.all_reduce(...) ...
 //   });
 //
-// The body runs on every rank. Exceptions thrown by any rank are captured and
-// the first one is rethrown from run() after all threads join (a failed rank
-// would deadlock peers blocked in collectives, so failures in the body should
-// be rare and fatal; tests exercising failure paths use single-rank groups).
+// The body runs on every rank. An exception on any rank is fail-stop: the
+// rank aborts the shared fabric, so peers blocked in (or later entering) a
+// collective or receive unwind with FabricAborted instead of hanging. After
+// all threads join, run() rethrows the root error — the first rank's
+// exception that is not a FabricAborted unwind.
 
 #include <functional>
 #include <memory>

@@ -6,60 +6,12 @@
 namespace optimus::perfmodel {
 
 SummaAbTimes predict_summa_ab_times(const comm::CostModel& cost, int q, std::int64_t m,
-                                    std::int64_t k, std::int64_t n, std::size_t elem_size) {
-  // Rank (0,0)'s communicators on a bunched q×q mesh: row group is the first
-  // q world ranks, column group strides by q. Every rank's schedule is
-  // symmetric, so one rank's clock is the call's sim time.
-  std::vector<int> row_group(static_cast<std::size_t>(q));
-  std::vector<int> col_group(static_cast<std::size_t>(q));
-  for (int i = 0; i < q; ++i) {
-    row_group[static_cast<std::size_t>(i)] = i;
-    col_group[static_cast<std::size_t>(i)] = i * q;
-  }
-  const auto u64 = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
-  const std::uint64_t a_bytes = u64(m / q) * u64(k / q) * elem_size;
-  const std::uint64_t b_bytes = u64(k / q) * u64(n / q) * elem_size;
-  const double t_row = q > 1 ? cost.tree_plan(row_group, a_bytes).time : 0.0;
-  const double t_col = q > 1 ? cost.tree_plan(col_group, b_bytes).time : 0.0;
-  const double t_gemm = cost.compute_time(u64(m / q) * u64(n / q) * u64(k / q));
-
-  SummaAbTimes out;
-  // Blocking: each collective entry first drains the pending GEMM, then the
-  // clock advances by the tree time; the final GEMM drains after the loop.
-  out.blocking_s = static_cast<double>(q) * (t_row + t_col + t_gemm);
-
-  // Pipelined: issue reserves the link at max(clock, link_busy) without
-  // advancing the clock; wait drains pending compute then jumps to
-  // max(clock, completion). Step l>0 drains step l-1's GEMM at its first
-  // issue (or, on the last step, at its first wait) — same sum either way.
-  double t = 0, row_link = 0, col_link = 0;
-  double a_done[2] = {0, 0}, b_done[2] = {0, 0};
-  const auto issue = [&](int slot) {
-    a_done[slot] = std::max(t, row_link) + t_row;
-    row_link = a_done[slot];
-    b_done[slot] = std::max(t, col_link) + t_col;
-    col_link = b_done[slot];
-  };
-  issue(0);
-  for (int l = 0; l < q; ++l) {
-    const int cur = l & 1;
-    if (l > 0) t += t_gemm;
-    if (l + 1 < q) issue(cur ^ 1);
-    t = std::max(t, a_done[cur]);
-    t = std::max(t, b_done[cur]);
-  }
-  t += t_gemm;
-  out.pipelined_s = q > 1 ? t : out.blocking_s;
-  return out;
-}
-
-SummaAbTimes predict_summa25_ab_times(const comm::CostModel& cost, int q, int d,
-                                      std::int64_t m, std::int64_t k, std::int64_t n,
-                                      std::size_t elem_size) {
-  if (d <= 1) return predict_summa_ab_times(cost, q, m, k, n, elem_size);
+                                    std::int64_t k, std::int64_t n, std::size_t elem_size,
+                                    int d) {
   // Rank (0,0,0)'s groups on the depth-major bunched mesh: row group is the
   // first q world ranks, column group strides by q, depth group strides by q².
-  // Depth layers are symmetric, so one rank's clock is the call's sim time.
+  // Every rank's schedule is symmetric, so one rank's clock is the call's sim
+  // time.
   std::vector<int> row_group(static_cast<std::size_t>(q));
   std::vector<int> col_group(static_cast<std::size_t>(q));
   std::vector<int> depth_group(static_cast<std::size_t>(d));
@@ -77,14 +29,20 @@ SummaAbTimes predict_summa25_ab_times(const comm::CostModel& cost, int q, int d,
   const double t_col = q > 1 ? cost.tree_plan(col_group, b_bytes).time : 0.0;
   const double t_gemm = cost.compute_time(u64(m / q) * u64(n / q) * u64(k / q / d));
   // Depth-reduction term: tree reduce of the C partial to depth 0, then the
-  // replica broadcast back — same tree, paid twice, never overlapped.
+  // replica broadcast back — same tree, paid twice, never overlapped. A
+  // 1-rank depth group costs exactly 0, so d = 1 is the 2D schedule.
   const double t_depth = 2.0 * cost.tree_plan(depth_group, c_bytes).time;
 
   SummaAbTimes out;
+  // Blocking: each collective entry first drains the pending GEMM, then the
+  // clock advances by the tree time; the final GEMM drains after the loop.
   out.blocking_s = static_cast<double>(q) * (t_row + t_col + t_gemm) + t_depth;
 
-  // Pipelined k-loop: identical clock arithmetic to the 2D predictor on the
-  // /d sub-panel quantities, followed by the sequential depth fold.
+  // Pipelined: issue reserves the link at max(clock, link_busy) without
+  // advancing the clock; wait drains pending compute then jumps to
+  // max(clock, completion). Step l>0 drains step l-1's GEMM at its first
+  // issue (or, on the last step, at its first wait) — same sum either way.
+  // The depth fold follows the loop, sequentially.
   double t = 0, row_link = 0, col_link = 0;
   double a_done[2] = {0, 0}, b_done[2] = {0, 0};
   const auto issue = [&](int slot) {

@@ -35,8 +35,9 @@ double megatron_lm_allreduce_weighted(const Workload& w, int p);
 double optimus_lm_bcast_reduce_weighted(const Workload& w, int q);
 
 /// Predicted per-rank simulated time for one summa_ab call (global M=m, K=k,
-/// N=n, element size `elem_size`) on a q×q bunched mesh, under both SUMMA
-/// schedules. Mirrors the SimClock arithmetic exactly:
+/// N=n, element size `elem_size`) on a q×q×d bunched mesh (world p = d·q²,
+/// depth-major ranks; d = 1 is the 2D mesh), under both SUMMA schedules.
+/// Mirrors the SimClock arithmetic exactly:
 ///
 ///   blocking:   every k-step pays its row broadcast, its column broadcast and
 ///               (lazily, at the next collective entry) its GEMM in sequence —
@@ -48,8 +49,16 @@ double optimus_lm_bcast_reduce_weighted(const Workload& w, int q);
 ///               max(comm, compute) with an un-overlappable prologue (the
 ///               step-0 broadcasts) and epilogue (the final GEMM).
 ///
-/// scaling_explorer --validate checks the simulator reproduces both to within
-/// floating-point round-off.
+/// At depth d (Tesseract-style 2.5D) the Table-1 terms shrink by d — each
+/// k-step row/column-broadcasts k_b/d sub-panels and multiplies m_b·n_b·k_b/d
+/// — and either schedule ends with the depth-reduction term: a d-deep tree
+/// reduce of the C partial to depth layer 0 plus the replica broadcast back,
+/// neither overlapped with anything (0 at d = 1). Exact when the bunched
+/// layout makes all depth layers symmetric (q² divisible by gpus_per_node, or
+/// the mesh fitting in one node per layer).
+///
+/// summa_test and scaling_explorer --validate check the simulator reproduces
+/// both to within floating-point round-off.
 struct SummaAbTimes {
   double blocking_s = 0;
   double pipelined_s = 0;
@@ -61,21 +70,8 @@ struct SummaAbTimes {
 };
 
 SummaAbTimes predict_summa_ab_times(const comm::CostModel& cost, int q, std::int64_t m,
-                                    std::int64_t k, std::int64_t n, std::size_t elem_size);
-
-/// Per-rank simulated time for one summa_ab call on a q×q×d bunched mesh
-/// (Tesseract-style 2.5D, world p = d·q², depth-major ranks). The Table-1
-/// terms shrink by d — each k-step row/column-broadcasts k_b/d sub-panels and
-/// multiplies m_b·n_b·k_b/d — and the call ends with the depth-reduction term:
-/// a d-deep tree reduce of the C partial to depth layer 0 plus the replica
-/// broadcast back, neither overlapped with anything. Exact when the bunched
-/// layout makes all depth layers symmetric (q² divisible by gpus_per_node, or
-/// the mesh fitting in one node per layer); d = 1 falls back to
-/// predict_summa_ab_times. summa_test and scaling_explorer --validate assert
-/// measured == predicted to round-off for both schedules.
-SummaAbTimes predict_summa25_ab_times(const comm::CostModel& cost, int q, int d,
-                                      std::int64_t m, std::int64_t k, std::int64_t n,
-                                      std::size_t elem_size);
+                                    std::int64_t k, std::int64_t n, std::size_t elem_size,
+                                    int depth = 1);
 
 // -- KV-cached decode step ---------------------------------------------------
 //

@@ -16,6 +16,7 @@ namespace {
 
 using tensor::Arena;
 using tensor::ArenaScope;
+using tensor::index_t;
 using tensor::Shape;
 using tensor::TensorT;
 namespace ops = tensor::ops;
@@ -51,171 +52,80 @@ void set_pipeline_enabled(bool enabled) {
   g_pipeline_mode.store(enabled ? 1 : 0, std::memory_order_release);
 }
 
+PipelineGuard::PipelineGuard(bool enabled) : prev_(pipeline_enabled()) {
+  OPT_CHECK(obs::current_rank() == obs::kHostRank,
+            "PipelineGuard built on the thread of simulated rank "
+                << obs::current_rank()
+                << "; the SUMMA pipeline mode is process-wide, so set it on the thread that "
+                   "launches the cluster");
+  set_pipeline_enabled(enabled);
+}
+
 namespace {
 
-// -- pipelined schedules -----------------------------------------------------
+// -- the k-loop ---------------------------------------------------------------
 //
-// Double-buffered panels: while the GEMM for step l runs, the broadcasts
-// (and, in the reduce forms, the reduce) for the adjacent step are already in
-// flight on the row/column links. Payloads, roots and reduction order are
-// identical to the blocking schedule, so results are bitwise identical; only
-// the clock arithmetic changes (Request::wait advances to max(clock,
-// completion) instead of summing).
-
-template <typename T>
-void summa_ab_pipelined(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                        TensorT<T>& C, bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
-  TensorT<T> a_buf[2] = {make_temp<T>(workspace, A.shape()),
-                         make_temp<T>(workspace, A.shape())};
-  TensorT<T> b_buf[2] = {make_temp<T>(workspace, B.shape()),
-                         make_temp<T>(workspace, B.shape())};
-  comm::Request a_req[2], b_req[2];
-  const auto prefetch = [&](int l, int slot) {
-    if (mesh.col() == l) a_buf[slot].copy_from(A);
-    a_req[slot] = mesh.row_comm().ibroadcast(a_buf[slot].data(), a_buf[slot].numel(), l);
-    if (mesh.row() == l) b_buf[slot].copy_from(B);
-    b_req[slot] = mesh.col_comm().ibroadcast(b_buf[slot].data(), b_buf[slot].numel(), l);
-  };
-  prefetch(0, 0);
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) {
-      step_span.arg("l", l);
-      step_span.arg("pipelined", 1);
-    }
-    const int cur = l & 1;
-    if (l + 1 < q) prefetch(l + 1, cur ^ 1);
-    a_req[cur].wait();
-    b_req[cur].wait();
-    const T beta = (l == 0 && !accumulate) ? T{0} : T{1};
-    ops::gemm(C, a_buf[cur], b_buf[cur], ops::Trans::No, ops::Trans::No, T{1}, beta);
-  }
-}
-
-template <typename T>
-void summa_abt_pipelined(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                         TensorT<T>& C, bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
-  TensorT<T> b_buf[2] = {make_temp<T>(workspace, B.shape()),
-                         make_temp<T>(workspace, B.shape())};
-  TensorT<T> c_tmp[2] = {make_temp<T>(workspace, C.shape()),
-                         make_temp<T>(workspace, C.shape())};
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-  comm::Request b_req[2], r_req;
-  int r_root = -1, r_slot = -1;
-  const auto prefetch_b = [&](int l, int slot) {
-    if (mesh.row() == l) b_buf[slot].copy_from(B);
-    b_req[slot] = mesh.col_comm().ibroadcast(b_buf[slot].data(), b_buf[slot].numel(), l);
-  };
-  // At most one reduce is in flight, so one shared scratch serves them all;
-  // a slot's partial is never overwritten before its reduce retires.
-  const auto retire_reduce = [&] {
-    if (!r_req.active()) return;
-    r_req.wait();
-    if (mesh.col() == r_root) {
-      if (accumulate) {
-        ops::add_(C, c_tmp[r_slot]);
-      } else {
-        C.copy_from(c_tmp[r_slot]);
-      }
-    }
-  };
-  prefetch_b(0, 0);
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) {
-      step_span.arg("l", l);
-      step_span.arg("pipelined", 1);
-    }
-    const int cur = l & 1;
-    if (l + 1 < q) prefetch_b(l + 1, cur ^ 1);
-    b_req[cur].wait();
-    ops::gemm(c_tmp[cur], A, b_buf[cur], ops::Trans::No, ops::Trans::Yes, T{1}, T{0});
-    retire_reduce();
-    r_req = mesh.row_comm().ireduce(c_tmp[cur].data(), c_tmp[cur].numel(), l,
-                                    r_scratch.data());
-    r_root = l;
-    r_slot = cur;
-  }
-  retire_reduce();
-}
-
-template <typename T>
-void summa_atb_pipelined(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                         TensorT<T>& C, bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
-  TensorT<T> a_buf[2] = {make_temp<T>(workspace, A.shape()),
-                         make_temp<T>(workspace, A.shape())};
-  TensorT<T> c_tmp[2] = {make_temp<T>(workspace, C.shape()),
-                         make_temp<T>(workspace, C.shape())};
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-  comm::Request a_req[2], r_req;
-  int r_root = -1, r_slot = -1;
-  const auto prefetch_a = [&](int l, int slot) {
-    if (mesh.col() == l) a_buf[slot].copy_from(A);
-    a_req[slot] = mesh.row_comm().ibroadcast(a_buf[slot].data(), a_buf[slot].numel(), l);
-  };
-  const auto retire_reduce = [&] {
-    if (!r_req.active()) return;
-    r_req.wait();
-    if (mesh.row() == r_root) {
-      if (accumulate) {
-        ops::add_(C, c_tmp[r_slot]);
-      } else {
-        C.copy_from(c_tmp[r_slot]);
-      }
-    }
-  };
-  prefetch_a(0, 0);
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) {
-      step_span.arg("l", l);
-      step_span.arg("pipelined", 1);
-    }
-    const int cur = l & 1;
-    if (l + 1 < q) prefetch_a(l + 1, cur ^ 1);
-    a_req[cur].wait();
-    ops::gemm(c_tmp[cur], a_buf[cur], B, ops::Trans::Yes, ops::Trans::No, T{1}, T{0});
-    retire_reduce();
-    r_req = mesh.col_comm().ireduce(c_tmp[cur].data(), c_tmp[cur].numel(), l,
-                                    r_scratch.data());
-    r_root = l;
-    r_slot = cur;
-  }
-  retire_reduce();
-}
-
-// -- 2.5D (Tesseract) schedules ----------------------------------------------
+// Each product form runs one k-loop parameterized by two numbers:
 //
-// At depth d > 1 every SUMMA contraction block splits into d sub-panels of
-// extent k_b/d; depth layer z broadcasts and multiplies only sub-range z, so
-// per-step broadcast volume and GEMM work both drop by d (arXiv:2105.14500).
-// After the q-step loop each layer holds a pure partial of its C block
-// restricted to its sub-range; a depth-d tree reduction to layer 0
-// (ascending-depth fold — the same ascending-k order a serial sweep of the
-// sub-ranges would use), the accumulate epilogue at layer 0, and a replica
-// broadcast of the finished block complete the product with every depth
-// replica bitwise identical.
+//   lookahead — 0 issues every step's collectives as blocking calls, in step
+//               order; 1 double-buffers the panels and issues step l+1's
+//               broadcasts (asynchronously) before waiting on step l's, so the
+//               GEMM of step l overlaps the transfer of step l+1. Payloads,
+//               roots and reduction order are identical, so results are
+//               bitwise identical; only the clock arithmetic differs
+//               (Request::wait advances to max(clock, completion)).
+//   depth d   — on a q×q×d mesh (Tesseract-style 2.5D, arXiv:2105.14500)
+//               every contraction block splits into d sub-panels of extent
+//               k_b/d; depth layer z broadcasts and multiplies only sub-range
+//               z, so per-step broadcast volume and GEMM work both drop by d.
+//               The loop then leaves a pure partial of the C block, which a
+//               depth tree reduction to layer 0 (ascending depth = ascending
+//               k), the accumulate epilogue and a replica broadcast finish.
+//               At d = 1 the loop works on the caller's blocks directly.
 
-/// Copies the `dst.size(1)`-wide column range starting at `c0` out of `src`.
+/// Copies the k-range [k0, k0 + extent) of `src` into `dst`, where the
+/// contraction runs along columns (`by_cols`) or rows and `dst` is the
+/// range's shape. At d = 1 the range is the whole block: a plain copy.
 template <typename T>
-void pack_col_range(TensorT<T>& dst, const TensorT<T>& src, tensor::index_t c0) {
-  const tensor::index_t rows = src.size(0);
-  const tensor::index_t cols = src.size(1);
-  const tensor::index_t w = dst.size(1);
-  for (tensor::index_t i = 0; i < rows; ++i) {
-    std::memcpy(dst.data() + i * w, src.data() + i * cols + c0,
+void pack_k_range(TensorT<T>& dst, const TensorT<T>& src, index_t k0, bool by_cols) {
+  if (!by_cols) {
+    std::memcpy(dst.data(), src.data() + k0 * src.size(1),
+                static_cast<std::size_t>(dst.numel()) * sizeof(T));
+    return;
+  }
+  const index_t cols = src.size(1);
+  const index_t w = dst.size(1);
+  for (index_t i = 0; i < src.size(0); ++i) {
+    std::memcpy(dst.data() + i * w, src.data() + i * cols + k0,
                 static_cast<std::size_t>(w) * sizeof(T));
   }
 }
 
-/// Copies the `dst.size(0)`-tall row range starting at `r0` out of `src`.
+/// Shape of the k-range of `t` that pack_k_range copies.
 template <typename T>
-void pack_row_range(TensorT<T>& dst, const TensorT<T>& src, tensor::index_t r0) {
-  std::memcpy(dst.data(), src.data() + r0 * src.size(1),
-              static_cast<std::size_t>(dst.numel()) * sizeof(T));
+Shape k_range_shape(const TensorT<T>& t, index_t extent, bool by_cols) {
+  return by_cols ? Shape{t.size(0), extent} : Shape{extent, t.size(1)};
+}
+
+/// Step `root`'s panel broadcast over `comm`: the root (mesh row/column `root`
+/// of the k-loop) packs its k-range of `src` into `buf`, then the broadcast is
+/// issued — as the blocking call at lookahead 0 (the returned request is
+/// inert), asynchronously otherwise.
+template <typename T>
+comm::Request broadcast_panel(comm::Communicator& comm, int root, TensorT<T>& buf,
+                              const TensorT<T>& src, index_t k0, bool by_cols, int lookahead) {
+  if (comm.rank() == root) pack_k_range(buf, src, k0, by_cols);
+  if (lookahead == 0) {
+    comm.broadcast(buf.data(), buf.numel(), root);
+    return {};
+  }
+  return comm.ibroadcast(buf.data(), buf.numel(), root);
+}
+
+void k_step_args(obs::Span& span, int l, int lookahead) {
+  if (!span.armed()) return;
+  span.arg("l", l);
+  if (lookahead > 0) span.arg("pipelined", 1);
 }
 
 /// Tree-reduces the per-depth C partials to depth layer 0, applies the
@@ -239,185 +149,144 @@ void depth_fold(mesh::Mesh2D& mesh, TensorT<T>& partial, TensorT<T>& C, TensorT<
   bc.wait();
 }
 
+/// Broadcast–broadcast loop (summa_ab, Algorithm 1): step l row-broadcasts
+/// mesh column l's A panel, column-broadcasts mesh row l's B panel (paper
+/// Fig. 3) and accumulates their product.
 template <typename T>
-void summa_ab_25d(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                  TensorT<T>& C, bool accumulate, bool pipelined, Arena* workspace) {
+void ab_loop(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, TensorT<T>& C,
+             bool accumulate, int lookahead, Arena* workspace) {
   const int q = mesh.q();
-  const tensor::index_t ks = A.size(1) / mesh.depth();
-  const tensor::index_t z0 = static_cast<tensor::index_t>(mesh.depth_idx()) * ks;
-  const Shape a_shape{A.size(0), ks};
-  const Shape b_shape{ks, B.size(1)};
-  TensorT<T> c_part = make_temp<T>(workspace, C.shape());
-  TensorT<T> d_scratch = make_temp<T>(workspace, C.shape());
-  if (pipelined) {
-    TensorT<T> a_sub[2] = {make_temp<T>(workspace, a_shape),
-                           make_temp<T>(workspace, a_shape)};
-    TensorT<T> b_sub[2] = {make_temp<T>(workspace, b_shape),
-                           make_temp<T>(workspace, b_shape)};
-    comm::Request a_req[2], b_req[2];
-    const auto prefetch = [&](int l, int slot) {
-      if (mesh.col() == l) pack_col_range(a_sub[slot], A, z0);
-      a_req[slot] = mesh.row_comm().ibroadcast(a_sub[slot].data(), a_sub[slot].numel(), l);
-      if (mesh.row() == l) pack_row_range(b_sub[slot], B, z0);
-      b_req[slot] = mesh.col_comm().ibroadcast(b_sub[slot].data(), b_sub[slot].numel(), l);
-    };
-    prefetch(0, 0);
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) {
-        step_span.arg("l", l);
-        step_span.arg("pipelined", 1);
-      }
-      const int cur = l & 1;
-      if (l + 1 < q) prefetch(l + 1, cur ^ 1);
-      a_req[cur].wait();
-      b_req[cur].wait();
-      ops::gemm(c_part, a_sub[cur], b_sub[cur], ops::Trans::No, ops::Trans::No, T{1},
-                l == 0 ? T{0} : T{1});
-    }
-  } else {
-    TensorT<T> a_sub = make_temp<T>(workspace, a_shape);
-    TensorT<T> b_sub = make_temp<T>(workspace, b_shape);
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) step_span.arg("l", l);
-      if (mesh.col() == l) pack_col_range(a_sub, A, z0);
-      mesh.row_comm().broadcast(a_sub, /*root=*/l);
-      if (mesh.row() == l) pack_row_range(b_sub, B, z0);
-      mesh.col_comm().broadcast(b_sub, /*root=*/l);
-      ops::gemm(c_part, a_sub, b_sub, ops::Trans::No, ops::Trans::No, T{1},
-                l == 0 ? T{0} : T{1});
-    }
+  const int d = mesh.depth();
+  const int nbuf = lookahead + 1;
+  const index_t ks = A.size(1) / d;
+  const index_t k0 = static_cast<index_t>(mesh.depth_idx()) * ks;
+  TensorT<T> c_part, fold_scratch;
+  if (d > 1) {
+    c_part = make_temp<T>(workspace, C.shape());
+    fold_scratch = make_temp<T>(workspace, C.shape());
   }
-  depth_fold(mesh, c_part, C, d_scratch, accumulate);
+  TensorT<T>& target = d > 1 ? c_part : C;
+  const bool acc = d == 1 && accumulate;  // the depth fold applies it at d > 1
+  TensorT<T> a_buf[2], b_buf[2];
+  for (int s = 0; s < nbuf; ++s) a_buf[s] = make_temp<T>(workspace, k_range_shape(A, ks, true));
+  for (int s = 0; s < nbuf; ++s) b_buf[s] = make_temp<T>(workspace, k_range_shape(B, ks, false));
+  comm::Request a_req[2], b_req[2];
+  const auto issue = [&](int l) {
+    const int s = l % nbuf;
+    a_req[s] = broadcast_panel(mesh.row_comm(), l, a_buf[s], A, k0, true, lookahead);
+    b_req[s] = broadcast_panel(mesh.col_comm(), l, b_buf[s], B, k0, false, lookahead);
+  };
+  for (int l = 0; l < lookahead; ++l) issue(l);
+  for (int l = 0; l < q; ++l) {
+    obs::Span step_span("summa", "k_step");
+    k_step_args(step_span, l, lookahead);
+    if (l + lookahead < q) issue(l + lookahead);
+    const int s = l % nbuf;
+    a_req[s].wait();
+    b_req[s].wait();
+    const T beta = (l == 0 && !acc) ? T{0} : T{1};
+    ops::gemm(target, a_buf[s], b_buf[s], ops::Trans::No, ops::Trans::No, T{1}, beta);
+  }
+  if (d > 1) depth_fold(mesh, c_part, C, fold_scratch, accumulate);
 }
 
+/// Broadcast–reduce loop shared by summa_abt (Algorithm 2) and summa_atb
+/// (Algorithm 3), mirror images across the mesh diagonal. abt keeps A fixed,
+/// broadcasts mesh row l's B panel down the columns and reduces the C
+/// partials A·Bᵀ across each row to column l; atb keeps B fixed, broadcasts
+/// mesh column l's A panel across the rows and reduces Aᵀ·B down each column
+/// to row l. Both contract over the dimension the fixed and moving blocks
+/// share: columns for abt, rows for atb.
 template <typename T>
-void summa_abt_25d(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                   TensorT<T>& C, bool accumulate, bool pipelined, Arena* workspace) {
+void reduce_loop(mesh::Mesh2D& mesh, const TensorT<T>& fixed, const TensorT<T>& moving,
+                 TensorT<T>& C, bool accumulate, bool abt, int lookahead, Arena* workspace) {
   const int q = mesh.q();
-  const tensor::index_t ns = A.size(1) / mesh.depth();
-  const tensor::index_t z0 = static_cast<tensor::index_t>(mesh.depth_idx()) * ns;
-  const Shape a_shape{A.size(0), ns};
-  const Shape b_shape{B.size(0), ns};
-  // The local A sub-panel is the same in every step: pack it once.
-  TensorT<T> a_sub = make_temp<T>(workspace, a_shape);
-  pack_col_range(a_sub, A, z0);
-  TensorT<T> c_part = make_temp<T>(workspace, C.shape());
-  // Serves the in-loop row reduces and the final depth fold.
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-  if (pipelined) {
-    TensorT<T> b_sub[2] = {make_temp<T>(workspace, b_shape),
-                           make_temp<T>(workspace, b_shape)};
-    TensorT<T> c_tmp[2] = {make_temp<T>(workspace, C.shape()),
-                           make_temp<T>(workspace, C.shape())};
-    comm::Request b_req[2], r_req;
-    int r_root = -1, r_slot = -1;
-    const auto prefetch_b = [&](int l, int slot) {
-      if (mesh.row() == l) pack_col_range(b_sub[slot], B, z0);
-      b_req[slot] = mesh.col_comm().ibroadcast(b_sub[slot].data(), b_sub[slot].numel(), l);
-    };
-    const auto retire_reduce = [&] {
-      if (!r_req.active()) return;
-      r_req.wait();
-      if (mesh.col() == r_root) c_part.copy_from(c_tmp[r_slot]);
-    };
-    prefetch_b(0, 0);
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) {
-        step_span.arg("l", l);
-        step_span.arg("pipelined", 1);
-      }
-      const int cur = l & 1;
-      if (l + 1 < q) prefetch_b(l + 1, cur ^ 1);
-      b_req[cur].wait();
-      ops::gemm(c_tmp[cur], a_sub, b_sub[cur], ops::Trans::No, ops::Trans::Yes, T{1}, T{0});
-      retire_reduce();
-      r_req = mesh.row_comm().ireduce(c_tmp[cur].data(), c_tmp[cur].numel(), l,
-                                      r_scratch.data());
-      r_root = l;
-      r_slot = cur;
-    }
-    retire_reduce();
-  } else {
-    TensorT<T> b_sub = make_temp<T>(workspace, b_shape);
-    TensorT<T> c_tmp = make_temp<T>(workspace, C.shape());
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) step_span.arg("l", l);
-      if (mesh.row() == l) pack_col_range(b_sub, B, z0);
-      mesh.col_comm().broadcast(b_sub, /*root=*/l);
-      ops::gemm(c_tmp, a_sub, b_sub, ops::Trans::No, ops::Trans::Yes, T{1}, T{0});
-      mesh.row_comm().reduce(c_tmp.data(), c_tmp.numel(), /*root=*/l, r_scratch.data());
-      if (mesh.col() == l) c_part.copy_from(c_tmp);
-    }
+  const int d = mesh.depth();
+  const int nbuf = lookahead + 1;
+  comm::Communicator& bcast = abt ? mesh.col_comm() : mesh.row_comm();
+  comm::Communicator& reduce = abt ? mesh.row_comm() : mesh.col_comm();
+  const index_t ks = (abt ? fixed.size(1) : fixed.size(0)) / d;
+  const index_t k0 = static_cast<index_t>(mesh.depth_idx()) * ks;
+  TensorT<T> fixed_sub, c_part;
+  if (d > 1) {
+    // The local fixed sub-panel is the same in every step: pack it once.
+    fixed_sub = make_temp<T>(workspace, k_range_shape(fixed, ks, abt));
+    pack_k_range(fixed_sub, fixed, k0, abt);
+    c_part = make_temp<T>(workspace, C.shape());
   }
-  depth_fold(mesh, c_part, C, r_scratch, accumulate);
+  const TensorT<T>& fix = d > 1 ? fixed_sub : fixed;
+  TensorT<T>& target = d > 1 ? c_part : C;
+  const bool acc = d == 1 && accumulate;  // the depth fold applies it at d > 1
+  TensorT<T> m_buf[2], c_tmp[2];
+  for (int s = 0; s < nbuf; ++s) m_buf[s] = make_temp<T>(workspace, k_range_shape(moving, ks, abt));
+  for (int s = 0; s < nbuf; ++s) c_tmp[s] = make_temp<T>(workspace, C.shape());
+  // Receive buffer of every in-loop reduce (and of the depth fold). At most
+  // one reduce is in flight, so a step's partial is never overwritten before
+  // its reduce retires.
+  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
+  comm::Request m_req[2], r_req;
+  int r_step = -1;  // step whose reduce awaits retirement
+  const auto issue = [&](int l) {
+    m_req[l % nbuf] = broadcast_panel(bcast, l, m_buf[l % nbuf], moving, k0, abt, lookahead);
+  };
+  // Retire = wait + capture of the reduced partial at the step's owner.
+  const auto retire = [&] {
+    if (r_step < 0) return;
+    r_req.wait();
+    if (reduce.rank() == r_step) {
+      if (acc) {
+        ops::add_(target, c_tmp[r_step % nbuf]);
+      } else {
+        target.copy_from(c_tmp[r_step % nbuf]);
+      }
+    }
+    r_step = -1;
+  };
+  for (int l = 0; l < lookahead; ++l) issue(l);
+  for (int l = 0; l < q; ++l) {
+    obs::Span step_span("summa", "k_step");
+    k_step_args(step_span, l, lookahead);
+    if (l + lookahead < q) issue(l + lookahead);
+    const int s = l % nbuf;
+    m_req[s].wait();
+    ops::gemm(c_tmp[s], abt ? fix : m_buf[s], abt ? m_buf[s] : fix,
+              abt ? ops::Trans::No : ops::Trans::Yes, abt ? ops::Trans::Yes : ops::Trans::No,
+              T{1}, T{0});
+    // The capture's position relative to the next collective decides which
+    // side of its clock alignment the capture drains on: step l−1's reduce
+    // retires before step l's is issued, and a blocking reduce retires at once.
+    if (lookahead > 0) retire();
+    if (lookahead == 0) {
+      reduce.reduce(c_tmp[s].data(), c_tmp[s].numel(), l, r_scratch.data());
+    } else {
+      r_req = reduce.ireduce(c_tmp[s].data(), c_tmp[s].numel(), l, r_scratch.data());
+    }
+    r_step = l;
+    if (lookahead == 0) retire();
+  }
+  retire();
+  if (d > 1) depth_fold(mesh, c_part, C, r_scratch, accumulate);
 }
 
-template <typename T>
-void summa_atb_25d(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
-                   TensorT<T>& C, bool accumulate, bool pipelined, Arena* workspace) {
+/// Shared entry of the three SUMMA forms: op span, workspace scope and the
+/// depth-divisibility check, then `loop(lookahead)`.
+template <typename Loop>
+void run_summa(const char* name, mesh::Mesh2D& mesh, index_t k_extent, Arena* workspace,
+               const Loop& loop) {
   const int q = mesh.q();
-  const tensor::index_t ms = A.size(0) / mesh.depth();
-  const tensor::index_t z0 = static_cast<tensor::index_t>(mesh.depth_idx()) * ms;
-  const Shape a_shape{ms, A.size(1)};
-  const Shape b_shape{ms, B.size(1)};
-  // The local B sub-panel is the same in every step: pack it once.
-  TensorT<T> b_sub = make_temp<T>(workspace, b_shape);
-  pack_row_range(b_sub, B, z0);
-  TensorT<T> c_part = make_temp<T>(workspace, C.shape());
-  // Serves the in-loop column reduces and the final depth fold.
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-  if (pipelined) {
-    TensorT<T> a_sub[2] = {make_temp<T>(workspace, a_shape),
-                           make_temp<T>(workspace, a_shape)};
-    TensorT<T> c_tmp[2] = {make_temp<T>(workspace, C.shape()),
-                           make_temp<T>(workspace, C.shape())};
-    comm::Request a_req[2], r_req;
-    int r_root = -1, r_slot = -1;
-    const auto prefetch_a = [&](int l, int slot) {
-      if (mesh.col() == l) pack_row_range(a_sub[slot], A, z0);
-      a_req[slot] = mesh.row_comm().ibroadcast(a_sub[slot].data(), a_sub[slot].numel(), l);
-    };
-    const auto retire_reduce = [&] {
-      if (!r_req.active()) return;
-      r_req.wait();
-      if (mesh.row() == r_root) c_part.copy_from(c_tmp[r_slot]);
-    };
-    prefetch_a(0, 0);
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) {
-        step_span.arg("l", l);
-        step_span.arg("pipelined", 1);
-      }
-      const int cur = l & 1;
-      if (l + 1 < q) prefetch_a(l + 1, cur ^ 1);
-      a_req[cur].wait();
-      ops::gemm(c_tmp[cur], a_sub[cur], b_sub, ops::Trans::Yes, ops::Trans::No, T{1}, T{0});
-      retire_reduce();
-      r_req = mesh.col_comm().ireduce(c_tmp[cur].data(), c_tmp[cur].numel(), l,
-                                      r_scratch.data());
-      r_root = l;
-      r_slot = cur;
-    }
-    retire_reduce();
-  } else {
-    TensorT<T> a_sub = make_temp<T>(workspace, a_shape);
-    TensorT<T> c_tmp = make_temp<T>(workspace, C.shape());
-    for (int l = 0; l < q; ++l) {
-      obs::Span step_span("summa", "k_step");
-      if (step_span.armed()) step_span.arg("l", l);
-      if (mesh.col() == l) pack_row_range(a_sub, A, z0);
-      mesh.row_comm().broadcast(a_sub, /*root=*/l);
-      ops::gemm(c_tmp, a_sub, b_sub, ops::Trans::Yes, ops::Trans::No, T{1}, T{0});
-      mesh.col_comm().reduce(c_tmp.data(), c_tmp.numel(), /*root=*/l, r_scratch.data());
-      if (mesh.row() == l) c_part.copy_from(c_tmp);
-    }
+  const int d = mesh.depth();
+  obs::Span op_span("summa", name);
+  const int lookahead = (q > 1 && pipeline_enabled()) ? 1 : 0;
+  if (op_span.armed()) {
+    op_span.arg("q", q);
+    if (d > 1) op_span.arg("d", d);
+    if (lookahead > 0) op_span.arg("pipelined", 1);
   }
-  depth_fold(mesh, c_part, C, r_scratch, accumulate);
+  std::optional<ArenaScope> scope;
+  if (workspace != nullptr) scope.emplace(*workspace);
+  OPT_CHECK(k_extent % d == 0,
+            name << " contraction block " << k_extent << " not divisible by mesh depth " << d);
+  loop(lookahead);
 }
 
 }  // namespace
@@ -425,159 +294,40 @@ void summa_atb_25d(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B,
 template <typename T>
 void summa_ab(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, TensorT<T>& C,
               bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
   OPT_CHECK(A.ndim() == 2 && B.ndim() == 2 && C.ndim() == 2, "summa_ab needs 2-D blocks");
   OPT_CHECK(A.size(0) == C.size(0) && B.size(1) == C.size(1) && A.size(1) == B.size(0),
             "summa_ab block shapes: A " << A.shape().to_string() << " B "
                                         << B.shape().to_string() << " C "
                                         << C.shape().to_string());
-  obs::Span op_span("summa", "summa_ab");
-  if (op_span.armed()) op_span.arg("q", q);
-  std::optional<ArenaScope> scope;
-  if (workspace != nullptr) scope.emplace(*workspace);
-  if (mesh.depth() > 1) {
-    OPT_CHECK(A.size(1) % mesh.depth() == 0, "summa_ab contraction block "
-                                                 << A.size(1)
-                                                 << " not divisible by mesh depth "
-                                                 << mesh.depth());
-    const bool pipelined = q > 1 && pipeline_enabled();
-    if (op_span.armed()) {
-      op_span.arg("d", mesh.depth());
-      if (pipelined) op_span.arg("pipelined", 1);
-    }
-    summa_ab_25d(mesh, A, B, C, accumulate, pipelined, workspace);
-    return;
-  }
-  if (q > 1 && pipeline_enabled()) {
-    if (op_span.armed()) op_span.arg("pipelined", 1);
-    summa_ab_pipelined(mesh, A, B, C, accumulate, workspace);
-    return;
-  }
-  TensorT<T> a_buf = make_temp<T>(workspace, A.shape());
-  TensorT<T> b_buf = make_temp<T>(workspace, B.shape());
-
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) step_span.arg("l", l);
-    // Column l of the mesh owns the A blocks for this outer-product step;
-    // row l owns the B blocks (paper Fig. 3).
-    if (mesh.col() == l) a_buf.copy_from(A);
-    mesh.row_comm().broadcast(a_buf, /*root=*/l);
-    if (mesh.row() == l) b_buf.copy_from(B);
-    mesh.col_comm().broadcast(b_buf, /*root=*/l);
-    const T beta = (l == 0 && !accumulate) ? T{0} : T{1};
-    ops::gemm(C, a_buf, b_buf, ops::Trans::No, ops::Trans::No, T{1}, beta);
-  }
+  run_summa("summa_ab", mesh, A.size(1), workspace, [&](int lookahead) {
+    ab_loop(mesh, A, B, C, accumulate, lookahead, workspace);
+  });
 }
 
 template <typename T>
 void summa_abt(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, TensorT<T>& C,
                bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
   OPT_CHECK(A.ndim() == 2 && B.ndim() == 2 && C.ndim() == 2, "summa_abt needs 2-D blocks");
   OPT_CHECK(A.size(0) == C.size(0) && A.size(1) == B.size(1) && B.size(0) == C.size(1),
             "summa_abt block shapes: A " << A.shape().to_string() << " B "
                                          << B.shape().to_string() << " C "
                                          << C.shape().to_string());
-  obs::Span op_span("summa", "summa_abt");
-  if (op_span.armed()) op_span.arg("q", q);
-  std::optional<ArenaScope> scope;
-  if (workspace != nullptr) scope.emplace(*workspace);
-  if (mesh.depth() > 1) {
-    OPT_CHECK(A.size(1) % mesh.depth() == 0, "summa_abt contraction block "
-                                                 << A.size(1)
-                                                 << " not divisible by mesh depth "
-                                                 << mesh.depth());
-    const bool pipelined = q > 1 && pipeline_enabled();
-    if (op_span.armed()) {
-      op_span.arg("d", mesh.depth());
-      if (pipelined) op_span.arg("pipelined", 1);
-    }
-    summa_abt_25d(mesh, A, B, C, accumulate, pipelined, workspace);
-    return;
-  }
-  if (q > 1 && pipeline_enabled()) {
-    if (op_span.armed()) op_span.arg("pipelined", 1);
-    summa_abt_pipelined(mesh, A, B, C, accumulate, workspace);
-    return;
-  }
-  TensorT<T> b_buf = make_temp<T>(workspace, B.shape());
-  TensorT<T> c_tmp = make_temp<T>(workspace, C.shape());
-  // Persistent reduce receive buffer, reused across all q steps.
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) step_span.arg("l", l);
-    // Step l computes column-block l of C: broadcast B_l· down columns,
-    // multiply locally, reduce partial C blocks across the row to column l.
-    if (mesh.row() == l) b_buf.copy_from(B);
-    mesh.col_comm().broadcast(b_buf, /*root=*/l);
-    ops::gemm(c_tmp, A, b_buf, ops::Trans::No, ops::Trans::Yes, T{1}, T{0});
-    mesh.row_comm().reduce(c_tmp.data(), c_tmp.numel(), /*root=*/l, r_scratch.data());
-    if (mesh.col() == l) {
-      if (accumulate) {
-        ops::add_(C, c_tmp);
-      } else {
-        C.copy_from(c_tmp);
-      }
-    }
-  }
+  run_summa("summa_abt", mesh, A.size(1), workspace, [&](int lookahead) {
+    reduce_loop(mesh, A, B, C, accumulate, /*abt=*/true, lookahead, workspace);
+  });
 }
 
 template <typename T>
 void summa_atb(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, TensorT<T>& C,
                bool accumulate, Arena* workspace) {
-  const int q = mesh.q();
   OPT_CHECK(A.ndim() == 2 && B.ndim() == 2 && C.ndim() == 2, "summa_atb needs 2-D blocks");
   OPT_CHECK(A.size(1) == C.size(0) && B.size(1) == C.size(1) && A.size(0) == B.size(0),
             "summa_atb block shapes: A " << A.shape().to_string() << " B "
                                          << B.shape().to_string() << " C "
                                          << C.shape().to_string());
-  obs::Span op_span("summa", "summa_atb");
-  if (op_span.armed()) op_span.arg("q", q);
-  std::optional<ArenaScope> scope;
-  if (workspace != nullptr) scope.emplace(*workspace);
-  if (mesh.depth() > 1) {
-    OPT_CHECK(A.size(0) % mesh.depth() == 0, "summa_atb contraction block "
-                                                 << A.size(0)
-                                                 << " not divisible by mesh depth "
-                                                 << mesh.depth());
-    const bool pipelined = q > 1 && pipeline_enabled();
-    if (op_span.armed()) {
-      op_span.arg("d", mesh.depth());
-      if (pipelined) op_span.arg("pipelined", 1);
-    }
-    summa_atb_25d(mesh, A, B, C, accumulate, pipelined, workspace);
-    return;
-  }
-  if (q > 1 && pipeline_enabled()) {
-    if (op_span.armed()) op_span.arg("pipelined", 1);
-    summa_atb_pipelined(mesh, A, B, C, accumulate, workspace);
-    return;
-  }
-  TensorT<T> a_buf = make_temp<T>(workspace, A.shape());
-  TensorT<T> c_tmp = make_temp<T>(workspace, C.shape());
-  // Persistent reduce receive buffer, reused across all q steps.
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
-
-  for (int l = 0; l < q; ++l) {
-    obs::Span step_span("summa", "k_step");
-    if (step_span.armed()) step_span.arg("l", l);
-    // Step l computes row-block l of C: broadcast A_·l across rows, multiply
-    // locally, reduce partial C blocks down the column to row l.
-    if (mesh.col() == l) a_buf.copy_from(A);
-    mesh.row_comm().broadcast(a_buf, /*root=*/l);
-    ops::gemm(c_tmp, a_buf, B, ops::Trans::Yes, ops::Trans::No, T{1}, T{0});
-    mesh.col_comm().reduce(c_tmp.data(), c_tmp.numel(), /*root=*/l, r_scratch.data());
-    if (mesh.row() == l) {
-      if (accumulate) {
-        ops::add_(C, c_tmp);
-      } else {
-        C.copy_from(c_tmp);
-      }
-    }
-  }
+  run_summa("summa_atb", mesh, A.size(0), workspace, [&](int lookahead) {
+    reduce_loop(mesh, B, A, C, accumulate, /*abt=*/false, lookahead, workspace);
+  });
 }
 
 template <typename T>

@@ -20,13 +20,22 @@
 //   summa_abt : q column-broadcasts of B blocks + q row-reduces of C blocks
 //   summa_atb : q row-broadcasts of A blocks + q column-reduces of C blocks
 //
-// On a depth-d mesh (Tesseract-style 2.5D, arXiv:2105.14500) operands are
-// replicated across the d depth layers and every contraction block splits
-// into d sub-panels of extent k_b/d: layer z broadcasts and multiplies only
-// sub-range z (broadcast volume and per-step GEMM work both /d), then a
-// depth-d tree reduction of the C partials to layer 0, the accumulate
-// epilogue, and a replica broadcast finish the call with all depth replicas
-// bitwise identical. d = 1 runs exactly the 2D schedules above.
+// Each form is one k-loop — summa_ab a broadcast–broadcast loop, summa_abt
+// and summa_atb one shared broadcast–reduce loop (they are mirror images
+// across the mesh diagonal) — parameterized by two numbers:
+//
+//   lookahead  0 runs every step's collectives as blocking calls; 1 (the
+//              pipelined schedule, below) double-buffers the panels and
+//              issues step l+1's broadcasts before step l's GEMM.
+//   depth d    on a depth-d mesh (Tesseract-style 2.5D, arXiv:2105.14500)
+//              operands are replicated across the d depth layers and every
+//              contraction block splits into d sub-panels of extent k_b/d:
+//              layer z broadcasts and multiplies only sub-range z (broadcast
+//              volume and per-step GEMM work both /d), then a depth-d tree
+//              reduction of the C partials to layer 0, the accumulate
+//              epilogue, and a replica broadcast finish the call with all
+//              depth replicas bitwise identical. At d = 1 the loop works on
+//              the caller's blocks directly (the 2D schedule).
 //
 // If `workspace` is non-null the broadcast/reduce temporaries are carved from
 // it (and released on return), implementing the paper's §3.2.3 pre-allocated
@@ -40,23 +49,27 @@ namespace optimus::summa {
 
 // -- pipelining switch -------------------------------------------------------
 //
-// When enabled (the default), the SUMMA k-loop double-buffers its panels and
-// issues the broadcasts/reduces for step l+1 asynchronously while the GEMM
-// for step l runs, so a steady-state step costs max(comm, compute) instead of
-// comm + compute. Results are bitwise identical to the blocking schedule
-// (identical payloads, identical reduction order). The process-wide default
-// comes from OPTIMUS_SUMMA_PIPELINE (unset or any value but "0" → on), read
-// once on first use; set_pipeline_enabled()/PipelineGuard override it.
+// When enabled (the default), the SUMMA k-loops run at lookahead 1: they
+// double-buffer their panels and issue the broadcasts/reduces for step l+1
+// asynchronously while the GEMM for step l runs, so a steady-state step costs
+// max(comm, compute) instead of comm + compute. Results are bitwise identical
+// to the blocking schedule (identical payloads, identical reduction order).
+// The process-wide default comes from OPTIMUS_SUMMA_PIPELINE (unset or any
+// value but "0" → on), read once on first use; set_pipeline_enabled()/
+// PipelineGuard override it.
 
 bool pipeline_enabled();
 void set_pipeline_enabled(bool enabled);
 
-/// RAII override of the pipeline mode (tests, benches, fuzz configs).
+/// RAII override of the pipeline mode (tests, benches, fuzz configs). The mode
+/// is process-wide, so build the guard on the thread that launches the
+/// cluster: every rank thread of one run must see the same mode, and rank
+/// threads restoring it in racing order would leak their override past the
+/// run. Throws CheckError naming the rank when built on a simulated-device
+/// thread.
 class PipelineGuard {
  public:
-  explicit PipelineGuard(bool enabled) : prev_(pipeline_enabled()) {
-    set_pipeline_enabled(enabled);
-  }
+  explicit PipelineGuard(bool enabled);
   ~PipelineGuard() { set_pipeline_enabled(prev_); }
   PipelineGuard(const PipelineGuard&) = delete;
   PipelineGuard& operator=(const PipelineGuard&) = delete;

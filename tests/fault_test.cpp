@@ -14,6 +14,7 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,25 @@ TEST(Fault, PoisonedPayloadFailsLoudlyNamingTheOp) {
     EXPECT_NE(what.find("poisoned payload"), std::string::npos) << what;
     EXPECT_NE(what.find("allreduce"), std::string::npos)
         << "diagnostic does not name the op: " << what;
+  }
+}
+
+TEST(Fault, RankExceptionAbortsPeersAndRethrowsRootError) {
+  // A plain exception on one rank (no fabric fault) must still be fail-stop:
+  // its peers, blocked in an all_reduce that rank never enters, unwind with
+  // FabricAborted, and run() rethrows the original error — not the unwinds.
+  ots::Watchdog wd("rank exception test", std::chrono::seconds(60));
+  try {
+    oc::run_cluster(4, [](oc::Context& ctx) {
+      if (ctx.rank == 2) throw std::runtime_error("boom");
+      std::vector<double> data(8, 1.0);
+      ctx.world.all_reduce(data.data(), static_cast<optimus::tensor::index_t>(data.size()));
+    });
+    FAIL() << "run completed although rank 2 threw";
+  } catch (const oc::FabricAborted& e) {
+    FAIL() << "secondary unwind rethrown instead of the root error: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
   }
 }
 
@@ -217,9 +237,9 @@ TEST(Fault, PoisonedAsyncPanelAbortsPipelinedSummaCleanly) {
   plan.seed = ots::test_seed(55);
   OPTIMUS_SEED_TRACE(plan.seed);
   plan.poison_prob = 1.0;
+  optimus::summa::PipelineGuard guard(true);
   try {
     oc::run_cluster(4, plan, [](oc::Context& ctx) {
-      optimus::summa::PipelineGuard guard(true);
       optimus::mesh::Mesh2D mesh(ctx.world);
       using DTensor = optimus::tensor::DTensor;
       using Shape = optimus::tensor::Shape;
@@ -342,8 +362,8 @@ TEST(Fault, LatencyFaultsLeave25dSummaBitwise) {
   const auto run_faulted = [&](const oc::FaultPlan* plan, bool pipelined) {
     std::vector<std::vector<double>> out(q * q * d);
     std::mutex mu;
+    optimus::summa::PipelineGuard guard(pipelined);
     const auto body = [&](oc::Context& ctx) {
-      optimus::summa::PipelineGuard guard(pipelined);
       optimus::mesh::Mesh2D mesh(ctx.world, d);
       // Seed by mesh cell so depth replicas hold identical blocks, as the
       // 2.5D contract requires.
@@ -392,8 +412,8 @@ TEST(Fault, LatencyFaultsLeavePipelinedSummaBitwise) {
   const auto run_faulted = [&](const oc::FaultPlan* plan) {
     DTensor C_global = DTensor::zeros(Shape{12, 8});  // gathered D blocks [6, 4]
     std::mutex mu;
+    optimus::summa::PipelineGuard guard(true);
     const auto body = [&](oc::Context& ctx) {
-      optimus::summa::PipelineGuard guard(true);
       optimus::mesh::Mesh2D mesh(ctx.world);
       optimus::util::Rng rng(700 + ctx.rank);
       DTensor A(Shape{4, 6}), B(Shape{6, 4}), C(Shape{4, 4}), D(Shape{6, 4});

@@ -599,8 +599,8 @@ TEST(Serving, DecodeStepTimeMatchesClosedFormOptimus) {
     // cross-group alignment waits are not in the closed form.)
     oc::Cluster cluster(q * q, oc::Topology(q * q, q * q, oc::Arrangement::kBunched, 0),
                         oc::MachineParams{});
+    optimus::summa::PipelineGuard guard(false);  // closed form models blocking
     cluster.run([&](oc::Context& ctx) {
-      optimus::summa::PipelineGuard guard(false);  // closed form models blocking
       optimus::mesh::Mesh2D mesh(ctx.world);
       optimus::core::OptimusTransformer<float> m(cfg, mesh);
       osv::OptimusDecodeEngine<float> eng(m, cfg.batch);

@@ -8,6 +8,9 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/cluster.hpp"
@@ -59,6 +62,15 @@ DTensor run_summa_case(const SummaCase& c, const DTensor& A_global, const DTenso
   });
   return C_global;
 }
+
+// One label names the case both in gtest (the parameter-name generator) and
+// in the `GetParam() =` comment that CTest's test discovery keeps in its test
+// names, so neither depends on the struct's padding bytes.
+std::string case_label(const SummaCase& c) {
+  return "q" + std::to_string(c.q) + "_m" + std::to_string(c.m) + "k" + std::to_string(c.k) +
+         "n" + std::to_string(c.n) + (c.use_workspace ? "_ws" : "");
+}
+void PrintTo(const SummaCase& c, std::ostream* os) { *os << case_label(c); }
 
 class SummaSweep : public ::testing::TestWithParam<SummaCase> {};
 
@@ -113,7 +125,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SummaCase{1, 4, 6, 8, false}, SummaCase{2, 4, 6, 8, false},
                       SummaCase{2, 4, 6, 8, true}, SummaCase{3, 6, 9, 12, false},
                       SummaCase{3, 6, 9, 12, true}, SummaCase{4, 8, 12, 16, true},
-                      SummaCase{2, 16, 8, 24, true}));
+                      SummaCase{2, 16, 8, 24, true}),
+    [](const ::testing::TestParamInfo<SummaCase>& info) { return case_label(info.param); });
 
 TEST(Summa, AccumulateAddsIntoExistingC) {
   const int q = 2;
@@ -265,8 +278,8 @@ DTensor run_form(int q, const DTensor& A_global, const DTensor& B_global,
                  Shape c_global_shape, bool pipelined, bool accumulate, const FormOp& op) {
   DTensor C_global = DTensor::zeros(c_global_shape);
   std::mutex mu;
+  os::PipelineGuard guard(pipelined);
   oc::run_cluster(q * q, [&](oc::Context& ctx) {
-    os::PipelineGuard guard(pipelined);
     om::Mesh2D mesh(ctx.world);
     DTensor A = ot::matrix_block(A_global, q, mesh.row(), mesh.col());
     DTensor B = ot::matrix_block(B_global, q, mesh.row(), mesh.col());
@@ -330,6 +343,25 @@ TEST(SummaPipeline, AllFormsBitwiseIdenticalToBlocking) {
   }
 }
 
+TEST(SummaPipeline, GuardOnRankThreadFailsNamingTheRank) {
+  // The pipeline mode is process-wide: a guard built inside a cluster body
+  // would be restored by each rank thread in racing order. It must fail
+  // loudly instead, naming the rank, and leave the mode untouched.
+  const bool before = os::pipeline_enabled();
+  try {
+    oc::run_cluster(2, [](oc::Context& ctx) {
+      if (ctx.rank == 1) {
+        os::PipelineGuard guard(!os::pipeline_enabled());
+      }
+    });
+    FAIL() << "PipelineGuard on a rank thread was accepted";
+  } catch (const optimus::util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("simulated rank 1"), std::string::npos) << what;
+  }
+  EXPECT_EQ(os::pipeline_enabled(), before);
+}
+
 // ---------------------------------------------------------------------------
 // 2.5D (Tesseract) schedule: depth meshes, replica identity and the clock model
 // ---------------------------------------------------------------------------
@@ -345,8 +377,8 @@ DTensor run_form_25d(int q, int d, const DTensor& A_global, const DTensor& B_glo
   DTensor C_global = DTensor::zeros(c_global_shape);
   std::vector<DTensor> per_rank(static_cast<std::size_t>(q * q * d));
   std::mutex mu;
+  os::PipelineGuard guard(pipelined);
   oc::run_cluster(q * q * d, [&](oc::Context& ctx) {
-    os::PipelineGuard guard(pipelined);
     om::Mesh2D mesh(ctx.world, d);
     DTensor A = ot::matrix_block(A_global, q, mesh.row(), mesh.col());
     DTensor B = ot::matrix_block(B_global, q, mesh.row(), mesh.col());
@@ -385,6 +417,12 @@ struct Summa25dCase {
   bool pipelined;
   bool accumulate;
 };
+
+std::string case_label(const Summa25dCase& c) {
+  return "q" + std::to_string(c.q) + "d" + std::to_string(c.d) +
+         (c.pipelined ? "_pipelined" : "_blocking") + (c.accumulate ? "_acc" : "");
+}
+void PrintTo(const Summa25dCase& c, std::ostream* os) { *os << case_label(c); }
 
 class Summa25dSweep : public ::testing::TestWithParam<Summa25dCase> {};
 
@@ -434,7 +472,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Summa25dCase{1, 2, false, false}, Summa25dCase{1, 2, true, true},
                       Summa25dCase{2, 2, false, false}, Summa25dCase{2, 2, false, true},
                       Summa25dCase{2, 2, true, false}, Summa25dCase{2, 2, true, true},
-                      Summa25dCase{2, 3, true, false}, Summa25dCase{3, 2, true, true}));
+                      Summa25dCase{2, 3, true, false}, Summa25dCase{3, 2, true, true}),
+    [](const ::testing::TestParamInfo<Summa25dCase>& info) { return case_label(info.param); });
 
 TEST(Summa25d, CommunicationVolumeMatchesDepthAccounting) {
   // At q = 2, d = 2 summa_ab moves q row-broadcasts of half A blocks and q
@@ -459,13 +498,13 @@ TEST(Summa25d, CommunicationVolumeMatchesDepthAccounting) {
 TEST(Summa25d, SimTimeMatchesDepthPredictor) {
   // The simulator's clock on a q×q×d mesh must reproduce the 2.5D closed form
   // — Table-1 terms /d plus the depth-reduction term — exactly, under both
-  // schedules, and the d = 1 predictor must degenerate to the 2D one.
+  // schedules.
   namespace opm = optimus::perfmodel;
   const int q = 2, d = 2;
   const ot::index_t nb = 96 / q;
   const auto run_mode = [&](bool pipelined) {
+    os::PipelineGuard guard(pipelined);
     const auto report = oc::run_cluster(q * q * d, [&](oc::Context& ctx) {
-      os::PipelineGuard guard(pipelined);
       om::Mesh2D mesh(ctx.world, d);
       DTensor A = DTensor::zeros(Shape{nb, nb});
       DTensor B = DTensor::zeros(Shape{nb, nb});
@@ -478,17 +517,10 @@ TEST(Summa25d, SimTimeMatchesDepthPredictor) {
   const double pipelined = run_mode(true);
   const oc::Topology topo(q * q * d, /*gpus_per_node=*/4, oc::Arrangement::kBunched, 0);
   const oc::CostModel cost(topo, oc::MachineParams{});
-  const auto pred = opm::predict_summa25_ab_times(cost, q, d, 96, 96, 96, sizeof(double));
+  const auto pred = opm::predict_summa_ab_times(cost, q, 96, 96, 96, sizeof(double), d);
   EXPECT_NEAR(blocking, pred.blocking_s, 1e-9 * pred.blocking_s);
   EXPECT_NEAR(pipelined, pred.pipelined_s, 1e-9 * pred.pipelined_s);
   EXPECT_LT(pipelined, blocking);
-
-  const oc::Topology topo2(q * q, 4, oc::Arrangement::kBunched, 0);
-  const oc::CostModel cost2(topo2, oc::MachineParams{});
-  const auto flat = opm::predict_summa25_ab_times(cost2, q, 1, 96, 96, 96, sizeof(double));
-  const auto flat2d = opm::predict_summa_ab_times(cost2, q, 96, 96, 96, sizeof(double));
-  EXPECT_DOUBLE_EQ(flat.blocking_s, flat2d.blocking_s);
-  EXPECT_DOUBLE_EQ(flat.pipelined_s, flat2d.pipelined_s);
 }
 
 TEST(SummaPipeline, SimTimeMatchesOverlapPredictorAndBeatsBlocking) {
@@ -499,8 +531,8 @@ TEST(SummaPipeline, SimTimeMatchesOverlapPredictorAndBeatsBlocking) {
   for (int q : {2, 4}) {
     const ot::index_t nb = 96 / q;  // 96×96×96 global product
     const auto run_mode = [&](bool pipelined) {
+      os::PipelineGuard guard(pipelined);
       const auto report = oc::run_cluster(q * q, [&](oc::Context& ctx) {
-        os::PipelineGuard guard(pipelined);
         om::Mesh2D mesh(ctx.world);
         DTensor A = DTensor::zeros(Shape{nb, nb});
         DTensor B = DTensor::zeros(Shape{nb, nb});
@@ -517,5 +549,87 @@ TEST(SummaPipeline, SimTimeMatchesOverlapPredictorAndBeatsBlocking) {
     EXPECT_NEAR(blocking, pred.blocking_s, 1e-9 * pred.blocking_s) << "q=" << q;
     EXPECT_NEAR(pipelined, pred.pipelined_s, 1e-9 * pred.pipelined_s) << "q=" << q;
     EXPECT_LE(pipelined, 0.75 * blocking) << "q=" << q;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reduce-form clock pins: exact simulated time and rank-0 utilization of
+// summa_abt / summa_atb under both schedules, on 2D and 2.5D meshes
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct ReduceClockPin {
+  const char* form;  // "abt" or "atb"
+  bool pipelined;
+  int q, d;
+  double max_sim, compute, align_wait, transfer, idle;
+};
+
+// Exact values: any change to the reduce forms' schedule — collective order,
+// the retire order of the reduces, or which side of a clock alignment a
+// capture drains on — must show up here bit-for-bit, so never regenerate
+// them to make a refactor pass. Block shapes: A [96, 48]; B [100, 48] for abt
+// (C [96, 100]) and [96, 100] for atb (C [48, 100]). At q = 3 the abt C
+// partial crosses the chunked-tree cutoff.
+constexpr ReduceClockPin kReduceClockPins[] = {
+    {"abt", false, 2, 1, 0x1.b21d234562317p-14,
+     0x1.eec7bd512b572p-22, 0x0p+0, 0x1.b02e5b8811062p-14, 0x0p+0},
+    {"abt", true, 2, 1, 0x1.4d27be19878edp-14,
+     0x1.eec7bd512b572p-22, 0x1.4b38f65c36638p-14, 0x0p+0, 0x0p+0},
+    {"abt", false, 3, 1, 0x1.589353aa2d2cfp-10,
+     0x1.7315cdfce0816p-21, 0x1.87699646a8dcp-11, 0x1.ed4009db4b14ep-12, 0x0p+0},
+    {"abt", true, 3, 1, 0x1.08add56415c14p-10,
+     0x1.7315cdfce0816p-21, 0x1.de3e9ea81f8efp-11, 0x0p+0, 0x0p+0},
+    {"abt", false, 2, 2, 0x1.4accbaaacca2p-11,
+     0x1.eec7bd512b572p-23, 0x1.16ab682329fbbp-11, 0x1.a013305e6c9cep-14, 0x0p+0},
+    {"abt", true, 2, 2, 0x1.3f3f36f5d61dap-11,
+     0x1.eec7bd512b572p-23, 0x1.3f204a7a010aep-11, 0x0p+0, 0x0p+0},
+    {"atb", false, 2, 1, 0x1.909cf273e3423p-14,
+     0x1.eec7bd512b572p-22, 0x0p+0, 0x1.8eae2ab69216ep-14, 0x0p+0},
+    {"atb", true, 2, 1, 0x1.2c4c7a8723aep-14,
+     0x1.eec7bd512b572p-22, 0x1.2a5db2c9d282bp-14, 0x0p+0, 0x0p+0},
+    {"atb", false, 3, 1, 0x1.2ec14307bad52p-10,
+     0x1.7315cdfce0816p-21, 0x1.1272cb03060a6p-11, 0x1.d41fe53e2be17p-12, 0x0p+0},
+    {"atb", true, 3, 1, 0x1.f57a4a5bdf481p-11,
+     0x1.7315cdfce0816p-21, 0x1.a668f7f5a155ap-12, 0x0p+0, 0x0p+0},
+    {"atb", false, 2, 2, 0x1.8baff1d6b9b91p-12,
+     0x1.eec7bd512b572p-23, 0x1.2ba41dac0d64ap-12, 0x1.7f37eccc08bc2p-14, 0x0p+0},
+    {"atb", true, 2, 2, 0x1.74a98814b0121p-12,
+     0x1.eec7bd512b572p-23, 0x1.746baf1d05ecap-12, 0x0p+0, 0x0p+0},
+};
+
+}  // namespace
+
+TEST(SummaReduceForms, SimClockAndUtilizationArePinned) {
+  for (const ReduceClockPin& pin : kReduceClockPins) {
+    const bool abt = std::string(pin.form) == "abt";
+    os::PipelineGuard guard(pin.pipelined);
+    const auto report = oc::run_cluster(pin.q * pin.q * pin.d, [&](oc::Context& ctx) {
+      om::Mesh2D mesh(ctx.world, pin.d);
+      DTensor A = DTensor::zeros(Shape{96, 48});
+      DTensor B = DTensor::zeros(abt ? Shape{100, 48} : Shape{96, 100});
+      DTensor C = DTensor::zeros(abt ? Shape{96, 100} : Shape{48, 100});
+      ot::Arena ws("ws", os::workspace_bytes(A.numel(), B.numel(), C.numel(), sizeof(double),
+                                             pin.d));
+      if (abt) {
+        os::summa_abt(mesh, A, B, C, /*accumulate=*/true, &ws);
+      } else {
+        os::summa_atb(mesh, A, B, C, /*accumulate=*/true, &ws);
+      }
+    });
+    const auto& u = report.ranks[0].util;
+    const std::pair<double, double> fields[] = {{report.max_sim_time(), pin.max_sim},
+                                                {u.compute, pin.compute},
+                                                {u.align_wait, pin.align_wait},
+                                                {u.transfer, pin.transfer},
+                                                {u.idle, pin.idle}};
+    const char* names[] = {"max_sim", "compute", "align_wait", "transfer", "idle"};
+    for (int f = 0; f < 5; ++f) {
+      EXPECT_EQ(fields[f].first, fields[f].second)
+          << pin.form << (pin.pipelined ? " pipelined" : " blocking") << " q=" << pin.q
+          << " d=" << pin.d << " " << names[f] << " measured " << std::hexfloat
+          << fields[f].first;
+    }
   }
 }
