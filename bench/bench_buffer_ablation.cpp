@@ -13,6 +13,7 @@
 #include "core/optimus_model.hpp"
 #include "mesh/mesh.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -58,7 +59,7 @@ Result run(ocore::BufferMode mode, const optimus::model::TransformerConfig& cfg,
 
 }  // namespace
 
-int main() {
+static int run_main() {
   optimus::bench::print_header(
       "E8 — buffer scheme ablation (Optimus, q = 2, 3 training steps)");
   Table t({"config (b,s,h,N)", "mode", "allocations/device", "peak bytes", "alloc ratio"});
@@ -97,3 +98,5 @@ int main() {
                "capacity), the deliberate trade §3.2.3 makes against fragmentation.\n";
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

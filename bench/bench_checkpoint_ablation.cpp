@@ -18,6 +18,7 @@
 #include "perfmodel/memory.hpp"
 #include "perfmodel/scaling.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -30,7 +31,7 @@ using optimus::util::Table;
 
 }  // namespace
 
-int main() {
+static int run_main() {
   optimus::bench::print_header(
       "E9 — checkpointing ablation (Optimus, q = 2, one training step)");
   Table t({"layers", "checkpoint", "peak bytes/device", "mults/device", "recompute factor"});
@@ -87,3 +88,5 @@ int main() {
                "§3.1.1 argument for why activations must be distributed, not replicated.\n";
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

@@ -16,6 +16,7 @@
 #include "mesh/mesh.hpp"
 #include "perfmodel/scaling.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -27,7 +28,7 @@ using optimus::util::Table;
 
 }  // namespace
 
-int main() {
+static int run_main() {
   const opm::Machine machine = opm::calibrate_from_paper();
 
   optimus::bench::print_header("E7 / Figure 8 — modelled effective beta per mesh direction");
@@ -80,3 +81,5 @@ int main() {
                "uplink contention of column collectives (Fig. 8b vs 8a).\n";
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

@@ -23,6 +23,7 @@
 #include "perfmodel/memory.hpp"
 #include "perfmodel/scaling.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -109,10 +110,12 @@ void mini_validation() {
 
 }  // namespace
 
-int main() {
+static int run_main() {
   const std::uint64_t budget = 16ull << 30;
   paper_scale(budget);
   bracket_table(budget);
   mini_validation();
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

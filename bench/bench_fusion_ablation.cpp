@@ -21,6 +21,7 @@
 #include "summa/summa.hpp"
 #include "tensor/distribution.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -54,7 +55,7 @@ StepStats run_step(const optimus::model::TransformerConfig& cfg,
 
 }  // namespace
 
-int main() {
+static int run_main() {
   optimus::bench::print_header(
       "E10 — fusion ablations (Optimus q = 2, b = 8, s = 24, h = 32, N = 6)");
   const auto cfg = make_config(8, 24, 32, 4, 32, 6);
@@ -130,3 +131,5 @@ int main() {
                "the paper's reason for building Optimus on SUMMA.\n";
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

@@ -15,6 +15,7 @@
 #include "bench_common.hpp"
 #include "perfmodel/scaling.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -23,7 +24,7 @@ using optimus::util::Table;
 
 }  // namespace
 
-int main() {
+static int run_main() {
   // §3.1.2's W ~ (√p·log p)³ follows from the paper's eq-4 tree broadcast
   // model, so this analysis disables the pipelined-collectives refinement
   // (with pipelining Optimus grows even slower: h ∝ √p, W ~ p^1.5).
@@ -81,3 +82,5 @@ int main() {
                "Optimus still can (see perfmodel tests).\n";
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

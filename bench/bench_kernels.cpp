@@ -38,6 +38,7 @@
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -202,7 +203,7 @@ void run_fusion_suite(const char* dtype, index_t m, index_t n, index_t k,
 
 }  // namespace
 
-int main() {
+static int run_main() {
   optimus::bench::print_header("Kernel GFLOP/s: naive vs packed vs cooperative shared-pack");
   std::printf("hardware threads: %d, default budget: %d\n\n", ok::hardware_threads(),
               ok::effective_threads());
@@ -236,3 +237,5 @@ int main() {
   json.write("BENCH_kernels.json");
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

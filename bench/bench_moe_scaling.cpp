@@ -16,6 +16,7 @@
 #include "model/moe.hpp"
 #include "perfmodel/costs.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -27,7 +28,7 @@ using optimus::util::Table;
 
 }  // namespace
 
-int main() {
+static int run_main() {
   optimus::bench::print_header(
       "E11 — expert-parallel all_to_all vs dense SUMMA MLP (per device, fwd+bwd)");
   Table t({"p", "tokens/rank", "h", "MoE a2a elems", "dense SUMMA elems (weighted)",
@@ -108,3 +109,5 @@ int main() {
                "all_to_all — the standard Switch Transformer dial.\n";
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

@@ -33,6 +33,7 @@
 #include "serving/traffic.hpp"
 #include "summa/summa.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -138,7 +139,7 @@ int run_smoke(const std::string& trace_out, const std::string& metrics_out) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   std::string trace_out, metrics_out;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
@@ -327,4 +328,8 @@ int main(int argc, char** argv) {
 
   json.write("BENCH_serving.json");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }

@@ -22,6 +22,7 @@
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -212,11 +213,15 @@ void write_summa_json() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   write_summa_json();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }

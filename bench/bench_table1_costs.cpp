@@ -20,6 +20,7 @@
 #include "mesh/mesh.hpp"
 #include "perfmodel/costs.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -149,7 +150,7 @@ void run_compute(const Case& c, Table& table, bool optimus) {
 
 }  // namespace
 
-int main() {
+static int run_main() {
   optimus::bench::print_header(
       "E1 / Table 1 — per-layer communication in beta-weighted scalars (stem fwd+bwd)");
   Table comm_table({"scheme", "p", "b", "s", "h", "Table-1 predicted", "measured (stem)",
@@ -180,3 +181,5 @@ int main() {
                "formula uses the real-valued log) — e.g. 2/log2(3) = 1.26 at q = 3.\n";
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

@@ -24,6 +24,7 @@
 #include "mesh/mesh.hpp"
 #include "perfmodel/scaling.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -143,7 +144,7 @@ void real_mini_runs(const opm::Machine& machine) {
 
 }  // namespace
 
-int main() {
+static int run_main() {
   const opm::Machine machine = opm::calibrate_from_paper();
   std::cout << "calibrated machine: flop_rate=" << machine.flop_rate
             << " mult/s, beta_intra=" << machine.beta_intra
@@ -154,3 +155,5 @@ int main() {
   real_mini_runs(machine);
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

@@ -18,6 +18,7 @@
 #include "mesh/mesh.hpp"
 #include "perfmodel/scaling.hpp"
 #include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -132,10 +133,12 @@ void real_mini_runs(const opm::Machine& machine) {
 
 }  // namespace
 
-int main() {
+static int run_main() {
   const opm::Machine machine = opm::calibrate_from_paper();
   model_projection(machine);
   fig7_right(machine);
   real_mini_runs(machine);
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

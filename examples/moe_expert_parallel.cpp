@@ -22,7 +22,7 @@ namespace oc = optimus::comm;
 namespace om = optimus::model;
 namespace ot = optimus::tensor;
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   optimus::util::Cli cli(argc, argv);
   const int ranks = cli.get_int("ranks", 4);
   const int steps = cli.get_int("steps", 150);
@@ -118,4 +118,8 @@ int main(int argc, char** argv) {
             << "simulated time on the modelled cluster: "
             << optimus::util::Table::fmt(report.max_sim_time(), 4) << " s\n";
   return losses.back() < losses.front() ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }

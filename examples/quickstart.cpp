@@ -39,7 +39,7 @@
 namespace oc = optimus::comm;
 namespace ort = optimus::runtime;
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   optimus::util::Cli cli(argc, argv);
   const int steps = cli.get_int("steps", 80);
   const int q = cli.get_int("q", 2);
@@ -106,4 +106,8 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) optimus::obs::write_chrome_trace(trace_out);
   if (!metrics_out.empty()) oc::write_metrics(metrics_out, report);
   return losses.back() < 0.5 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }

@@ -238,7 +238,7 @@ bool run_validation(optimus::comm::Cluster::Report* optimus_report) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   optimus::util::Cli cli(argc, argv);
   opm::Workload w;
   w.h = cli.get_i64("hidden", 8192);
@@ -314,4 +314,8 @@ int main(int argc, char** argv) {
     if (!ok) return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }

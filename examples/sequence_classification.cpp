@@ -63,7 +63,7 @@ double accuracy(const ot::Tensor& logits, const ot::ITensor& labels) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   optimus::util::Cli cli(argc, argv);
   const int steps = cli.get_int("steps", 200);
   const int q = cli.get_int("q", 2);
@@ -145,4 +145,8 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "\nchance accuracy = " << 1.0 / classes << "\n";
   return serial_acc > 1.5 / classes ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }

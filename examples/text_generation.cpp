@@ -225,7 +225,7 @@ void run_optimus(const ort::CharCorpus& corpus, int steps, int gen_chars, double
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   optimus::util::Cli cli(argc, argv);
   const std::string engine = cli.get_string("engine", "optimus");
   const int steps = cli.get_int("steps", 300);
@@ -244,4 +244,8 @@ int main(int argc, char** argv) {
     run_optimus(corpus, steps, gen_chars, temperature, prompt, q);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }

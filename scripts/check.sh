@@ -16,7 +16,9 @@
 #   4. Serving smoke: bench_serving (fixed seeds, simulated clock) run twice
 #      with byte-diffed stdout + BENCH_serving.json, then gated against the
 #      checked-in baseline with tools/bench_gate.
-#   5. Fast-label test suite under ASan+UBSan (`asan` preset) and TSan
+#   5. Fabric smoke: bench_fabric (host cost per collective) runs end to
+#      end; its wall rows are informational, not gated.
+#   6. Fast-label test suite under ASan+UBSan (`asan` preset) and TSan
 #      (`tsan` preset). The comm layer runs one thread per simulated device,
 #      exactly where TSan earns its keep. The serving-label suite also runs
 #      under TSan (scheduler + decode collectives interleave across ranks).
@@ -96,6 +98,14 @@ echo "==> bench gate: fresh BENCH_summa.json vs checked-in baseline"
 # JSON sweep runs.
 (cd "$OBS_TMP" && "$ROOT/build/bench/bench_summa" --benchmark_filter='^$' > /dev/null 2>&1)
 ./build/tools/bench_gate BENCH_summa.json "$OBS_TMP/BENCH_summa.json"
+
+echo "==> fabric smoke: bench_fabric runs and writes one row per (op, p, payload)"
+# Wall microseconds per collective depend on the host, so BENCH_fabric.json
+# is informational and not gated: this only checks that the bench runs end
+# to end and emits its 15 well-formed records.
+./build/bench/bench_fabric --ops 50 --repeats 1 --out "$OBS_TMP/fabric.json" > /dev/null
+python3 -c 'import json, sys; rows = json.load(open(sys.argv[1])); assert len(rows) == 15, len(rows)' \
+    "$OBS_TMP/fabric.json"
 
 echo "==> thread-scaling smoke: 1024^3 f32 GEMM, 1 vs 4 threads"
 # Fails if threading makes the kernel slower (core-count-aware bound; see

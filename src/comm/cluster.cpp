@@ -69,7 +69,7 @@ Cluster::Report Cluster::run(const std::function<void(Context&)>& body) {
   kernel::ActiveDevicesGuard devices_guard(world_size_);
   Fabric fabric(world_size_);
   if (fault_plan_.active()) fabric.set_fault_plan(fault_plan_);
-  const std::uint64_t world_comm_id = fabric.next_comm_id();
+  const std::uint64_t world_comm_id = fabric.world_comm_id();
   std::vector<int> world_group(world_size_);
   for (int i = 0; i < world_size_; ++i) world_group[i] = i;
 

@@ -8,6 +8,7 @@ Communicator::Communicator(Fabric& fabric, std::uint64_t comm_id, std::vector<in
                            int world_rank, SimClock& clock, const CostModel& cost,
                            CommStats& stats)
     : fabric_(&fabric),
+      rendezvous_(&fabric.group(comm_id)),
       comm_id_(comm_id),
       group_(std::move(group)),
       rank_(-1),
@@ -24,8 +25,9 @@ Communicator::Communicator(Fabric& fabric, std::uint64_t comm_id, std::vector<in
   OPT_CHECK(rank_ >= 0, "world rank " << world_rank << " not in communicator group");
 }
 
-CollectiveTiming Communicator::begin_collective(std::uint64_t seq, double dt) {
-  const CollectiveTiming t = begin_async(seq, dt);
+CollectiveTiming Communicator::begin_collective(std::uint64_t seq, const CallSig& sig,
+                                                double dt) {
+  const CollectiveTiming t = begin_async(seq, sig, dt);
   // Bitwise identical to the previous set(completion()): align_to assigns
   // entry_aligned exactly, then advance_transfer adds the same dt — only the
   // utilization bucketing differs.
@@ -34,7 +36,7 @@ CollectiveTiming Communicator::begin_collective(std::uint64_t seq, double dt) {
   return t;
 }
 
-CollectiveTiming Communicator::begin_async(std::uint64_t seq, double dt) {
+CollectiveTiming Communicator::begin_async(std::uint64_t seq, const CallSig& sig, double dt) {
   clock_->drain_compute(*cost_);
   CollectiveTiming t;
   t.entry_local = clock_->now();
@@ -50,14 +52,14 @@ CollectiveTiming Communicator::begin_async(std::uint64_t seq, double dt) {
   // blocking flows the clock never lags the link, so this is a pure
   // extension; for pipelined flows it is what serialises back-to-back
   // collectives on one link while row/column links still overlap.
-  t.entry_aligned =
-      std::max(fabric_->sync_max(sync_key(seq), size(), t.entry_local), link_busy_until_);
+  t.entry_aligned = std::max(
+      fabric_->sync_max(*rendezvous_, seq, rank_, sig, t.entry_local, label_), link_busy_until_);
   t.dt = dt;
   link_busy_until_ = t.entry_aligned + dt;
   return t;
 }
 
-Communicator::TreeTopo Communicator::tree_topo(int root) const {
+TreeTopo Communicator::tree_topo(int root) const {
   TreeTopo t;
   const int g = static_cast<int>(group_.size());
   const int relative = (rank_ - root + g) % g;
@@ -77,7 +79,7 @@ Communicator::TreeTopo Communicator::tree_topo(int root) const {
   return t;
 }
 
-std::vector<Communicator::Chunk> Communicator::chunk_layout(tensor::index_t n, int chunks) {
+std::vector<Chunk> Communicator::chunk_layout(tensor::index_t n, int chunks) {
   if (chunks < 1) chunks = 1;
   if (static_cast<tensor::index_t>(chunks) > n && n > 0) {
     chunks = static_cast<int>(n);
@@ -95,12 +97,31 @@ std::vector<Communicator::Chunk> Communicator::chunk_layout(tensor::index_t n, i
   return out;
 }
 
+std::unique_ptr<Request::State> Communicator::tree_request(const char* wait_op,
+                                                           const CollectiveTiming& ct,
+                                                           std::uint64_t bytes, tensor::index_t n,
+                                                           int chunks, int root,
+                                                           std::uint64_t tag, void* data) {
+  auto st = std::make_unique<Request::State>();
+  st->comm = this;
+  st->wait_op = wait_op;
+  st->completion = ct.completion();
+  st->issue_local = ct.entry_local;
+  st->dt = ct.dt;
+  st->bytes = bytes;
+  st->topo = tree_topo(root);
+  st->chunks = chunk_layout(n, chunks);
+  st->tag = tag;
+  st->data = data;
+  return st;
+}
+
 void Request::wait() {
   if (!st_) return;
   const std::unique_ptr<State> st = std::move(st_);
   Communicator& comm = *st->comm;
   Fabric::OpScope op_scope(st->wait_op);
-  if (st->finish) st->finish();
+  if (st->finish != nullptr) st->finish(*st);
   comm.clock_->drain_compute(*comm.cost_);
   // The span covers exactly the idle time this rank spends blocked on the
   // in-flight transfer — the part of the modelled dt that compute did NOT
@@ -123,8 +144,7 @@ Communicator Communicator::split(int color, int key) {
   // The split itself is an out-of-band control operation; it moves no modelled
   // bytes (real backends amortise communicator construction outside the
   // training loop).
-  Fabric::SplitResult r =
-      fabric_->split_sync(sync_key(seq), size(), world_rank(), color, key);
+  Fabric::SplitResult r = fabric_->split_sync(*rendezvous_, seq, rank_, color, key, label_);
   return Communicator(*fabric_, r.new_comm_id, std::move(r.group), world_rank(), *clock_,
                       *cost_, *stats_);
 }
@@ -135,7 +155,7 @@ void Communicator::barrier() {
   const double dt = 2.0 * log2_ceil(size()) * cost_->params().alpha;
   Fabric::OpScope op_scope("barrier");
   obs::Span span("comm", "barrier");
-  const CollectiveTiming ct = begin_collective(seq, dt);
+  const CollectiveTiming ct = begin_collective(seq, CallSig{"barrier", CallKind::kBarrier}, dt);
   annotate_span(span, 0, ct);
   stats_->barrier.record(0, 0, 0.0, ct.dt);
   // The sync_max rendezvous inside begin_collective already provides the

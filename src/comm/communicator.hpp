@@ -16,10 +16,13 @@
 // Reduction order is deterministic for a fixed group, so distributed runs are
 // bit-reproducible; they differ from serial execution only by floating-point
 // association.
+//
+// Every collective enters through one rendezvous on this communicator's own
+// fabric state (Fabric::Group, resolved once at construction): it aligns the
+// members' clocks and checks that all of them made the same call.
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +51,21 @@ struct CollectiveTiming {
 };
 
 class Communicator;
+
+/// A member's position in the binomial tree rooted at some group rank:
+/// parent (or −1 at the root) and children in descending-mask order — the
+/// order the broadcast forwards in; the reduce accumulates them in reverse
+/// (ascending mask).
+struct TreeTopo {
+  int parent = -1;
+  std::vector<int> children;
+};
+
+/// A contiguous run [begin, begin + count) of a chunked payload.
+struct Chunk {
+  tensor::index_t begin = 0;
+  tensor::index_t count = 0;
+};
 
 /// Handle for a non-blocking collective (ibroadcast/ireduce). The operation's
 /// cost was modelled at issue time; wait() performs any deferred data
@@ -80,7 +98,15 @@ class Request {
     double issue_local = 0;
     double dt = 0;
     std::uint64_t bytes = 0;
-    std::function<void()> finish;  // deferred receives/forwards/accumulates
+    // Deferred tree steps (receives, forwards, accumulates) of a non-root
+    // broadcast or non-leaf reduce; null when everything moved at issue.
+    void (*finish)(State&) = nullptr;
+    TreeTopo topo;
+    std::vector<Chunk> chunks;
+    std::uint64_t tag = 0;
+    void* data = nullptr;
+    void* scratch = nullptr;                    // reduce receive buffer
+    std::unique_ptr<std::byte[]> owned_scratch;  // when the caller passed none
   };
   explicit Request(std::unique_ptr<State> st) : st_(std::move(st)) {}
   std::unique_ptr<State> st_;
@@ -229,11 +255,15 @@ class Communicator {
     OPT_CHECK(s < (1ull << 24) - (1ull << 16), "collective sequence space exhausted");
     return s;
   }
-  std::uint64_t sync_key(std::uint64_t seq) const { return (comm_id_ << 24) | seq; }
+  template <typename T>
+  static CallSig call(const char* op, CallKind kind, tensor::index_t n, int root = -1) {
+    return CallSig{op, kind, static_cast<std::int64_t>(n), root, static_cast<int>(sizeof(T))};
+  }
 
-  /// Drains local compute into the clock, aligns clocks across the group and
-  /// advances by `dt`. Returns the entry timing breakdown.
-  CollectiveTiming begin_collective(std::uint64_t seq, double dt);
+  /// Drains local compute into the clock, aligns clocks across the group
+  /// (checking that every member made the call `sig`) and advances by `dt`.
+  /// Returns the entry timing breakdown.
+  CollectiveTiming begin_collective(std::uint64_t seq, const CallSig& sig, double dt);
 
   /// begin_collective without the final clock advance: models issuing a
   /// non-blocking collective. Entry still aligns on max(slowest member's
@@ -241,24 +271,46 @@ class Communicator {
   /// through the transfer, so back-to-back collectives on one communicator
   /// serialise even when issued without waiting (one link per communicator —
   /// row and column links are distinct and genuinely overlap).
-  CollectiveTiming begin_async(std::uint64_t seq, double dt);
+  CollectiveTiming begin_async(std::uint64_t seq, const CallSig& sig, double dt);
 
-  /// This rank's position in the binomial tree rooted at group rank `root`:
-  /// parent (or −1 at the root) and children in descending-mask order — the
-  /// order the blocking broadcast forwards in; reverse it for the reduce's
-  /// ascending-mask accumulation order.
-  struct TreeTopo {
-    int parent = -1;
-    std::vector<int> children;
-  };
+  /// This rank's position in the binomial tree rooted at group rank `root`.
   TreeTopo tree_topo(int root) const;
 
-  struct Chunk {
-    tensor::index_t begin = 0;
-    tensor::index_t count = 0;
-  };
   /// Splits [0, n) into `chunks` contiguous runs (sizes differ by ≤ 1).
   static std::vector<Chunk> chunk_layout(tensor::index_t n, int chunks);
+
+  /// This rank's part of a binomial-tree broadcast: per chunk, receive from
+  /// the parent (if any), then forward to every child. Chunks move in order
+  /// on each edge, so FIFO matching per (src, tag) keeps them aligned.
+  template <typename T>
+  void tree_broadcast_steps(const TreeTopo& topo, const std::vector<Chunk>& chunks,
+                            std::uint64_t tag, T* data);
+
+  /// This rank's part of a reverse binomial-tree sum: per chunk, accumulate
+  /// the children's partials in ascending-mask order, then send the sum to
+  /// the parent (if any). Every element sees the same addition order whatever
+  /// the chunk count, so chunked and un-chunked reduces are bitwise identical.
+  template <typename T>
+  void tree_reduce_steps(const TreeTopo& topo, const std::vector<Chunk>& chunks,
+                         std::uint64_t tag, T* data, T* scratch);
+
+  /// Request::State::finish for the deferred steps of ibroadcast / ireduce.
+  template <typename T>
+  static void finish_broadcast(Request::State& st) {
+    st.comm->tree_broadcast_steps(st.topo, st.chunks, st.tag, static_cast<T*>(st.data));
+  }
+  template <typename T>
+  static void finish_reduce(Request::State& st) {
+    st.comm->tree_reduce_steps(st.topo, st.chunks, st.tag, static_cast<T*>(st.data),
+                               static_cast<T*>(st.scratch));
+  }
+
+  /// Request state of an issued ibroadcast / ireduce: timing, tree, chunks
+  /// and tag; the caller pushes what is ready and defers the rest (finish).
+  std::unique_ptr<Request::State> tree_request(const char* wait_op, const CollectiveTiming& ct,
+                                               std::uint64_t bytes, tensor::index_t n,
+                                               int chunks, int root, std::uint64_t tag,
+                                               void* data);
 
   /// Attaches the standard collective args (communicator label, group size,
   /// payload bytes, align-wait vs transfer split) to an armed span.
@@ -277,6 +329,7 @@ class Communicator {
   void recv_internal(int src_group_rank, std::uint64_t tag, T* data, tensor::index_t n);
 
   Fabric* fabric_;
+  Fabric::Group* rendezvous_;  // this communicator's rendezvous state
   std::uint64_t comm_id_;
   std::vector<int> group_;  // world ranks
   int rank_;                // my index within group_
@@ -362,6 +415,28 @@ void Communicator::recv(int src, int tag, T* data, tensor::index_t n) {
 }
 
 template <typename T>
+void Communicator::tree_broadcast_steps(const TreeTopo& topo, const std::vector<Chunk>& chunks,
+                                        std::uint64_t tag, T* data) {
+  for (const Chunk& ck : chunks) {
+    if (topo.parent >= 0) recv_internal(topo.parent, tag, data + ck.begin, ck.count);
+    for (int child : topo.children) send_internal(child, tag, data + ck.begin, ck.count);
+  }
+}
+
+template <typename T>
+void Communicator::tree_reduce_steps(const TreeTopo& topo, const std::vector<Chunk>& chunks,
+                                     std::uint64_t tag, T* data, T* scratch) {
+  for (const Chunk& ck : chunks) {
+    T* target = data + ck.begin;
+    for (auto it = topo.children.rbegin(); it != topo.children.rend(); ++it) {
+      recv_internal(*it, tag, scratch, ck.count);
+      for (tensor::index_t i = 0; i < ck.count; ++i) target[i] += scratch[i];
+    }
+    if (topo.parent >= 0) send_internal(topo.parent, tag, target, ck.count);
+  }
+}
+
+template <typename T>
 void Communicator::broadcast(T* data, tensor::index_t n, int root) {
   const std::uint64_t seq = next_seq();
   if (size() == 1) return;
@@ -369,20 +444,15 @@ void Communicator::broadcast(T* data, tensor::index_t n, int root) {
   Fabric::OpScope op_scope("broadcast");
   obs::Span span("comm", "broadcast");
   const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct = begin_collective(seq, plan.time);
+  const CollectiveTiming ct =
+      begin_collective(seq, call<T>("broadcast", CallKind::kBroadcast, n, root), plan.time);
   annotate_span(span, bytes, ct);
   if (span.armed() && plan.chunks > 1) span.arg("chunks", plan.chunks);
   stats_->broadcast.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
-
   // MPICH-style binomial tree rooted at `root`; large payloads stream down
-  // the tree in chunks (the plan's pipelined schedule). Chunks move in order
-  // on each edge, so FIFO matching per (src, tag) keeps them aligned.
-  const TreeTopo topo = tree_topo(root);
-  const std::uint64_t tag = collective_tag(seq, 0);
-  for (const Chunk& ck : chunk_layout(n, plan.chunks)) {
-    if (topo.parent >= 0) recv_internal(topo.parent, tag, data + ck.begin, ck.count);
-    for (int child : topo.children) send_internal(child, tag, data + ck.begin, ck.count);
-  }
+  // the tree in chunks (the plan's pipelined schedule).
+  tree_broadcast_steps(tree_topo(root), chunk_layout(n, plan.chunks), collective_tag(seq, 0),
+                       data);
 }
 
 template <typename T>
@@ -393,30 +463,19 @@ void Communicator::reduce(T* data, tensor::index_t n, int root, T* scratch) {
   Fabric::OpScope op_scope("reduce");
   obs::Span span("comm", "reduce");
   const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct = begin_collective(seq, plan.time);
+  const CollectiveTiming ct =
+      begin_collective(seq, call<T>("reduce", CallKind::kReduce, n, root), plan.time);
   annotate_span(span, bytes, ct);
   if (span.armed() && plan.chunks > 1) span.arg("chunks", plan.chunks);
   stats_->reduce.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
 
-  // Reverse binomial tree: children send partial sums toward the root,
-  // chunk by chunk. Children are accumulated in ascending-mask order per
-  // chunk, so every element sees the same addition order regardless of the
-  // chunk count — chunked and un-chunked reduces are bitwise identical.
   const TreeTopo topo = tree_topo(root);
-  const std::uint64_t tag = collective_tag(seq, 1);
   std::vector<T> owned;
-  if (scratch == nullptr) {
+  if (scratch == nullptr && !topo.children.empty()) {
     owned.resize(static_cast<std::size_t>(n));
     scratch = owned.data();
   }
-  for (const Chunk& ck : chunk_layout(n, plan.chunks)) {
-    for (auto it = topo.children.rbegin(); it != topo.children.rend(); ++it) {
-      recv_internal(*it, tag, scratch, ck.count);
-      T* target = data + ck.begin;
-      for (tensor::index_t i = 0; i < ck.count; ++i) target[i] += scratch[i];
-    }
-    if (topo.parent >= 0) send_internal(topo.parent, tag, data + ck.begin, ck.count);
-  }
+  tree_reduce_steps(topo, chunk_layout(n, plan.chunks), collective_tag(seq, 1), data, scratch);
 }
 
 template <typename T>
@@ -427,43 +486,19 @@ Request Communicator::ibroadcast(T* data, tensor::index_t n, int root) {
   Fabric::OpScope op_scope("ibroadcast");
   obs::Span span("comm", "ibroadcast");
   const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct = begin_async(seq, plan.time);
+  const CollectiveTiming ct =
+      begin_async(seq, call<T>("ibroadcast", CallKind::kBroadcast, n, root), plan.time);
   annotate_span(span, bytes, ct);
   stats_->broadcast.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
 
-  const TreeTopo topo = tree_topo(root);
-  const std::uint64_t tag = collective_tag(seq, 0);
-  const std::vector<Chunk> chunks = chunk_layout(n, plan.chunks);
-
-  auto st = std::make_unique<Request::State>();
-  st->comm = this;
-  st->wait_op = "ibroadcast.wait";
-  st->completion = ct.completion();
-  st->issue_local = ct.entry_local;
-  st->dt = ct.dt;
-  st->bytes = bytes;
-
-  if (topo.parent < 0) {
+  auto st = tree_request("ibroadcast.wait", ct, bytes, n, plan.chunks, root,
+                         collective_tag(seq, 0), data);
+  if (st->topo.parent < 0) {
     // Root: the payload is ready now; push every chunk eagerly (fabric sends
     // are buffered and never block), leaving nothing deferred.
-    for (const Chunk& ck : chunks) {
-      for (int child : topo.children) send_internal(child, tag, data + ck.begin, ck.count);
-    }
+    tree_broadcast_steps(st->topo, st->chunks, st->tag, data);
   } else {
-    std::vector<Fabric::RecvHandle> pending;
-    pending.reserve(chunks.size());
-    for (const Chunk& ck : chunks) {
-      pending.push_back(fabric_->irecv(world_rank(), group_[topo.parent], tag, data + ck.begin,
-                                       static_cast<std::size_t>(ck.count) * sizeof(T)));
-    }
-    st->finish = [this, topo, tag, data, chunks, pending]() mutable {
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        (void)fabric_->wait(pending[c]);
-        for (int child : topo.children) {
-          send_internal(child, tag, data + chunks[c].begin, chunks[c].count);
-        }
-      }
-    };
+    st->finish = &finish_broadcast<T>;
   }
   return Request(std::move(st));
 }
@@ -476,57 +511,25 @@ Request Communicator::ireduce(T* data, tensor::index_t n, int root, T* scratch) 
   Fabric::OpScope op_scope("ireduce");
   obs::Span span("comm", "ireduce");
   const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct = begin_async(seq, plan.time);
+  const CollectiveTiming ct =
+      begin_async(seq, call<T>("ireduce", CallKind::kReduce, n, root), plan.time);
   annotate_span(span, bytes, ct);
   stats_->reduce.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
 
-  const TreeTopo topo = tree_topo(root);
-  const std::uint64_t tag = collective_tag(seq, 1);
-  const std::vector<Chunk> chunks = chunk_layout(n, plan.chunks);
-
-  auto st = std::make_unique<Request::State>();
-  st->comm = this;
-  st->wait_op = "ireduce.wait";
-  st->completion = ct.completion();
-  st->issue_local = ct.entry_local;
-  st->dt = ct.dt;
-  st->bytes = bytes;
-
-  if (topo.children.empty()) {
+  auto st = tree_request("ireduce.wait", ct, bytes, n, plan.chunks, root,
+                         collective_tag(seq, 1), data);
+  if (st->topo.children.empty()) {
     // Leaf: the local partial is final at issue; push every chunk now.
-    for (const Chunk& ck : chunks) send_internal(topo.parent, tag, data + ck.begin, ck.count);
+    tree_reduce_steps<T>(st->topo, st->chunks, st->tag, data, nullptr);
   } else {
-    // Interior/root: children's partials arrive at wait time. All receive
-    // handles share one scratch buffer — finish() completes them strictly in
-    // order, and the ascending-mask child order per chunk keeps the
-    // accumulation bitwise identical to the blocking reduce.
-    auto owned_scratch = std::make_shared<std::vector<T>>();
-    T* tmp = scratch;
-    if (tmp == nullptr) {
-      owned_scratch->resize(static_cast<std::size_t>(n));
-      tmp = owned_scratch->data();
+    // Interior/root: children's partials arrive at wait time, each chunk's
+    // into the same scratch (finish() consumes them strictly in order).
+    if (scratch == nullptr) {
+      st->owned_scratch.reset(new std::byte[static_cast<std::size_t>(n) * sizeof(T)]);
+      scratch = reinterpret_cast<T*>(st->owned_scratch.get());
     }
-    const int kids = static_cast<int>(topo.children.size());
-    std::vector<Fabric::RecvHandle> pending;
-    pending.reserve(chunks.size() * static_cast<std::size_t>(kids));
-    for (const Chunk& ck : chunks) {
-      for (int k = kids - 1; k >= 0; --k) {
-        pending.push_back(fabric_->irecv(world_rank(), group_[topo.children[k]], tag, tmp,
-                                         static_cast<std::size_t>(ck.count) * sizeof(T)));
-      }
-    }
-    st->finish = [this, topo, tag, data, chunks, pending, tmp, owned_scratch,
-                  kids]() mutable {
-      std::size_t idx = 0;
-      for (const Chunk& ck : chunks) {
-        for (int k = 0; k < kids; ++k) {
-          (void)fabric_->wait(pending[idx++]);
-          T* target = data + ck.begin;
-          for (tensor::index_t i = 0; i < ck.count; ++i) target[i] += tmp[i];
-        }
-        if (topo.parent >= 0) send_internal(topo.parent, tag, data + ck.begin, ck.count);
-      }
-    };
+    st->scratch = scratch;
+    st->finish = &finish_reduce<T>;
   }
   return Request(std::move(st));
 }
@@ -539,7 +542,8 @@ void Communicator::all_reduce(T* data, tensor::index_t n) {
   const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
   Fabric::OpScope op_scope("allreduce");
   obs::Span span("comm", "allreduce");
-  const CollectiveTiming ct = begin_collective(seq, cost_->ring_allreduce_time(group_, bytes));
+  const CollectiveTiming ct = begin_collective(seq, call<T>("allreduce", CallKind::kAllReduce, n),
+                                               cost_->ring_allreduce_time(group_, bytes));
   annotate_span(span, bytes, ct);
   stats_->allreduce.record(
       n, bytes, static_cast<double>(n) * 2.0 * (g - 1) / static_cast<double>(g), ct.dt);
@@ -585,7 +589,9 @@ void Communicator::all_reduce_max(T* data, tensor::index_t n) {
   const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
   Fabric::OpScope op_scope("allreduce_max");
   obs::Span span("comm", "allreduce_max");
-  const CollectiveTiming ct = begin_collective(seq, cost_->ring_allreduce_time(group_, bytes));
+  const CollectiveTiming ct =
+      begin_collective(seq, call<T>("allreduce_max", CallKind::kAllReduceMax, n),
+                       cost_->ring_allreduce_time(group_, bytes));
   annotate_span(span, bytes, ct);
   stats_->allreduce.record(
       n, bytes, static_cast<double>(n) * 2.0 * (g - 1) / static_cast<double>(g), ct.dt);
@@ -618,7 +624,9 @@ void Communicator::all_reduce_ordered(T* data, tensor::index_t n) {
   const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
   Fabric::OpScope op_scope("allreduce");
   obs::Span span("comm", "allreduce");
-  const CollectiveTiming ct = begin_collective(seq, cost_->ring_allreduce_time(group_, bytes));
+  const CollectiveTiming ct =
+      begin_collective(seq, call<T>("allreduce_ordered", CallKind::kAllReduceOrdered, n),
+                       cost_->ring_allreduce_time(group_, bytes));
   annotate_span(span, bytes, ct);
   stats_->allreduce.record(
       n, bytes, static_cast<double>(n) * 2.0 * (g - 1) / static_cast<double>(g), ct.dt);
@@ -654,7 +662,8 @@ void Communicator::all_gather(const T* mine, tensor::index_t n, T* out) {
   const std::uint64_t total_bytes = static_cast<std::uint64_t>(n) * g * sizeof(T);
   Fabric::OpScope op_scope("allgather");
   obs::Span span("comm", "allgather");
-  const CollectiveTiming ct = begin_collective(seq, cost_->ring_allgather_time(group_, total_bytes));
+  const CollectiveTiming ct = begin_collective(seq, call<T>("allgather", CallKind::kAllGather, n),
+                                               cost_->ring_allgather_time(group_, total_bytes));
   annotate_span(span, total_bytes, ct);
   stats_->allgather.record(static_cast<std::uint64_t>(n) * g, total_bytes,
                            static_cast<double>(n) * (g - 1), ct.dt);
@@ -683,7 +692,8 @@ void Communicator::gather(const T* mine, tensor::index_t n, T* out, int root) {
   const std::uint64_t total_bytes = static_cast<std::uint64_t>(n) * g * sizeof(T);
   Fabric::OpScope op_scope("gather");
   obs::Span span("comm", "gather");
-  const CollectiveTiming ct = begin_collective(seq, cost_->ring_allgather_time(group_, total_bytes));
+  const CollectiveTiming ct = begin_collective(seq, call<T>("gather", CallKind::kGather, n, root),
+                                               cost_->ring_allgather_time(group_, total_bytes));
   annotate_span(span, total_bytes, ct);
   stats_->allgather.record(static_cast<std::uint64_t>(n) * g, total_bytes,
                            static_cast<double>(n) * (g - 1), ct.dt);
@@ -711,7 +721,8 @@ void Communicator::scatter(const T* data, tensor::index_t n, T* out, int root) {
   const std::uint64_t total_bytes = static_cast<std::uint64_t>(n) * g * sizeof(T);
   Fabric::OpScope op_scope("scatter");
   obs::Span span("comm", "scatter");
-  const CollectiveTiming ct = begin_collective(seq, cost_->ring_allgather_time(group_, total_bytes));
+  const CollectiveTiming ct = begin_collective(seq, call<T>("scatter", CallKind::kScatter, n, root),
+                                               cost_->ring_allgather_time(group_, total_bytes));
   annotate_span(span, total_bytes, ct);
   stats_->allgather.record(static_cast<std::uint64_t>(n) * g, total_bytes,
                            static_cast<double>(n) * (g - 1), ct.dt);
@@ -742,7 +753,8 @@ void Communicator::all_to_all(const T* send, tensor::index_t n, T* out) {
   Fabric::OpScope op_scope("alltoall");
   obs::Span span("comm", "alltoall");
   const CollectiveTiming ct = begin_collective(
-      seq, (g - 1) * (cost_->params().alpha +
+      seq, call<T>("alltoall", CallKind::kAllToAll, n),
+      (g - 1) * (cost_->params().alpha +
                       cost_->beta_eff(group_) * static_cast<double>(chunk_bytes)));
   annotate_span(span, chunk_bytes * static_cast<std::uint64_t>(g - 1), ct);
   stats_->alltoall.record(static_cast<std::uint64_t>(n) * g,
@@ -774,7 +786,8 @@ void Communicator::reduce_scatter(const T* data, tensor::index_t n, T* out) {
   Fabric::OpScope op_scope("reducescatter");
   obs::Span span("comm", "reducescatter");
   const CollectiveTiming ct =
-      begin_collective(seq, cost_->ring_reducescatter_time(group_, total_bytes));
+      begin_collective(seq, call<T>("reducescatter", CallKind::kReduceScatter, n),
+                       cost_->ring_reducescatter_time(group_, total_bytes));
   annotate_span(span, total_bytes, ct);
   stats_->reducescatter.record(static_cast<std::uint64_t>(n) * g, total_bytes,
                                static_cast<double>(n) * (g - 1), ct.dt);

@@ -2,20 +2,31 @@
 
 // The shared transport under all simulated devices.
 //
-// Each rank owns a mailbox; send() deposits a tagged byte payload into the
-// destination mailbox, recv() blocks until a message matching (src, tag)
-// arrives. Matching is FIFO per (src, tag) pair.
+// Every ordered pair of ranks has its own channel: send(src, dst) deposits a
+// tagged byte payload into channel (dst, src), recv(dst, src) blocks on that
+// channel alone until a message with the wanted tag arrives. Matching is FIFO
+// per (src, tag) pair. A send wakes only its receiver; a receive never scans
+// or waits on another peer's traffic. Payload buffers are recycled through a
+// per-channel free list capped at kPoolBytesPerChannel, so steady traffic
+// allocates nothing and retained memory stays bounded.
 //
 // The fabric also provides two *side channels* that model operations a real
 // backend performs out-of-band (communicator construction, clock agreement in
-// the simulation). These move no modelled bytes:
+// the simulation). These move no modelled bytes and work on one
+// communicator's rendezvous state (Group) only:
 //
-//   * sync_max   — all members of a group deposit a double under a unique key;
-//                  everyone receives the maximum. Used to align simulated
-//                  clocks at collective entry.
+//   * sync_max   — all members of a group deposit a double for one collective
+//                  sequence number; everyone receives the maximum. Used to
+//                  align simulated clocks at collective entry.
 //   * split_sync — MPI_Comm_split-style agreement: members deposit
 //                  (color, key); everyone learns its new group and a fresh
 //                  communicator id.
+//
+// Both also check the collective signature: every member states what it
+// called (op kind, element count, root, element size). A member whose call
+// differs from the first arriver's makes every member throw a CheckError
+// naming the communicator, the sequence number and both calls, instead of
+// letting mismatched collectives hang or exchange garbage.
 //
 // Deterministic fault injection: a FaultPlan arms seeded per-message latency
 // spikes (wall-clock sleeps that perturb thread interleavings without touching
@@ -30,8 +41,8 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -74,13 +85,53 @@ struct FaultPlan {
   bool active() const { return spike_prob > 0 || stall_prob > 0 || poison_prob > 0; }
 };
 
+/// Wire protocol of a collective. Members must agree on it; blocking and
+/// non-blocking forms of one collective move the same bytes over the same
+/// tree, so they share a kind.
+enum class CallKind : std::uint8_t {
+  kSplit,
+  kBarrier,
+  kBroadcast,
+  kReduce,
+  kAllReduce,
+  kAllReduceMax,
+  kAllReduceOrdered,
+  kAllGather,
+  kGather,
+  kScatter,
+  kReduceScatter,
+  kAllToAll,
+};
+
+/// What one member called at a rendezvous: the collective signature.
+struct CallSig {
+  const char* op = "?";  // the call's name (string literal), diagnostics only
+  CallKind kind = CallKind::kBarrier;
+  std::int64_t n = 0;    // element count per member
+  int root = -1;         // -1 for rootless collectives
+  int elem_size = 0;
+
+  bool matches(const CallSig& o) const {
+    return kind == o.kind && n == o.n && root == o.root && elem_size == o.elem_size;
+  }
+};
+
 class Fabric {
  public:
+  /// Payload bytes each channel may keep for reuse; a buffer that would push
+  /// the channel's free list past this is released instead.
+  static constexpr std::size_t kPoolBytesPerChannel = std::size_t{16} << 10;
+
+  /// Creates the channels and the world communicator's rendezvous state.
   explicit Fabric(int world_size);
+  ~Fabric();
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
   int world_size() const { return world_size_; }
+
+  /// Communicator id of the world group (ranks 0..world_size−1).
+  std::uint64_t world_comm_id() const { return world_comm_id_; }
 
   /// Deposits `bytes` bytes for `dst`. Never blocks. `timestamp` carries the
   /// sender's simulated clock so the receiver can observe causality
@@ -91,64 +142,39 @@ class Fabric {
 
   /// Blocks until a message from `src` with `tag` arrives at `dst`; copies the
   /// payload into `out` (size must match exactly). Returns the sender's
-  /// timestamp.
+  /// timestamp. Fault semantics: a poisoned payload aborts the fabric and
+  /// throws FaultError; an abort by any rank wakes the call with
+  /// FabricAborted.
   double recv(int dst, int src, std::uint64_t tag, void* out, std::size_t bytes);
 
-  // -- non-blocking point-to-point ------------------------------------------
-  //
-  // irecv records the match coordinates; the payload lands in `out` when
-  // test()/wait() completes the handle. `out` must stay valid until then.
-  // Fault semantics are identical to the blocking path: a poisoned payload
-  // aborts the fabric and throws FaultError from whichever call consumed it,
-  // and an abort by any rank wakes waiters with FabricAborted.
+  /// Payload bytes currently kept for reuse by channel (dst, src).
+  std::size_t pooled_bytes(int dst, int src) const;
 
-  struct RecvHandle {
-    int dst = -1;
-    int src = -1;
-    std::uint64_t tag = 0;
-    void* out = nullptr;
-    std::size_t bytes = 0;
-    bool done = true;  // default-constructed handles are no-ops to wait on
-    double timestamp = 0;
-  };
+  /// Rendezvous state of one communicator: its members and a two-slot ring
+  /// indexed by collective sequence number. Opaque outside the fabric.
+  struct Group;
 
-  /// Sends are buffered (the payload is copied before return), so the async
-  /// send completes at the call; the handle exists for API symmetry.
-  struct SendHandle {
-    bool done = true;
-  };
+  /// The rendezvous state of communicator `comm_id` (the world's, or one
+  /// created by split_sync). Communicators resolve it once, at construction.
+  Group& group(std::uint64_t comm_id);
 
-  RecvHandle irecv(int dst, int src, std::uint64_t tag, void* out, std::size_t bytes);
-
-  /// Attempts to complete `h` without blocking; true once the payload has
-  /// been delivered (or `h` was already done). Does not draw the straggler
-  /// stall fault — stalls model blocked-receive latency, and a poll that
-  /// consumed draws would make the fault schedule depend on poll counts.
-  bool test(RecvHandle& h);
-
-  /// Blocks until `h` completes; returns the sender's timestamp.
-  double wait(RecvHandle& h);
-
-  SendHandle isend(int src, int dst, std::uint64_t tag, const void* data, std::size_t bytes,
-                   double timestamp = 0.0);
-  void wait(SendHandle&) {}
-
-  /// Side channel: group-wide max of `value` under `key`. Every member must
-  /// call exactly once per key; keys must be globally unique per operation.
-  double sync_max(std::uint64_t key, int group_size, double value);
+  /// Side channel: group-wide max of `value` for collective `seq`. Every
+  /// member (group index `member`) calls exactly once per seq, in seq order.
+  /// Throws CheckError on every member if their signatures disagree; `label`
+  /// names the communicator in that diagnostic.
+  double sync_max(Group& g, std::uint64_t seq, int member, const CallSig& sig, double value,
+                  const std::string& label);
 
   struct SplitResult {
     std::uint64_t new_comm_id = 0;
     std::vector<int> group;  // world ranks, ordered by (key, world_rank)
   };
 
-  /// Side channel: collective split. Every member of the parent group calls
-  /// with its world rank, color and ordering key under the same `key`.
-  SplitResult split_sync(std::uint64_t key, int group_size, int world_rank, int color,
-                         int order_key);
-
-  /// Allocates a globally unique communicator id.
-  std::uint64_t next_comm_id() { return comm_id_counter_++; }
+  /// Side channel: collective split of `g` at `seq`. Every member calls with
+  /// its color and ordering key; the last arriver creates each new group's
+  /// rendezvous state.
+  SplitResult split_sync(Group& g, std::uint64_t seq, int member, int color, int order_key,
+                         const std::string& label);
 
   // -- fault injection -------------------------------------------------------
 
@@ -181,41 +207,42 @@ class Fabric {
 
  private:
   struct Message {
-    int src;
     std::uint64_t tag;
     double timestamp;
     std::uint64_t checksum = 0;  // FNV-1a of payload; validated when a plan is active
     std::vector<std::byte> payload;
   };
 
-  struct Mailbox {
+  /// Mailbox of one (dst, src) pair plus its recycled payload buffers.
+  struct alignas(64) Channel {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<Message> messages;
+    std::vector<Message> queue;  // arrival order; FIFO per tag
+    std::vector<std::vector<std::byte>> free;
+    std::size_t free_bytes = 0;  // sum of the free buffers' capacities
   };
 
-  struct SyncSlot {
-    int expected = 0;
-    int arrived = 0;
-    int departed = 0;
-    bool ready = false;
-    double max_value = 0;
-    // split payload: (color, order_key, world_rank)
-    std::vector<std::array<int, 3>> deposits;
-    std::map<int, SplitResult> results;  // world_rank -> result
-    std::uint64_t assigned_base_id = 0;
-  };
+  Channel& channel(int dst, int src) const {
+    return channels_[static_cast<std::size_t>(dst) * world_size_ + src];
+  }
 
-  SyncSlot& slot_locked(std::uint64_t key, int group_size);
-  void release_slot_locked(std::uint64_t key, SyncSlot& slot);
+  /// Creates the rendezvous state of a new communicator with members `ranks`
+  /// (caller holds groups_mu_).
+  void add_group(std::uint64_t comm_id, std::vector<int> ranks);
+
+  /// One rendezvous: deposits `value` (and, for a split, the member's color
+  /// and key), waits for the group, checks signatures, returns the max.
+  double rendezvous(Group& g, std::uint64_t seq, int member, const CallSig& sig, double value,
+                    const std::string& label, const std::array<int, 2>* split,
+                    SplitResult* split_out);
 
   /// Draws the straggler stall fault for a receive at `dst` and sleeps if hit.
   void maybe_stall(int dst, int src, std::uint64_t tag);
 
-  /// Tries to match-and-consume a message under `box.mu`; copies the payload,
+  /// Tries to match-and-consume a message under `ch.mu`; copies the payload,
   /// returns false if nothing matches yet. Throws FaultError on a poisoned
   /// payload (after aborting the fabric).
-  bool try_consume_locked(Mailbox& box, std::unique_lock<std::mutex>& lock, int dst, int src,
+  bool try_consume_locked(Channel& ch, std::unique_lock<std::mutex>& lock, int dst, int src,
                           std::uint64_t tag, void* out, std::size_t bytes, double* ts);
 
   /// Throws FabricAborted if the fabric has been aborted.
@@ -226,12 +253,12 @@ class Fabric {
   std::uint64_t fault_draw(int src, int dst, std::uint64_t tag, std::uint64_t salt);
 
   int world_size_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::unique_ptr<Channel[]> channels_;  // world_size² channels, [dst·p + src]
 
-  std::mutex sync_mu_;
-  std::condition_variable sync_cv_;
-  std::map<std::uint64_t, SyncSlot> slots_;
-  std::atomic<std::uint64_t> comm_id_counter_{1};
+  std::mutex groups_mu_;  // guards groups_ and comm id assignment
+  std::map<std::uint64_t, std::unique_ptr<Group>> groups_;
+  std::uint64_t next_comm_id_ = 1;
+  std::uint64_t world_comm_id_ = 0;
 
   FaultPlan fault_plan_;
   std::mutex fault_mu_;

@@ -2,20 +2,37 @@
 
 // Tiny command-line flag parser for the example binaries and benches.
 //
-//   util::Cli cli(argc, argv);
-//   const int steps = cli.get_int("steps", 100);
-//   const std::string mode = cli.get_string("engine", "optimus");
-//   cli.finish();  // rejects unknown flags
+//   int main(int argc, char** argv) {
+//     return util::guarded_main([&] {
+//       util::Cli cli(argc, argv);
+//       const int steps = cli.get_int("steps", 100);
+//       const std::string mode = cli.get_string("engine", "optimus");
+//       cli.finish();  // rejects unknown flags; answers --help
+//       ...
+//       return 0;
+//     });
+//   }
 //
 // Flags are written --name=value or --name value. Boolean flags accept bare
-// --name as true.
+// --name as true. A value that does not parse as the flag's type is a
+// CheckError naming the flag.
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace optimus::util {
+
+/// Thrown by Cli::finish() when --help was given; what() is the usage text.
+class CliHelp : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class Cli {
  public:
@@ -30,15 +47,23 @@ class Cli {
   /// True if the flag appeared on the command line at all.
   bool has(const std::string& name) const;
 
-  /// Throws if any supplied flag was never consumed (catches typos).
+  /// Throws CliHelp listing every flag read so far (with its default) if
+  /// --help was given; otherwise throws if any supplied flag was never
+  /// consumed (catches typos).
   void finish() const;
 
  private:
-  std::optional<std::string> raw(const std::string& name);
+  std::optional<std::string> raw(const std::string& name, std::string default_text);
 
   std::map<std::string, std::string> values_;
   std::set<std::string> consumed_;
+  std::vector<std::pair<std::string, std::string>> seen_;  // (flag, default), first-read order
   std::string program_;
 };
+
+/// Runs a program's body and returns its exit code. --help (CliHelp) prints
+/// the usage and returns 0; any other exception prints "error: <what>" to
+/// stderr and returns 2, instead of ending in std::terminate.
+int guarded_main(const std::function<int()>& body);
 
 }  // namespace optimus::util

@@ -72,6 +72,13 @@ struct MegatronCase {
   bool checkpoint;
 };
 
+// Names the case in the `GetParam() =` comment that CTest's test discovery
+// turns into the test name; the default byte dump would include the
+// struct's uninitialized padding, which differs from build to build.
+void PrintTo(const MegatronCase& c, std::ostream* os) {
+  *os << "p" << c.p << "_ckpt" << (c.checkpoint ? 1 : 0);
+}
+
 class MegatronSweep : public ::testing::TestWithParam<MegatronCase> {};
 
 }  // namespace

@@ -88,6 +88,14 @@ struct OptimusCase {
   ocore::BufferMode buffers;
 };
 
+// Names the case in the `GetParam() =` comment that CTest's test discovery
+// turns into the test name; the default byte dump would include the
+// struct's uninitialized padding, which differs from build to build.
+void PrintTo(const OptimusCase& c, std::ostream* os) {
+  *os << "q" << c.q << "_ckpt" << (c.checkpoint ? 1 : 0)
+      << (c.buffers == ocore::BufferMode::kPooled ? "_pooled" : "_heap");
+}
+
 class OptimusSweep : public ::testing::TestWithParam<OptimusCase> {};
 
 }  // namespace

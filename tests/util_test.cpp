@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -166,6 +167,50 @@ TEST(Cli, UnknownFlagRejectedByFinish) {
 
 TEST(Cli, NonFlagArgumentRejected) {
   EXPECT_THROW(make_cli({"prog", "positional"}), ou::CheckError);
+}
+
+TEST(Cli, BadValuesNameTheFlag) {
+  auto cli = make_cli({"prog", "--steps", "abc", "--lr=0.5x", "--n=12abc", "--big=99999999999",
+                       "--on=maybe"});
+  const auto message = [](const std::function<void()>& read) {
+    try {
+      read();
+    } catch (const ou::CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { cli.get_int("steps", 1); }),
+            "flag --steps expects an integer, got 'abc'");
+  EXPECT_EQ(message([&] { cli.get_double("lr", 1.0); }),
+            "flag --lr expects a number, got '0.5x'");
+  EXPECT_EQ(message([&] { cli.get_i64("n", 1); }), "flag --n expects an integer, got '12abc'");
+  EXPECT_EQ(message([&] { cli.get_int("big", 1); }),
+            "flag --big expects an integer, got '99999999999'");
+  EXPECT_EQ(message([&] { cli.get_bool("on", false); }),
+            "flag --on expects true or false, got 'maybe'");
+}
+
+TEST(Cli, HelpListsTheFlagsRead) {
+  auto cli = make_cli({"prog", "--help"});
+  cli.get_int("steps", 80);
+  cli.get_string("engine", "optimus");
+  try {
+    cli.finish();
+    FAIL() << "--help did not stop the program";
+  } catch (const ou::CliHelp& help) {
+    EXPECT_EQ(std::string(help.what()),
+              "usage: prog [--flag=value ...]\n"
+              "  --steps (default 80)\n"
+              "  --engine (default 'optimus')\n");
+  }
+}
+
+TEST(Cli, GuardedMainMapsErrorsToExitCodes) {
+  EXPECT_EQ(ou::guarded_main([] { return 0; }), 0);
+  EXPECT_EQ(ou::guarded_main([]() -> int { throw ou::CliHelp("usage\n"); }), 0);
+  EXPECT_EQ(ou::guarded_main([]() -> int { throw ou::CheckError("bad flag"); }), 2);
+  EXPECT_EQ(ou::guarded_main([]() -> int { throw 7; }), 2);
 }
 
 TEST(Table, AlignsColumnsAndCountsRows) {

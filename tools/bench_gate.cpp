@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -79,7 +80,7 @@ bool within_tol(double a, double b, double tol) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   std::string baseline_path, fresh_path;
   double tol = 0.05;
   bool include_wall = false;
@@ -150,4 +151,8 @@ int main(int argc, char** argv) {
   std::cout << fresh_path << ": ok, " << compared << " fields within " << tol
             << " of baseline (" << base.size() << " records)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }

@@ -38,6 +38,7 @@
 #include "testing/equivalence.hpp"
 #include "testing/fuzz_config.hpp"
 #include "testing/watchdog.hpp"
+#include "util/cli.hpp"
 
 namespace ots = optimus::testing;
 
@@ -133,7 +134,7 @@ ots::FuzzConfig shrink(ots::FuzzConfig failing, const Args& a, std::ostream& out
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, args)) return usage();
 
@@ -187,4 +188,8 @@ int main(int argc, char** argv) {
     out << report.str();
   }
   return failures == 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }

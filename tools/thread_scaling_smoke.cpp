@@ -22,6 +22,7 @@
 #include "kernel/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -55,7 +56,7 @@ double best_wall_ms(int threads, int reps, const std::vector<float>& A,
 
 }  // namespace
 
-int main() {
+static int run_main() {
   const index_t n = 1024;
   const int reps = 5;
   auto A = random_buffer(n * n, 1);
@@ -87,3 +88,5 @@ int main() {
   std::printf("PASS\n");
   return 0;
 }
+
+int main() { return optimus::util::guarded_main(run_main); }

@@ -27,6 +27,7 @@
 #include <string>
 
 #include "obs/trace.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -161,7 +162,7 @@ bool load_json(const char* path, Json& doc) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   bool metrics_mode = false;
   int first = 1;
   if (argc >= 2 && std::string(argv[1]) == "--metrics") {
@@ -200,4 +201,8 @@ int main(int argc, char** argv) {
               << " tracks, " << check.request_lanes << " request lanes\n";
   }
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return optimus::util::guarded_main([&] { return run_main(argc, argv); });
 }
