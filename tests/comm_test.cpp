@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "comm/cluster.hpp"
 #include "comm/communicator.hpp"
@@ -525,3 +527,256 @@ TEST(Cluster, BarrierSynchronisesClocks) {
   const double t0 = report.ranks[0].sim_time;
   for (const auto& r : report.ranks) EXPECT_DOUBLE_EQ(r.sim_time, t0);
 }
+
+// ---------------------------------------------------------------------------
+// Bit pins: every collective's output bytes, clock and stats
+// ---------------------------------------------------------------------------
+//
+// The sweeps above compare with tolerances, so a changed fold order would
+// pass them. These rows pin, per (op, g), three 64-bit FNV-1a digests folded
+// over f32 and f64 payloads below and above the chunked-tree cutoff:
+//   out   — every rank's output bytes, in rank order;
+//   clock — rank 0's clock and its four UtilBreakdown buckets;
+//   stats — rank 0's CommStats (every Op's fields and the p2p counters).
+// Ranks enter each call after skewed compute, so align_wait is non-zero.
+// The rows were generated once from the reference implementation; a refactor
+// of the collectives must pass them unchanged, never regenerate them.
+
+namespace {
+
+using optimus::tensor::index_t;
+
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ull;
+    }
+  }
+  template <typename V>
+  void value(const V& v) {
+    bytes(&v, sizeof v);
+  }
+  void op(const oc::CommStats::Op& o) {
+    value(o.calls);
+    value(o.elems);
+    value(o.bytes);
+    value(o.weighted);
+    value(o.time);
+  }
+};
+
+struct PinRow {
+  const char* op;
+  int g;
+  std::uint64_t out;
+  std::uint64_t clock;
+  std::uint64_t stats;
+};
+
+// Runs `op` once on this rank over seeded non-integer data and returns the
+// bytes the call produced here (empty for barrier).
+template <typename T>
+std::vector<unsigned char> run_pinned_op(const std::string& op, oc::Context& ctx, index_t n) {
+  const int g = ctx.size;
+  const int root = g - 1;
+  std::vector<T> buf(static_cast<std::size_t>(n * g));
+  std::vector<T> out(static_cast<std::size_t>(n * g));
+  optimus::util::Rng rng(1000 * static_cast<std::uint64_t>(g) + ctx.rank);
+  for (auto& v : buf) v = static_cast<T>(rng.uniform(-1, 1));
+  // Rank 0 computes least, so it waits at every entry (align_wait > 0).
+  const auto skew = [&] { ctx.device.on_mults(40000ull * (ctx.rank + 1)); };
+  const T* result = buf.data();
+  index_t count = n;
+  skew();
+  if (op == "broadcast") {
+    ctx.world.broadcast(buf.data(), n, root);
+  } else if (op == "reduce") {
+    ctx.world.reduce(buf.data(), n, root);
+  } else if (op == "ibroadcast") {
+    oc::Request req = ctx.world.ibroadcast(buf.data(), n, root);
+    skew();
+    req.wait();
+  } else if (op == "ireduce") {
+    oc::Request req = ctx.world.ireduce(buf.data(), n, root);
+    skew();
+    req.wait();
+  } else if (op == "allreduce") {
+    ctx.world.all_reduce(buf.data(), n);
+  } else if (op == "allreduce_max") {
+    ctx.world.all_reduce_max(buf.data(), n);
+  } else if (op == "allreduce_ordered") {
+    ctx.world.all_reduce_ordered(buf.data(), n);
+  } else if (op == "allgather") {
+    ctx.world.all_gather(buf.data(), n, out.data());
+    result = out.data();
+    count = n * g;
+  } else if (op == "reducescatter") {
+    ctx.world.reduce_scatter(buf.data(), n, out.data());
+    result = out.data();
+  } else if (op == "alltoall") {
+    ctx.world.all_to_all(buf.data(), n, out.data());
+    result = out.data();
+    count = n * g;
+  } else if (op == "barrier") {
+    ctx.world.barrier();
+    count = 0;
+  } else {
+    ADD_FAILURE() << "unknown op " << op;
+  }
+  const auto* b = reinterpret_cast<const unsigned char*>(result);
+  return std::vector<unsigned char>(b, b + count * static_cast<index_t>(sizeof(T)));
+}
+
+template <typename T>
+void digest_pinned_op(const std::string& op, int g, index_t n, Fnv& out, Fnv& clock,
+                      Fnv& stats) {
+  // Two GPUs per node: groups of g >= 3 cross nodes, so the large payload
+  // streams down the tree in chunks there.
+  oc::Topology topo(g, /*gpus_per_node=*/2, oc::Arrangement::kNaive);
+  oc::Cluster cluster(g, topo, oc::MachineParams{});
+  std::vector<std::vector<unsigned char>> outputs(static_cast<std::size_t>(g));
+  const auto report = cluster.run(
+      [&](oc::Context& ctx) { outputs[ctx.rank] = run_pinned_op<T>(op, ctx, n); });
+  for (const auto& o : outputs) out.bytes(o.data(), o.size());
+  const auto& r0 = report.ranks[0];
+  clock.value(r0.sim_time);
+  clock.value(r0.util.compute);
+  clock.value(r0.util.align_wait);
+  clock.value(r0.util.transfer);
+  clock.value(r0.util.idle);
+  const auto& s = r0.stats;
+  for (const auto* o : {&s.broadcast, &s.reduce, &s.allreduce, &s.allgather, &s.reducescatter,
+                        &s.alltoall, &s.barrier}) {
+    stats.op(*o);
+  }
+  stats.value(s.p2p_messages);
+  stats.value(s.p2p_bytes);
+  stats.value(s.p2p_time);
+}
+
+PinRow pinned_row(const std::string& op, int g) {
+  Fnv out, clock, stats;
+  for (const index_t n : {index_t{37}, index_t{20000}}) {  // 20000 f32 = 80 KB > 64 KiB
+    digest_pinned_op<float>(op, g, n, out, clock, stats);
+    digest_pinned_op<double>(op, g, n, out, clock, stats);
+  }
+  return PinRow{nullptr, g, out.h, clock.h, stats.h};
+}
+
+// clang-format off
+constexpr PinRow kCollectivePins[] = {
+    {"broadcast", 1, 0x1aefe3024295331eull, 0x5e227a90a6ba0695ull, 0xc8afb6162b982225ull},
+    {"broadcast", 2, 0xee620464124ad811ull, 0xcb342fdae28367eeull, 0x59d43c9851be32c6ull},
+    {"broadcast", 3, 0xb954959a599d2a31ull, 0xaf9a7ec1f66178dull, 0x555a876ea5d7d65bull},
+    {"broadcast", 4, 0xdc3b4ca2ab65bf75ull, 0x681a2494d3d781b8ull, 0x555a876ea5d7d65bull},
+    {"broadcast", 5, 0x73a1f8c9bac69750ull, 0x42e9b0b1569dacbfull, 0x2a61bb97fd7cd32full},
+    {"broadcast", 7, 0xc8d84d010492d5bcull, 0x946eef1258e0c283ull, 0x2a61bb97fd7cd32full},
+    {"broadcast", 8, 0x1029d069cd59e2d5ull, 0x2b525e245329bca2ull, 0x2a61bb97fd7cd32full},
+    {"reduce", 1, 0x1aefe3024295331eull, 0x5e227a90a6ba0695ull, 0xc8afb6162b982225ull},
+    {"reduce", 2, 0xfde331864739e694ull, 0xcb342fdae28367eeull, 0x2b4df1c7705cafa6ull},
+    {"reduce", 3, 0xcedd729d0669bd3cull, 0xaf9a7ec1f66178dull, 0xd9c2067eb582e75bull},
+    {"reduce", 4, 0x78f5b785cec40d99ull, 0x681a2494d3d781b8ull, 0xd9c2067eb582e75bull},
+    {"reduce", 5, 0x70c3a40a0bd6f4d7ull, 0x42e9b0b1569dacbfull, 0x8e2abb3c7083a26full},
+    {"reduce", 7, 0xe03020ca71a115c9ull, 0x946eef1258e0c283ull, 0x8e2abb3c7083a26full},
+    {"reduce", 8, 0x7777f808e4cf2949ull, 0x2b525e245329bca2ull, 0x8e2abb3c7083a26full},
+    {"ibroadcast", 1, 0x1aefe3024295331eull, 0xa903f57e0e02a535ull, 0xc8afb6162b982225ull},
+    {"ibroadcast", 2, 0xee620464124ad811ull, 0xbfec42607ddf3d3aull, 0x59d43c9851be32c6ull},
+    {"ibroadcast", 3, 0xb954959a599d2a31ull, 0x473803ee5bbbea6full, 0x555a876ea5d7d65bull},
+    {"ibroadcast", 4, 0xdc3b4ca2ab65bf75ull, 0x88f91d77fc0b6bffull, 0x555a876ea5d7d65bull},
+    {"ibroadcast", 5, 0x73a1f8c9bac69750ull, 0x2b728a2d3e155c92ull, 0x2a61bb97fd7cd32full},
+    {"ibroadcast", 7, 0xc8d84d010492d5bcull, 0xf6bfe7d4d4c62795ull, 0x2a61bb97fd7cd32full},
+    {"ibroadcast", 8, 0x1029d069cd59e2d5ull, 0xaeb9ddfb78b7082aull, 0x2a61bb97fd7cd32full},
+    {"ireduce", 1, 0x1aefe3024295331eull, 0xa903f57e0e02a535ull, 0xc8afb6162b982225ull},
+    {"ireduce", 2, 0xfde331864739e694ull, 0xbfec42607ddf3d3aull, 0x2b4df1c7705cafa6ull},
+    {"ireduce", 3, 0xcedd729d0669bd3cull, 0x473803ee5bbbea6full, 0xd9c2067eb582e75bull},
+    {"ireduce", 4, 0x78f5b785cec40d99ull, 0x88f91d77fc0b6bffull, 0xd9c2067eb582e75bull},
+    {"ireduce", 5, 0x70c3a40a0bd6f4d7ull, 0x2b728a2d3e155c92ull, 0x8e2abb3c7083a26full},
+    {"ireduce", 7, 0xe03020ca71a115c9ull, 0xf6bfe7d4d4c62795ull, 0x8e2abb3c7083a26full},
+    {"ireduce", 8, 0x7777f808e4cf2949ull, 0xaeb9ddfb78b7082aull, 0x8e2abb3c7083a26full},
+    {"allreduce", 1, 0x1aefe3024295331eull, 0x5e227a90a6ba0695ull, 0xc8afb6162b982225ull},
+    {"allreduce", 2, 0xbfe4b7625566a199ull, 0x86a373a239070ad8ull, 0x12b0ac37b9e44a49ull},
+    {"allreduce", 3, 0x9abee91308d34e53ull, 0x404db748669b6b0eull, 0xe11f3e96a6dea5dcull},
+    {"allreduce", 4, 0x55b57850aff2d2ddull, 0xc8a4757fbaa18f0ull, 0xcb4ef5aa2020ab8cull},
+    {"allreduce", 5, 0x437032f32d20c784ull, 0x32a7121b464b3e6full, 0x1bf5799bb9dd6d06ull},
+    {"allreduce", 7, 0x7f5f6cf9dc0a831full, 0x9d41423d78aa0d2bull, 0x7adc51c0700dda8ull},
+    {"allreduce", 8, 0xf4b61f7e3df07145ull, 0xa012259d6338840eull, 0xbf25f8fe775d8538ull},
+    {"allreduce_max", 1, 0x1aefe3024295331eull, 0x5e227a90a6ba0695ull, 0xc8afb6162b982225ull},
+    {"allreduce_max", 2, 0xbf5d6b212be18089ull, 0x86a373a239070ad8ull, 0x12b0ac37b9e44a49ull},
+    {"allreduce_max", 3, 0xcc2a11a696679d23ull, 0x404db748669b6b0eull, 0xe11f3e96a6dea5dcull},
+    {"allreduce_max", 4, 0x384e3082f44c52a5ull, 0xc8a4757fbaa18f0ull, 0xcb4ef5aa2020ab8cull},
+    {"allreduce_max", 5, 0x1d6613e6d63f3e93ull, 0x32a7121b464b3e6full, 0x1bf5799bb9dd6d06ull},
+    {"allreduce_max", 7, 0xbfa8e521125d2123ull, 0x9d41423d78aa0d2bull, 0x7adc51c0700dda8ull},
+    {"allreduce_max", 8, 0xb3689fcd8f7f7eb5ull, 0xa012259d6338840eull, 0xbf25f8fe775d8538ull},
+    {"allreduce_ordered", 1, 0x1aefe3024295331eull, 0x5e227a90a6ba0695ull, 0xc8afb6162b982225ull},
+    {"allreduce_ordered", 2, 0xbfe4b7625566a199ull, 0x86a373a239070ad8ull, 0x12b0ac37b9e44a49ull},
+    {"allreduce_ordered", 3, 0xbaf78826c1102855ull, 0x404db748669b6b0eull, 0xe11f3e96a6dea5dcull},
+    {"allreduce_ordered", 4, 0xa8e21c8526b94015ull, 0xc8a4757fbaa18f0ull, 0xcb4ef5aa2020ab8cull},
+    {"allreduce_ordered", 5, 0x50c5f718abaadf40ull, 0x32a7121b464b3e6full, 0x1bf5799bb9dd6d06ull},
+    {"allreduce_ordered", 7, 0x4bf1b795c24426adull, 0x9d41423d78aa0d2bull, 0x7adc51c0700dda8ull},
+    {"allreduce_ordered", 8, 0x9ced1520ce27e625ull, 0xa012259d6338840eull, 0xbf25f8fe775d8538ull},
+    {"allgather", 1, 0x1aefe3024295331eull, 0x5e227a90a6ba0695ull, 0xc8afb6162b982225ull},
+    {"allgather", 2, 0x517339221be69fb9ull, 0xcb342fdae28367eeull, 0xf502d1e3c5132333ull},
+    {"allgather", 3, 0x9dfa8a70c3aa1816ull, 0x92f32c47043dc9d9ull, 0x74aa4a737de69055ull},
+    {"allgather", 4, 0xda2212b52b19e3c5ull, 0xddbd815c87340b86ull, 0xe17b0b157b10aba2ull},
+    {"allgather", 5, 0x5835c6454b9ec7d9ull, 0xc46009306868e383ull, 0x497d23db20191617ull},
+    {"allgather", 7, 0xf2745d7e0a85ce83ull, 0x698f489a1141e80ull, 0x7f57776a5a55ba56ull},
+    {"allgather", 8, 0xf64c4b0d03089e45ull, 0xd83f817831b2eb6aull, 0x1b88824a352b0872ull},
+    {"reducescatter", 1, 0x1aefe3024295331eull, 0x5e227a90a6ba0695ull, 0xc8afb6162b982225ull},
+    {"reducescatter", 2, 0xe539fa2ba2e08e73ull, 0xcb342fdae28367eeull, 0x82fd4a8a82888a73ull},
+    {"reducescatter", 3, 0x3b19a13d7d426effull, 0x92f32c47043dc9d9ull, 0x5641c34003704995ull},
+    {"reducescatter", 4, 0xa30f0ad6fb224a55ull, 0xddbd815c87340b86ull, 0xb55c34f22e9a2e42ull},
+    {"reducescatter", 5, 0xac7c12fabf9ffae4ull, 0xc46009306868e383ull, 0xa05e1c92a20a0f17ull},
+    {"reducescatter", 7, 0x4890f996f6548463ull, 0x698f489a1141e80ull, 0x5f3d2802ecaaf9f6ull},
+    {"reducescatter", 8, 0x4d09c11a910c4222ull, 0xd83f817831b2eb6aull, 0xa06c18fe1c6904d2ull},
+    {"alltoall", 1, 0x1aefe3024295331eull, 0x5e227a90a6ba0695ull, 0xc8afb6162b982225ull},
+    {"alltoall", 2, 0xd11be95fa38a6580ull, 0xcb342fdae28367eeull, 0xe4c894a3f58d186ull},
+    {"alltoall", 3, 0xa709f09eccc73d41ull, 0x92f32c47043dc9d9ull, 0xafa5de96f8be0707ull},
+    {"alltoall", 4, 0xa5b324bdb2097bb8ull, 0xddbd815c87340b86ull, 0xbe696737be741a0bull},
+    {"alltoall", 5, 0x63d20b806eb85906ull, 0x910ed567de69c34bull, 0x43cecf6befd64a8ull},
+    {"alltoall", 7, 0x13665f0ce36a87b4ull, 0x698f489a1141e80ull, 0x96ff69079e258232ull},
+    {"alltoall", 8, 0x4d0aa4667c611c09ull, 0xd83f817831b2eb6aull, 0x1e7023f4e2613c82ull},
+    {"barrier", 1, 0xcbf29ce484222325ull, 0x5e227a90a6ba0695ull, 0xc8afb6162b982225ull},
+    {"barrier", 2, 0xcbf29ce484222325ull, 0x2046fb19bf18d55dull, 0x8a5df5660718f13dull},
+    {"barrier", 3, 0xcbf29ce484222325ull, 0x77b273964f7879ddull, 0x4a9d7c81979319ddull},
+    {"barrier", 4, 0xcbf29ce484222325ull, 0x4c39671602b672a5ull, 0x4a9d7c81979319ddull},
+    {"barrier", 5, 0xcbf29ce484222325ull, 0x7b38284acc690535ull, 0x2f8e1d141c97ea8dull},
+    {"barrier", 7, 0xcbf29ce484222325ull, 0x89516a9cdefe170dull, 0x2f8e1d141c97ea8dull},
+    {"barrier", 8, 0xcbf29ce484222325ull, 0xd6e7464df33a84f5ull, 0x2f8e1d141c97ea8dull},
+};
+// clang-format on
+
+class CollectivePin : public ::testing::TestWithParam<const char*> {};
+
+}  // namespace
+
+TEST_P(CollectivePin, OutputClockAndStatsMatchPinnedBits) {
+  const std::string op = GetParam();
+  for (const int g : {1, 2, 3, 4, 5, 7, 8}) {
+    const PinRow got = pinned_row(op, g);
+    const PinRow* want = nullptr;
+    for (const PinRow& row : kCollectivePins) {
+      if (op == row.op && g == row.g) want = &row;
+    }
+    std::ostringstream actual;
+    actual << std::hex << "{\"" << op << "\", " << std::dec << g << std::hex << ", 0x"
+           << got.out << "ull, 0x" << got.clock << "ull, 0x" << got.stats << "ull},";
+    if (want == nullptr) {
+      ADD_FAILURE() << "no pinned row; actual: " << actual.str();
+      continue;
+    }
+    EXPECT_EQ(got.out, want->out) << "output bytes changed; actual: " << actual.str();
+    EXPECT_EQ(got.clock, want->clock) << "clock/utilization changed; actual: " << actual.str();
+    EXPECT_EQ(got.stats, want->stats) << "CommStats changed; actual: " << actual.str();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, CollectivePin,
+                         ::testing::Values("broadcast", "reduce", "ibroadcast", "ireduce",
+                                           "allreduce", "allreduce_max", "allreduce_ordered",
+                                           "allgather", "reducescatter", "alltoall", "barrier"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
