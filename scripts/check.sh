@@ -18,7 +18,10 @@
 #      checked-in baseline with tools/bench_gate.
 #   5. Fabric smoke: bench_fabric (host cost per collective) runs end to
 #      end; its wall rows are informational, not gated.
-#   6. Fast-label test suite under ASan+UBSan (`asan` preset) and TSan
+#   6. Host-cost benchmark: hostbench/ is its own CMake project over src/,
+#      so step 1 never compiles it. Build it standalone into build-hostbench/
+#      and run host_bench_selftest.
+#   7. Fast-label test suite under ASan+UBSan (`asan` preset) and TSan
 #      (`tsan` preset). The comm layer runs one thread per simulated device,
 #      exactly where TSan earns its keep. The serving-label suite also runs
 #      under TSan (scheduler + decode collectives interleave across ranks).
@@ -106,6 +109,13 @@ echo "==> fabric smoke: bench_fabric runs and writes one row per (op, p, payload
 ./build/bench/bench_fabric --ops 50 --repeats 1 --out "$OBS_TMP/fabric.json" > /dev/null
 python3 -c 'import json, sys; rows = json.load(open(sys.argv[1])); assert len(rows) == 15, len(rows)' \
     "$OBS_TMP/fabric.json"
+
+echo "==> hostbench: standalone build + host_bench_selftest"
+# run.py builds the same project into .bench_build/; a separate tree here
+# keeps this check independent of any benchmark run in progress.
+cmake -S hostbench -B build-hostbench -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+cmake --build build-hostbench -j"$(nproc)" --target host_bench host_bench_selftest
+./build-hostbench/host_bench_selftest
 
 echo "==> thread-scaling smoke: 1024^3 f32 GEMM, 1 vs 4 threads"
 # Fails if threading makes the kernel slower (core-count-aware bound; see

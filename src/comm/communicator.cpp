@@ -25,18 +25,7 @@ Communicator::Communicator(Fabric& fabric, std::uint64_t comm_id, std::vector<in
   OPT_CHECK(rank_ >= 0, "world rank " << world_rank << " not in communicator group");
 }
 
-CollectiveTiming Communicator::begin_collective(std::uint64_t seq, const CallSig& sig,
-                                                double dt) {
-  const CollectiveTiming t = begin_async(seq, sig, dt);
-  // Bitwise identical to the previous set(completion()): align_to assigns
-  // entry_aligned exactly, then advance_transfer adds the same dt — only the
-  // utilization bucketing differs.
-  clock_->align_to(t.entry_aligned);
-  clock_->advance_transfer(t.dt);
-  return t;
-}
-
-CollectiveTiming Communicator::begin_async(std::uint64_t seq, const CallSig& sig, double dt) {
+CollectiveTiming Communicator::enter(std::uint64_t seq, const CallSig& sig, double dt) {
   clock_->drain_compute(*cost_);
   CollectiveTiming t;
   t.entry_local = clock_->now();
@@ -150,16 +139,11 @@ Communicator Communicator::split(int color, int key) {
 }
 
 void Communicator::barrier() {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return;
-  const double dt = 2.0 * log2_ceil(size()) * cost_->params().alpha;
-  Fabric::OpScope op_scope("barrier");
-  obs::Span span("comm", "barrier");
-  const CollectiveTiming ct = begin_collective(seq, CallSig{"barrier", CallKind::kBarrier}, dt);
-  annotate_span(span, 0, ct);
-  stats_->barrier.record(0, 0, 0.0, ct.dt);
-  // The sync_max rendezvous inside begin_collective already provides the
-  // synchronisation semantics; no data movement is needed.
+  // The rendezvous on entry is the whole barrier; no data moves.
+  collective(Entry{.sig = CallSig{"barrier", CallKind::kBarrier},
+                   .dt = cost_->barrier_time(group_),
+                   .op = &stats_->barrier},
+             [](std::uint64_t, const CollectiveTiming&) {});
 }
 
 }  // namespace optimus::comm

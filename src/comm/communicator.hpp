@@ -2,29 +2,38 @@
 
 // MPI-style communicator over the simulated fabric.
 //
-// A Communicator names an ordered group of world ranks. Collectives are
-// blocking, must be entered by every member in the same order (standard MPI
-// contract), move real bytes through the fabric, and advance the simulated
-// clock by the CostModel's closed-form time for the operation:
+// A Communicator names an ordered group of world ranks. Its collectives must
+// be entered by every member in the same order (standard MPI contract), move
+// real bytes through the fabric, and advance the simulated clock by the
+// CostModel's closed-form time for the operation. They block, except
+// ibroadcast/ireduce: those return a Request whose wait() completes them, so
+// the transfer overlaps whatever compute runs in between.
 //
-//   broadcast / reduce     — binomial tree  (paper eq. 4: log₂(g)·β·B)
+//   broadcast / reduce     — binomial tree  (paper eq. 4: log₂(g)·β·B),
+//     ibroadcast / ireduce   streamed in chunks when the payload is large
 //   all_reduce             — ring reduce-scatter + ring all-gather
 //                            (paper eq. 5: 2(g−1)/g·β·B)
+//   all_reduce_max / all_reduce_ordered — gather-to-0 fold + flat broadcast,
+//                            charged and counted as the ring all_reduce
 //   all_gather / reduce_scatter — ring
+//   all_to_all             — pairwise personalised exchange
 //   barrier                — dissemination (latency only)
 //
 // Reduction order is deterministic for a fixed group, so distributed runs are
 // bit-reproducible; they differ from serial execution only by floating-point
 // association.
 //
-// Every collective enters through one rendezvous on this communicator's own
-// fabric state (Fabric::Group, resolved once at construction): it aligns the
-// members' clocks and checks that all of them made the same call.
+// Every collective enters through one path, collective(): one rendezvous on
+// this communicator's own fabric state (Fabric::Group, resolved once at
+// construction) aligns the members' clocks and checks that all of them made
+// the same call, and the call is traced and counted under that same name.
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "comm/fabric.hpp"
@@ -201,19 +210,9 @@ class Communicator {
   /// Personalised exchange (MPI_Alltoall): `send` holds g chunks of n
   /// elements, chunk c destined for rank c; on return `out[c·n..)` holds the
   /// chunk rank c addressed to this rank. Pairwise exchange; modelled as
-  /// (g−1) simultaneous chunk transfers: (g−1)·(α + β·chunk_bytes).
+  /// (g−1) simultaneous chunk transfers (CostModel::all_to_all_time).
   template <typename T>
   void all_to_all(const T* send, tensor::index_t n, T* out);
-
-  /// Gathers each rank's `n` elements at `root` (out size n·g there, ignored
-  /// elsewhere). Flat fan-in; modelled like a ring all-gather.
-  template <typename T>
-  void gather(const T* mine, tensor::index_t n, T* out, int root);
-
-  /// Inverse of gather: root's `data` (n·g elements) is distributed so rank r
-  /// receives chunk r into `out` (n elements).
-  template <typename T>
-  void scatter(const T* data, tensor::index_t n, T* out, int root);
 
   void barrier();
 
@@ -260,18 +259,83 @@ class Communicator {
     return CallSig{op, kind, static_cast<std::int64_t>(n), root, static_cast<int>(sizeof(T))};
   }
 
-  /// Drains local compute into the clock, aligns clocks across the group
-  /// (checking that every member made the call `sig`) and advances by `dt`.
-  /// Returns the entry timing breakdown.
-  CollectiveTiming begin_collective(std::uint64_t seq, const CallSig& sig, double dt);
+  /// One collective call as its entry path sees it.
+  struct Entry {
+    CallSig sig;                  // op name (fault scope, span, rendezvous) and signature
+    std::uint64_t bytes = 0;      // payload bytes, for the span and the stats
+    double dt = 0;                // modelled time (CostModel)
+    int chunks = 1;               // tree chunks; more than one is noted on the span
+    CommStats::Op* op = nullptr;  // where the call is counted,
+    std::uint64_t elems = 0;      // with its elements
+    double weighted = 0;          // and Table-1 units (elems × the β-multiplier)
+  };
 
-  /// begin_collective without the final clock advance: models issuing a
-  /// non-blocking collective. Entry still aligns on max(slowest member's
-  /// clock, this communicator's link availability); the link is then reserved
-  /// through the transfer, so back-to-back collectives on one communicator
-  /// serialise even when issued without waiting (one link per communicator —
-  /// row and column links are distinct and genuinely overlap).
-  CollectiveTiming begin_async(std::uint64_t seq, const CallSig& sig, double dt);
+  /// The entry path of every collective. Takes the next sequence number and
+  /// returns a default result at once on a one-member group. Otherwise names
+  /// the op for fault diagnostics and the trace, enters the rendezvous,
+  /// records the stats, then runs `body(seq, timing)` to move the data. A body
+  /// that returns a Request is only issued: Request::wait advances the clock.
+  /// Any other blocks: the clock moves to the modelled completion here.
+  template <typename Body>
+  std::invoke_result_t<Body&, std::uint64_t, const CollectiveTiming&> collective(const Entry& e,
+                                                                                Body&& body);
+
+  /// Entry of a binomial-tree collective: the CostModel's tree plan, counted
+  /// in `op` at log₂g units per element.
+  template <typename T>
+  Entry tree_entry(const char* name, CallKind kind, tensor::index_t n, int root,
+                   CommStats::Op& op) const {
+    const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
+    const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
+    return Entry{.sig = call<T>(name, kind, n, root),
+                 .bytes = bytes,
+                 .dt = plan.time,
+                 .chunks = plan.chunks,
+                 .op = &op,
+                 .elems = static_cast<std::uint64_t>(n),
+                 .weighted = static_cast<double>(n) * log2_ceil(size())};
+  }
+
+  /// Entry of an all-reduce: the CostModel's ring time (paper eq. 5),
+  /// counted in CommStats::allreduce at 2(g−1)/g units per element.
+  template <typename T>
+  Entry allreduce_entry(const char* name, CallKind kind, tensor::index_t n) const {
+    const int g = size();
+    const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
+    return Entry{.sig = call<T>(name, kind, n),
+                 .bytes = bytes,
+                 .dt = cost_->ring_allreduce_time(group_, bytes),
+                 .op = &stats_->allreduce,
+                 .elems = static_cast<std::uint64_t>(n),
+                 .weighted = static_cast<double>(n) * 2.0 * (g - 1) / static_cast<double>(g)};
+  }
+
+  /// all_reduce_max / all_reduce_ordered: gather to rank 0, which folds the
+  /// members' payloads into its own in ascending rank order with `combine`,
+  /// then a flat broadcast of the result. Charged and counted as the ring
+  /// all_reduce. `phase` is the gather's tag phase; the broadcast uses the
+  /// next one.
+  template <typename T, typename Combine>
+  void ordered_fold(const char* name, CallKind kind, int phase, T* data, tensor::index_t n,
+                    Combine combine);
+
+  /// g−1 ring hops over a payload split into g chunks, chunk c at `at(c)`
+  /// (a {pointer, count} pair): hop s sends chunk (first − s) to the right
+  /// neighbour and receives chunk (first − s − 1) from the left. With
+  /// `incoming` (room for the largest chunk) the received chunk is added into
+  /// place, a reduce-scatter hop; with nullptr it overwrites it, an all-gather
+  /// hop.
+  template <typename T, typename At>
+  void ring_steps(int first, std::uint64_t tag, const At& at, T* incoming);
+
+  /// Drains local compute into the clock and meets the group at the
+  /// rendezvous (checking that every member made the call `sig`). Entry
+  /// aligns on max(slowest member's clock, this communicator's link
+  /// availability); the link is then reserved through the transfer `dt`, so
+  /// back-to-back collectives on one communicator serialise even when issued
+  /// without waiting (one link per communicator — row and column links are
+  /// distinct and genuinely overlap). Does not advance this rank's clock.
+  CollectiveTiming enter(std::uint64_t seq, const CallSig& sig, double dt);
 
   /// This rank's position in the binomial tree rooted at group rank `root`.
   TreeTopo tree_topo(int root) const;
@@ -311,17 +375,6 @@ class Communicator {
                                                std::uint64_t bytes, tensor::index_t n,
                                                int chunks, int root, std::uint64_t tag,
                                                void* data);
-
-  /// Attaches the standard collective args (communicator label, group size,
-  /// payload bytes, align-wait vs transfer split) to an armed span.
-  void annotate_span(obs::Span& span, std::uint64_t bytes, const CollectiveTiming& t) const {
-    if (!span.armed()) return;
-    if (!label_.empty()) span.arg("comm", label_);
-    span.arg("g", size());
-    span.arg("bytes", bytes);
-    span.arg("wait_s", t.wait());
-    span.arg("transfer_s", t.dt);
-  }
 
   template <typename T>
   void send_internal(int dst_group_rank, std::uint64_t tag, const T* data, tensor::index_t n);
@@ -436,382 +489,229 @@ void Communicator::tree_reduce_steps(const TreeTopo& topo, const std::vector<Chu
   }
 }
 
+template <typename Body>
+std::invoke_result_t<Body&, std::uint64_t, const CollectiveTiming&> Communicator::collective(
+    const Entry& e, Body&& body) {
+  using Result = std::invoke_result_t<Body&, std::uint64_t, const CollectiveTiming&>;
+  const std::uint64_t seq = next_seq();
+  if (size() == 1) return Result();
+  Fabric::OpScope op_scope(e.sig.op);
+  obs::Span span("comm", e.sig.op);
+  const CollectiveTiming ct = enter(seq, e.sig, e.dt);
+  if constexpr (!std::is_same_v<Result, Request>) {
+    // Lands on ct.completion(), split into align_wait and transfer.
+    clock_->align_to(ct.entry_aligned);
+    clock_->advance_transfer(ct.dt);
+  }
+  if (span.armed()) {
+    if (!label_.empty()) span.arg("comm", label_);
+    span.arg("g", size());
+    span.arg("bytes", e.bytes);
+    span.arg("wait_s", ct.wait());
+    span.arg("transfer_s", ct.dt);
+    if (e.chunks > 1) span.arg("chunks", e.chunks);
+  }
+  e.op->record(e.elems, e.bytes, e.weighted, ct.dt);
+  return body(seq, ct);
+}
+
+template <typename T, typename At>
+void Communicator::ring_steps(int first, std::uint64_t tag, const At& at, T* incoming) {
+  const int g = size();
+  const int right = (rank_ + 1) % g;
+  const int left = (rank_ - 1 + g) % g;
+  for (int s = 0; s < g - 1; ++s) {
+    const auto [source, source_count] = at(((first - s) % g + g) % g);
+    const auto [target, count] = at(((first - s - 1) % g + g) % g);
+    send_internal(right, tag, source, source_count);
+    if (incoming == nullptr) {
+      recv_internal(left, tag, target, count);
+      continue;
+    }
+    recv_internal(left, tag, incoming, count);
+    for (tensor::index_t i = 0; i < count; ++i) target[i] += incoming[i];
+  }
+}
+
 template <typename T>
 void Communicator::broadcast(T* data, tensor::index_t n, int root) {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return;
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("broadcast");
-  obs::Span span("comm", "broadcast");
-  const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct =
-      begin_collective(seq, call<T>("broadcast", CallKind::kBroadcast, n, root), plan.time);
-  annotate_span(span, bytes, ct);
-  if (span.armed() && plan.chunks > 1) span.arg("chunks", plan.chunks);
-  stats_->broadcast.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
-  // MPICH-style binomial tree rooted at `root`; large payloads stream down
-  // the tree in chunks (the plan's pipelined schedule).
-  tree_broadcast_steps(tree_topo(root), chunk_layout(n, plan.chunks), collective_tag(seq, 0),
-                       data);
+  const Entry e = tree_entry<T>("broadcast", CallKind::kBroadcast, n, root, stats_->broadcast);
+  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
+    // MPICH-style binomial tree rooted at `root`; large payloads stream down
+    // the tree in chunks (the plan's pipelined schedule).
+    tree_broadcast_steps(tree_topo(root), chunk_layout(n, e.chunks), collective_tag(seq, 0),
+                         data);
+  });
 }
 
 template <typename T>
 void Communicator::reduce(T* data, tensor::index_t n, int root, T* scratch) {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return;
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("reduce");
-  obs::Span span("comm", "reduce");
-  const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct =
-      begin_collective(seq, call<T>("reduce", CallKind::kReduce, n, root), plan.time);
-  annotate_span(span, bytes, ct);
-  if (span.armed() && plan.chunks > 1) span.arg("chunks", plan.chunks);
-  stats_->reduce.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
-
-  const TreeTopo topo = tree_topo(root);
-  std::vector<T> owned;
-  if (scratch == nullptr && !topo.children.empty()) {
-    owned.resize(static_cast<std::size_t>(n));
-    scratch = owned.data();
-  }
-  tree_reduce_steps(topo, chunk_layout(n, plan.chunks), collective_tag(seq, 1), data, scratch);
+  const Entry e = tree_entry<T>("reduce", CallKind::kReduce, n, root, stats_->reduce);
+  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
+    const TreeTopo topo = tree_topo(root);
+    std::vector<T> owned;
+    if (scratch == nullptr && !topo.children.empty()) {
+      owned.resize(static_cast<std::size_t>(n));
+      scratch = owned.data();
+    }
+    tree_reduce_steps(topo, chunk_layout(n, e.chunks), collective_tag(seq, 1), data, scratch);
+  });
 }
 
 template <typename T>
 Request Communicator::ibroadcast(T* data, tensor::index_t n, int root) {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return Request();
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("ibroadcast");
-  obs::Span span("comm", "ibroadcast");
-  const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct =
-      begin_async(seq, call<T>("ibroadcast", CallKind::kBroadcast, n, root), plan.time);
-  annotate_span(span, bytes, ct);
-  stats_->broadcast.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
-
-  auto st = tree_request("ibroadcast.wait", ct, bytes, n, plan.chunks, root,
-                         collective_tag(seq, 0), data);
-  if (st->topo.parent < 0) {
-    // Root: the payload is ready now; push every chunk eagerly (fabric sends
-    // are buffered and never block), leaving nothing deferred.
-    tree_broadcast_steps(st->topo, st->chunks, st->tag, data);
-  } else {
-    st->finish = &finish_broadcast<T>;
-  }
-  return Request(std::move(st));
+  const Entry e = tree_entry<T>("ibroadcast", CallKind::kBroadcast, n, root, stats_->broadcast);
+  return collective(e, [&](std::uint64_t seq, const CollectiveTiming& ct) {
+    auto st = tree_request("ibroadcast.wait", ct, e.bytes, n, e.chunks, root,
+                           collective_tag(seq, 0), data);
+    if (st->topo.parent < 0) {
+      // Root: the payload is ready now; push every chunk eagerly (fabric
+      // sends are buffered and never block), leaving nothing deferred.
+      tree_broadcast_steps(st->topo, st->chunks, st->tag, data);
+    } else {
+      st->finish = &finish_broadcast<T>;
+    }
+    return Request(std::move(st));
+  });
 }
 
 template <typename T>
 Request Communicator::ireduce(T* data, tensor::index_t n, int root, T* scratch) {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return Request();
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("ireduce");
-  obs::Span span("comm", "ireduce");
-  const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
-  const CollectiveTiming ct =
-      begin_async(seq, call<T>("ireduce", CallKind::kReduce, n, root), plan.time);
-  annotate_span(span, bytes, ct);
-  stats_->reduce.record(n, bytes, static_cast<double>(n) * log2_ceil(size()), ct.dt);
-
-  auto st = tree_request("ireduce.wait", ct, bytes, n, plan.chunks, root,
-                         collective_tag(seq, 1), data);
-  if (st->topo.children.empty()) {
-    // Leaf: the local partial is final at issue; push every chunk now.
-    tree_reduce_steps<T>(st->topo, st->chunks, st->tag, data, nullptr);
-  } else {
-    // Interior/root: children's partials arrive at wait time, each chunk's
-    // into the same scratch (finish() consumes them strictly in order).
-    if (scratch == nullptr) {
-      st->owned_scratch.reset(new std::byte[static_cast<std::size_t>(n) * sizeof(T)]);
-      scratch = reinterpret_cast<T*>(st->owned_scratch.get());
+  const Entry e = tree_entry<T>("ireduce", CallKind::kReduce, n, root, stats_->reduce);
+  return collective(e, [&](std::uint64_t seq, const CollectiveTiming& ct) {
+    auto st = tree_request("ireduce.wait", ct, e.bytes, n, e.chunks, root,
+                           collective_tag(seq, 1), data);
+    if (st->topo.children.empty()) {
+      // Leaf: the local partial is final at issue; push every chunk now.
+      tree_reduce_steps<T>(st->topo, st->chunks, st->tag, data, nullptr);
+    } else {
+      // Interior/root: children's partials arrive at wait time, each chunk's
+      // into the same scratch (finish() consumes them strictly in order).
+      if (scratch == nullptr) {
+        st->owned_scratch.reset(new std::byte[static_cast<std::size_t>(n) * sizeof(T)]);
+        scratch = reinterpret_cast<T*>(st->owned_scratch.get());
+      }
+      st->scratch = scratch;
+      st->finish = &finish_reduce<T>;
     }
-    st->scratch = scratch;
-    st->finish = &finish_reduce<T>;
-  }
-  return Request(std::move(st));
+    return Request(std::move(st));
+  });
 }
 
 template <typename T>
 void Communicator::all_reduce(T* data, tensor::index_t n) {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return;
   const int g = size();
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("allreduce");
-  obs::Span span("comm", "allreduce");
-  const CollectiveTiming ct = begin_collective(seq, call<T>("allreduce", CallKind::kAllReduce, n),
-                                               cost_->ring_allreduce_time(group_, bytes));
-  annotate_span(span, bytes, ct);
-  stats_->allreduce.record(
-      n, bytes, static_cast<double>(n) * 2.0 * (g - 1) / static_cast<double>(g), ct.dt);
+  collective(allreduce_entry<T>("allreduce", CallKind::kAllReduce, n),
+             [&](std::uint64_t seq, const CollectiveTiming&) {
+               // Ring all-reduce: g−1 reduce-scatter hops, then g−1 all-gather
+               // hops, over contiguous chunks whose sizes differ by at most one.
+               const auto at = [&](int c) {
+                 const tensor::index_t begin = c * (n / g) + std::min<tensor::index_t>(c, n % g);
+                 return std::pair{data + begin, n / g + (c < n % g ? 1 : 0)};
+               };
+               std::vector<T> incoming(static_cast<std::size_t>(n / g + 1));
+               ring_steps(rank_, collective_tag(seq, 2), at, incoming.data());
+               ring_steps(rank_ + 1, collective_tag(seq, 3), at, static_cast<T*>(nullptr));
+             });
+}
 
-  // Ring all-reduce: g−1 reduce-scatter steps then g−1 all-gather steps over
-  // contiguous chunks (sizes differ by at most one element).
-  const auto chunk_begin = [&](int c) {
-    const tensor::index_t base = n / g;
-    const tensor::index_t rem = n % g;
-    return c * base + std::min<tensor::index_t>(c, rem);
-  };
-  const auto chunk_size = [&](int c) {
-    return n / g + (c < static_cast<tensor::index_t>(n % g) ? 1 : 0);
-  };
-  const int right = (rank_ + 1) % g;
-  const int left = (rank_ - 1 + g) % g;
-  std::vector<T> incoming(static_cast<std::size_t>(n / g + 1));
-
-  for (int s = 0; s < g - 1; ++s) {
-    const int send_chunk = ((rank_ - s) % g + g) % g;
-    const int recv_chunk = ((rank_ - s - 1) % g + g) % g;
-    const std::uint64_t tag = collective_tag(seq, 2);
-    send_internal(right, tag, data + chunk_begin(send_chunk), chunk_size(send_chunk));
-    recv_internal(left, tag, incoming.data(), chunk_size(recv_chunk));
-    T* target = data + chunk_begin(recv_chunk);
-    const tensor::index_t cs = chunk_size(recv_chunk);
-    for (tensor::index_t i = 0; i < cs; ++i) target[i] += incoming[i];
-  }
-  for (int s = 0; s < g - 1; ++s) {
-    const int send_chunk = ((rank_ + 1 - s) % g + g) % g;
-    const int recv_chunk = ((rank_ - s) % g + g) % g;
-    const std::uint64_t tag = collective_tag(seq, 3);
-    send_internal(right, tag, data + chunk_begin(send_chunk), chunk_size(send_chunk));
-    recv_internal(left, tag, data + chunk_begin(recv_chunk), chunk_size(recv_chunk));
-  }
+template <typename T, typename Combine>
+void Communicator::ordered_fold(const char* name, CallKind kind, int phase, T* data,
+                                tensor::index_t n, Combine combine) {
+  const int g = size();
+  collective(allreduce_entry<T>(name, kind, n), [&](std::uint64_t seq, const CollectiveTiming&) {
+    const std::uint64_t gather_tag = collective_tag(seq, phase);
+    const std::uint64_t broadcast_tag = collective_tag(seq, phase + 1);
+    if (rank_ != 0) {
+      send_internal(0, gather_tag, data, n);
+      recv_internal(0, broadcast_tag, data, n);
+      return;
+    }
+    std::vector<T> incoming(static_cast<std::size_t>(n));
+    for (int r = 1; r < g; ++r) {
+      recv_internal(r, gather_tag, incoming.data(), n);
+      for (tensor::index_t i = 0; i < n; ++i) data[i] = combine(data[i], incoming[i]);
+    }
+    for (int r = 1; r < g; ++r) send_internal(r, broadcast_tag, data, n);
+  });
 }
 
 template <typename T>
 void Communicator::all_reduce_max(T* data, tensor::index_t n) {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return;
-  const int g = size();
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("allreduce_max");
-  obs::Span span("comm", "allreduce_max");
-  const CollectiveTiming ct =
-      begin_collective(seq, call<T>("allreduce_max", CallKind::kAllReduceMax, n),
-                       cost_->ring_allreduce_time(group_, bytes));
-  annotate_span(span, bytes, ct);
-  stats_->allreduce.record(
-      n, bytes, static_cast<double>(n) * 2.0 * (g - 1) / static_cast<double>(g), ct.dt);
-
-  // Small payloads only (softmax row maxima): gather-to-0 + broadcast keeps
-  // the implementation simple; the modelled time above is still the ring's.
-  const std::uint64_t tag = collective_tag(seq, 4);
-  std::vector<T> incoming(static_cast<std::size_t>(n));
-  if (rank_ == 0) {
-    for (int r = 1; r < g; ++r) {
-      recv_internal(r, tag, incoming.data(), n);
-      for (tensor::index_t i = 0; i < n; ++i) data[i] = std::max(data[i], incoming[i]);
-    }
-  } else {
-    send_internal(0, tag, data, n);
-  }
-  const std::uint64_t tag2 = collective_tag(seq, 5);
-  if (rank_ == 0) {
-    for (int r = 1; r < g; ++r) send_internal(r, tag2, data, n);
-  } else {
-    recv_internal(0, tag2, data, n);
-  }
+  ordered_fold("allreduce_max", CallKind::kAllReduceMax, 4, data, n,
+               [](T a, T b) { return std::max(a, b); });
 }
 
 template <typename T>
 void Communicator::all_reduce_ordered(T* data, tensor::index_t n) {
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return;
-  const int g = size();
-  const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("allreduce");
-  obs::Span span("comm", "allreduce");
-  const CollectiveTiming ct =
-      begin_collective(seq, call<T>("allreduce_ordered", CallKind::kAllReduceOrdered, n),
-                       cost_->ring_allreduce_time(group_, bytes));
-  annotate_span(span, bytes, ct);
-  stats_->allreduce.record(
-      n, bytes, static_cast<double>(n) * 2.0 * (g - 1) / static_cast<double>(g), ct.dt);
-
-  // Gather-to-0 with an ascending-rank fold, then broadcast: rank 0's value
-  // + rank 1's + … + rank (g−1)'s for every element regardless of n.
-  const std::uint64_t tag = collective_tag(seq, 11);
-  std::vector<T> incoming(static_cast<std::size_t>(n));
-  if (rank_ == 0) {
-    for (int r = 1; r < g; ++r) {
-      recv_internal(r, tag, incoming.data(), n);
-      for (tensor::index_t i = 0; i < n; ++i) data[i] += incoming[i];
-    }
-  } else {
-    send_internal(0, tag, data, n);
-  }
-  const std::uint64_t tag2 = collective_tag(seq, 12);
-  if (rank_ == 0) {
-    for (int r = 1; r < g; ++r) send_internal(r, tag2, data, n);
-  } else {
-    recv_internal(0, tag2, data, n);
-  }
+  // Rank 0's value + rank 1's + … + rank (g−1)'s for every element, whatever n.
+  ordered_fold("allreduce_ordered", CallKind::kAllReduceOrdered, 11, data, n,
+               [](T a, T b) { return a + b; });
 }
 
 template <typename T>
 void Communicator::all_gather(const T* mine, tensor::index_t n, T* out) {
-  const std::uint64_t seq = next_seq();
   const int g = size();
-  if (g == 1) {
-    std::memcpy(out, mine, static_cast<std::size_t>(n) * sizeof(T));
-    return;
-  }
   const std::uint64_t total_bytes = static_cast<std::uint64_t>(n) * g * sizeof(T);
-  Fabric::OpScope op_scope("allgather");
-  obs::Span span("comm", "allgather");
-  const CollectiveTiming ct = begin_collective(seq, call<T>("allgather", CallKind::kAllGather, n),
-                                               cost_->ring_allgather_time(group_, total_bytes));
-  annotate_span(span, total_bytes, ct);
-  stats_->allgather.record(static_cast<std::uint64_t>(n) * g, total_bytes,
-                           static_cast<double>(n) * (g - 1), ct.dt);
-
-  std::memcpy(out + static_cast<tensor::index_t>(rank_) * n, mine,
-              static_cast<std::size_t>(n) * sizeof(T));
-  const int right = (rank_ + 1) % g;
-  const int left = (rank_ - 1 + g) % g;
-  for (int s = 0; s < g - 1; ++s) {
-    const int send_chunk = ((rank_ - s) % g + g) % g;
-    const int recv_chunk = ((rank_ - s - 1) % g + g) % g;
-    const std::uint64_t tag = collective_tag(seq, 6);
-    send_internal(right, tag, out + static_cast<tensor::index_t>(send_chunk) * n, n);
-    recv_internal(left, tag, out + static_cast<tensor::index_t>(recv_chunk) * n, n);
-  }
-}
-
-template <typename T>
-void Communicator::gather(const T* mine, tensor::index_t n, T* out, int root) {
-  const std::uint64_t seq = next_seq();
-  const int g = size();
-  if (g == 1) {
-    std::memcpy(out, mine, static_cast<std::size_t>(n) * sizeof(T));
-    return;
-  }
-  const std::uint64_t total_bytes = static_cast<std::uint64_t>(n) * g * sizeof(T);
-  Fabric::OpScope op_scope("gather");
-  obs::Span span("comm", "gather");
-  const CollectiveTiming ct = begin_collective(seq, call<T>("gather", CallKind::kGather, n, root),
-                                               cost_->ring_allgather_time(group_, total_bytes));
-  annotate_span(span, total_bytes, ct);
-  stats_->allgather.record(static_cast<std::uint64_t>(n) * g, total_bytes,
-                           static_cast<double>(n) * (g - 1), ct.dt);
-  const std::uint64_t tag = collective_tag(seq, 9);
-  if (rank_ == root) {
-    std::memcpy(out + static_cast<tensor::index_t>(root) * n, mine,
-                static_cast<std::size_t>(n) * sizeof(T));
-    for (int r = 0; r < g; ++r) {
-      if (r == root) continue;
-      recv_internal(r, tag, out + static_cast<tensor::index_t>(r) * n, n);
-    }
-  } else {
-    send_internal(root, tag, mine, n);
-  }
-}
-
-template <typename T>
-void Communicator::scatter(const T* data, tensor::index_t n, T* out, int root) {
-  const std::uint64_t seq = next_seq();
-  const int g = size();
-  if (g == 1) {
-    std::memcpy(out, data, static_cast<std::size_t>(n) * sizeof(T));
-    return;
-  }
-  const std::uint64_t total_bytes = static_cast<std::uint64_t>(n) * g * sizeof(T);
-  Fabric::OpScope op_scope("scatter");
-  obs::Span span("comm", "scatter");
-  const CollectiveTiming ct = begin_collective(seq, call<T>("scatter", CallKind::kScatter, n, root),
-                                               cost_->ring_allgather_time(group_, total_bytes));
-  annotate_span(span, total_bytes, ct);
-  stats_->allgather.record(static_cast<std::uint64_t>(n) * g, total_bytes,
-                           static_cast<double>(n) * (g - 1), ct.dt);
-  const std::uint64_t tag = collective_tag(seq, 10);
-  if (rank_ == root) {
-    std::memcpy(out, data + static_cast<tensor::index_t>(root) * n,
-                static_cast<std::size_t>(n) * sizeof(T));
-    for (int r = 0; r < g; ++r) {
-      if (r == root) continue;
-      send_internal(r, tag, data + static_cast<tensor::index_t>(r) * n, n);
-    }
-  } else {
-    recv_internal(root, tag, out, n);
-  }
-}
-
-template <typename T>
-void Communicator::all_to_all(const T* send, tensor::index_t n, T* out) {
-  const std::uint64_t seq = next_seq();
-  const int g = size();
-  if (g == 1) {
-    std::memcpy(out, send, static_cast<std::size_t>(n) * sizeof(T));
-    return;
-  }
-  // Pairwise personalised exchange; every rank sends and receives g−1 chunks
-  // concurrently, so the modelled time is (g−1)·(α + β·chunk_bytes).
-  const std::uint64_t chunk_bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  Fabric::OpScope op_scope("alltoall");
-  obs::Span span("comm", "alltoall");
-  const CollectiveTiming ct = begin_collective(
-      seq, call<T>("alltoall", CallKind::kAllToAll, n),
-      (g - 1) * (cost_->params().alpha +
-                      cost_->beta_eff(group_) * static_cast<double>(chunk_bytes)));
-  annotate_span(span, chunk_bytes * static_cast<std::uint64_t>(g - 1), ct);
-  stats_->alltoall.record(static_cast<std::uint64_t>(n) * g,
-                          chunk_bytes * static_cast<std::uint64_t>(g - 1),
-                          static_cast<double>(n) * (g - 1), ct.dt);
-  const std::uint64_t tag = collective_tag(seq, 8);
-  std::memcpy(out + static_cast<tensor::index_t>(rank_) * n,
-              send + static_cast<tensor::index_t>(rank_) * n,
-              static_cast<std::size_t>(n) * sizeof(T));
-  for (int peer = 0; peer < g; ++peer) {
-    if (peer == rank_) continue;
-    send_internal(peer, tag, send + static_cast<tensor::index_t>(peer) * n, n);
-  }
-  for (int peer = 0; peer < g; ++peer) {
-    if (peer == rank_) continue;
-    recv_internal(peer, tag, out + static_cast<tensor::index_t>(peer) * n, n);
-  }
+  const Entry e{.sig = call<T>("allgather", CallKind::kAllGather, n),
+                .bytes = total_bytes,
+                .dt = cost_->ring_allgather_time(group_, total_bytes),
+                .op = &stats_->allgather,
+                .elems = static_cast<std::uint64_t>(n) * g,
+                .weighted = static_cast<double>(n) * (g - 1)};
+  const auto at = [&](int c) { return std::pair{out + static_cast<tensor::index_t>(c) * n, n}; };
+  std::memcpy(at(rank_).first, mine, static_cast<std::size_t>(n) * sizeof(T));
+  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
+    ring_steps(rank_, collective_tag(seq, 6), at, static_cast<T*>(nullptr));
+  });
 }
 
 template <typename T>
 void Communicator::reduce_scatter(const T* data, tensor::index_t n, T* out) {
-  const std::uint64_t seq = next_seq();
   const int g = size();
-  if (g == 1) {
-    std::memcpy(out, data, static_cast<std::size_t>(n) * sizeof(T));
-    return;
-  }
   const std::uint64_t total_bytes = static_cast<std::uint64_t>(n) * g * sizeof(T);
-  Fabric::OpScope op_scope("reducescatter");
-  obs::Span span("comm", "reducescatter");
-  const CollectiveTiming ct =
-      begin_collective(seq, call<T>("reducescatter", CallKind::kReduceScatter, n),
-                       cost_->ring_reducescatter_time(group_, total_bytes));
-  annotate_span(span, total_bytes, ct);
-  stats_->reducescatter.record(static_cast<std::uint64_t>(n) * g, total_bytes,
-                               static_cast<double>(n) * (g - 1), ct.dt);
+  const Entry e{.sig = call<T>("reducescatter", CallKind::kReduceScatter, n),
+                .bytes = total_bytes,
+                .dt = cost_->ring_reducescatter_time(group_, total_bytes),
+                .op = &stats_->reducescatter,
+                .elems = static_cast<std::uint64_t>(n) * g,
+                .weighted = static_cast<double>(n) * (g - 1)};
+  std::vector<T> work(data, data + n * g);
+  const auto at = [&](int c) {
+    return std::pair{work.data() + static_cast<tensor::index_t>(c) * n, n};
+  };
+  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
+    // A running sum for each chunk travels the ring, gaining one member's
+    // contribution per hop. Starting at chunk (rank−1) makes the fully
+    // reduced chunk r land at rank r.
+    std::vector<T> incoming(static_cast<std::size_t>(n));
+    ring_steps(rank_ - 1, collective_tag(seq, 7), at, incoming.data());
+  });
+  std::memcpy(out, at(rank_).first, static_cast<std::size_t>(n) * sizeof(T));
+}
 
-  // Ring: a running sum for each chunk travels the ring, gaining one host's
-  // contribution per hop. Starting the schedule at chunk (rank−1) makes the
-  // fully-reduced chunk r land at rank r after g−1 hops.
-  std::vector<T> work(static_cast<std::size_t>(n));
-  std::vector<T> incoming(static_cast<std::size_t>(n));
-  const int right = (rank_ + 1) % g;
-  const int left = (rank_ - 1 + g) % g;
-  std::memcpy(work.data(), data + static_cast<tensor::index_t>(((rank_ - 1) % g + g) % g) * n,
+template <typename T>
+void Communicator::all_to_all(const T* send, tensor::index_t n, T* out) {
+  const int g = size();
+  const std::uint64_t chunk_bytes = static_cast<std::uint64_t>(n) * sizeof(T);
+  const Entry e{.sig = call<T>("alltoall", CallKind::kAllToAll, n),
+                .bytes = chunk_bytes * static_cast<std::uint64_t>(g - 1),
+                .dt = cost_->all_to_all_time(group_, chunk_bytes),
+                .op = &stats_->alltoall,
+                .elems = static_cast<std::uint64_t>(n) * g,
+                .weighted = static_cast<double>(n) * (g - 1)};
+  std::memcpy(out + static_cast<tensor::index_t>(rank_) * n,
+              send + static_cast<tensor::index_t>(rank_) * n,
               static_cast<std::size_t>(n) * sizeof(T));
-  for (int s = 0; s < g - 1; ++s) {
-    // At step s we forward the running sum of chunk (rank−1−s) and receive the
-    // running sum of chunk (rank−2−s), then add our own contribution to it.
-    const int recv_chunk = ((rank_ - 2 - s) % g + g) % g;
-    const std::uint64_t tag = collective_tag(seq, 7);
-    send_internal(right, tag, work.data(), n);
-    recv_internal(left, tag, incoming.data(), n);
-    const T* own = data + static_cast<tensor::index_t>(recv_chunk) * n;
-    for (tensor::index_t i = 0; i < n; ++i) work[i] = incoming[i] + own[i];
-  }
-  std::memcpy(out, work.data(), static_cast<std::size_t>(n) * sizeof(T));
+  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
+    const std::uint64_t tag = collective_tag(seq, 8);
+    for (int peer = 0; peer < g; ++peer) {
+      if (peer != rank_) send_internal(peer, tag, send + static_cast<tensor::index_t>(peer) * n, n);
+    }
+    for (int peer = 0; peer < g; ++peer) {
+      if (peer != rank_) recv_internal(peer, tag, out + static_cast<tensor::index_t>(peer) * n, n);
+    }
+  });
 }
 
 }  // namespace optimus::comm

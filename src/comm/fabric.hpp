@@ -97,8 +97,6 @@ enum class CallKind : std::uint8_t {
   kAllReduceMax,
   kAllReduceOrdered,
   kAllGather,
-  kGather,
-  kScatter,
   kReduceScatter,
   kAllToAll,
 };

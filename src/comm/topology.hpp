@@ -19,7 +19,10 @@
 //   tree (broadcast/reduce):    ceil(log2 g) · (α + β·B)
 //   ring all-reduce:            2(g−1) · (α + β·B/g)
 //   ring all-gather / reduce-scatter: (g−1) · (α + β·B/g)
-// with B the payload in bytes.
+// with B the payload in bytes, plus the two the paper does not price:
+//   pairwise all-to-all:        (g−1) · (α + β·B_chunk)
+//   dissemination barrier:      2·ceil(log2 g) · α
+// Communicator charges exactly these; it computes no time of its own.
 
 #include <cstdint>
 #include <string>
@@ -108,6 +111,11 @@ class CostModel {
   double ring_allreduce_time(const std::vector<int>& group, std::uint64_t bytes) const;
   double ring_allgather_time(const std::vector<int>& group, std::uint64_t total_bytes) const;
   double ring_reducescatter_time(const std::vector<int>& group, std::uint64_t total_bytes) const;
+  /// Pairwise personalised exchange: every member sends and receives g−1
+  /// chunks concurrently, (g−1)·(α + β·chunk_bytes).
+  double all_to_all_time(const std::vector<int>& group, std::uint64_t chunk_bytes) const;
+  /// Dissemination barrier, latency only: 2·⌈log₂g⌉·α.
+  double barrier_time(const std::vector<int>& group) const;
   double p2p_time(int src, int dst, std::uint64_t bytes) const;
 
   double compute_time(std::uint64_t mults) const {

@@ -1,7 +1,6 @@
-// Edge cases and property sweeps across the stack: the gather/scatter
-// collectives, nested communicator splits, odd model shapes through the full
-// Optimus-vs-serial equivalence, arena stack discipline, and configuration
-// validation failure paths.
+// Edge cases and property sweeps across the stack: nested communicator
+// splits, odd model shapes through the full Optimus-vs-serial equivalence,
+// arena stack discipline, and configuration validation failure paths.
 
 #include <gtest/gtest.h>
 
@@ -23,61 +22,6 @@ namespace ops = optimus::tensor::ops;
 using ot::DTensor;
 using ot::ITensor;
 using ot::Shape;
-
-// ---------------------------------------------------------------------------
-// gather / scatter
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class RootedCollectiveSweep : public ::testing::TestWithParam<int> {};
-
-}  // namespace
-
-TEST_P(RootedCollectiveSweep, GatherCollectsInRankOrder) {
-  const int p = GetParam();
-  const int root = p - 1;
-  oc::run_cluster(p, [&](oc::Context& ctx) {
-    std::vector<double> mine{ctx.rank + 0.5, ctx.rank + 0.25};
-    std::vector<double> out(static_cast<std::size_t>(2 * p), -1);
-    ctx.world.gather(mine.data(), 2, out.data(), root);
-    if (ctx.rank == root) {
-      for (int r = 0; r < p; ++r) {
-        ASSERT_DOUBLE_EQ(out[2 * r], r + 0.5);
-        ASSERT_DOUBLE_EQ(out[2 * r + 1], r + 0.25);
-      }
-    }
-  });
-}
-
-TEST_P(RootedCollectiveSweep, ScatterDistributesChunks) {
-  const int p = GetParam();
-  oc::run_cluster(p, [&](oc::Context& ctx) {
-    std::vector<double> data;
-    if (ctx.rank == 0) {
-      for (int r = 0; r < p; ++r) data.push_back(100.0 + r);
-    } else {
-      data.resize(static_cast<std::size_t>(p));  // ignored away from root
-    }
-    double out = -1;
-    ctx.world.scatter(data.data(), 1, &out, /*root=*/0);
-    ASSERT_DOUBLE_EQ(out, 100.0 + ctx.rank);
-  });
-}
-
-TEST_P(RootedCollectiveSweep, GatherThenScatterRoundTrips) {
-  const int p = GetParam();
-  oc::run_cluster(p, [&](oc::Context& ctx) {
-    double v = 7.0 * ctx.rank;
-    std::vector<double> all(static_cast<std::size_t>(p));
-    ctx.world.gather(&v, 1, all.data(), 0);
-    double back = -1;
-    ctx.world.scatter(all.data(), 1, &back, 0);
-    ASSERT_DOUBLE_EQ(back, v);
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(GroupSizes, RootedCollectiveSweep, ::testing::Values(1, 2, 3, 5));
 
 // ---------------------------------------------------------------------------
 // Communicator composition

@@ -232,18 +232,32 @@ TEST(Fabric, MismatchedBroadcastRootFailsByName) {
 
 TEST(Fabric, MismatchedOpFailsByName) {
   ots::Watchdog wd("fabric op mismatch", std::chrono::seconds(30));
-  const std::string what = misuse_diagnostic([](oc::Context& ctx) {
-    std::vector<float> buf(16, 1.0f);
-    ctx.world.barrier();  // the mismatch is reported at the collective's seq
-    if (ctx.rank == 0) {
-      ctx.world.all_reduce(buf.data(), 16);
-    } else {
-      ctx.world.broadcast(buf.data(), 16, 0);
-    }
-  });
-  EXPECT_NE(what.find("seq 1"), std::string::npos) << what;
-  EXPECT_NE(what.find("allreduce(n=16, elem=4B)"), std::string::npos) << what;
-  EXPECT_NE(what.find("broadcast(n=16, root=0, elem=4B)"), std::string::npos) << what;
+  using Call = void (*)(oc::Communicator&, float*);
+  struct Input {
+    Call rank0, peers;
+    const char* rank0_sig;
+    const char* peer_sig;
+  };
+  // The second input is the max and ordered folds: one fold body serves both,
+  // yet the rendezvous still tells them apart.
+  const Input inputs[] = {
+      {[](oc::Communicator& c, float* b) { c.all_reduce(b, 16); },
+       [](oc::Communicator& c, float* b) { c.broadcast(b, 16, 0); }, "allreduce(n=16, elem=4B)",
+       "broadcast(n=16, root=0, elem=4B)"},
+      {[](oc::Communicator& c, float* b) { c.all_reduce_max(b, 16); },
+       [](oc::Communicator& c, float* b) { c.all_reduce_ordered(b, 16); },
+       "allreduce_max(n=16, elem=4B)", "allreduce_ordered(n=16, elem=4B)"},
+  };
+  for (const Input& in : inputs) {
+    const std::string what = misuse_diagnostic([&](oc::Context& ctx) {
+      std::vector<float> buf(16, 1.0f);
+      ctx.world.barrier();  // the mismatch is reported at the collective's seq
+      (ctx.rank == 0 ? in.rank0 : in.peers)(ctx.world, buf.data());
+    });
+    EXPECT_NE(what.find("seq 1"), std::string::npos) << what;
+    EXPECT_NE(what.find(in.rank0_sig), std::string::npos) << what;
+    EXPECT_NE(what.find(in.peer_sig), std::string::npos) << what;
+  }
 }
 
 TEST(Fabric, MismatchedCountFailsByName) {

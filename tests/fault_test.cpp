@@ -12,10 +12,12 @@
 
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/cluster.hpp"
@@ -90,14 +92,27 @@ TEST(Fault, PoisonedPayloadFailsLoudlyNamingTheOp) {
   oc::FaultPlan plan;
   plan.seed = 7;
   plan.poison_prob = 1.0;
-  try {
-    allreduce_results(4, &plan);
-    FAIL() << "poisoned collective completed silently";
-  } catch (const oc::FaultError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("poisoned payload"), std::string::npos) << what;
-    EXPECT_NE(what.find("allreduce"), std::string::npos)
-        << "diagnostic does not name the op: " << what;
+  // The ordered fold must name itself, not the ring all-reduce it is charged as.
+  const std::pair<const char*, std::function<void()>> inputs[] = {
+      {"op 'allreduce'", [&] { allreduce_results(4, &plan); }},
+      {"op 'allreduce_ordered'",
+       [&] {
+         oc::run_cluster(4, plan, [](oc::Context& ctx) {
+           std::vector<double> data(17, 0.5 * (ctx.rank + 1));
+           ctx.world.all_reduce_ordered(data.data(), 17);
+         });
+       }},
+  };
+  for (const auto& [op, run] : inputs) {
+    try {
+      run();
+      ADD_FAILURE() << "poisoned collective completed silently: " << op;
+    } catch (const oc::FaultError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("poisoned payload"), std::string::npos) << what;
+      EXPECT_NE(what.find(op), std::string::npos)
+          << "diagnostic does not name the op: " << what;
+    }
   }
 }
 
