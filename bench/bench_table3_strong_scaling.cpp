@@ -88,7 +88,7 @@ void fig7_right(const opm::Machine& machine) {
 void real_mini_runs(const opm::Machine& machine) {
   optimus::bench::print_header(
       "E3 — real threaded strong scaling at mini scale (fixed h = 48, b = 12, n = 12, s = 16, N = 2)");
-  Table t({"scheme", "GPUs", "sim step time (s)", "sim comm time (s)", "speedup vs p=1"});
+  Table t({"scheme", "GPUs", "sim step time (s)", "nominal comm (s)", "speedup vs p=1"});
   double base_opt = 0;
   for (int p : {1, 4, 16, 36}) {
     const int q = static_cast<int>(std::lround(std::sqrt(p)));

@@ -16,7 +16,6 @@
 //   all_reduce_max / all_reduce_ordered — gather-to-0 fold + flat broadcast,
 //                            charged and counted as the ring all_reduce
 //   all_gather / reduce_scatter — ring
-//   all_to_all             — pairwise personalised exchange
 //   barrier                — dissemination (latency only)
 //
 // Reduction order is deterministic for a fixed group, so distributed runs are
@@ -206,13 +205,6 @@ class Communicator {
   /// data has n·g elements; rank r's `out` receives the sum-reduced chunk r.
   template <typename T>
   void reduce_scatter(const T* data, tensor::index_t n, T* out);
-
-  /// Personalised exchange (MPI_Alltoall): `send` holds g chunks of n
-  /// elements, chunk c destined for rank c; on return `out[c·n..)` holds the
-  /// chunk rank c addressed to this rank. Pairwise exchange; modelled as
-  /// (g−1) simultaneous chunk transfers (CostModel::all_to_all_time).
-  template <typename T>
-  void all_to_all(const T* send, tensor::index_t n, T* out);
 
   void barrier();
 
@@ -688,30 +680,6 @@ void Communicator::reduce_scatter(const T* data, tensor::index_t n, T* out) {
     ring_steps(rank_ - 1, collective_tag(seq, 7), at, incoming.data());
   });
   std::memcpy(out, at(rank_).first, static_cast<std::size_t>(n) * sizeof(T));
-}
-
-template <typename T>
-void Communicator::all_to_all(const T* send, tensor::index_t n, T* out) {
-  const int g = size();
-  const std::uint64_t chunk_bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-  const Entry e{.sig = call<T>("alltoall", CallKind::kAllToAll, n),
-                .bytes = chunk_bytes * static_cast<std::uint64_t>(g - 1),
-                .dt = cost_->all_to_all_time(group_, chunk_bytes),
-                .op = &stats_->alltoall,
-                .elems = static_cast<std::uint64_t>(n) * g,
-                .weighted = static_cast<double>(n) * (g - 1)};
-  std::memcpy(out + static_cast<tensor::index_t>(rank_) * n,
-              send + static_cast<tensor::index_t>(rank_) * n,
-              static_cast<std::size_t>(n) * sizeof(T));
-  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
-    const std::uint64_t tag = collective_tag(seq, 8);
-    for (int peer = 0; peer < g; ++peer) {
-      if (peer != rank_) send_internal(peer, tag, send + static_cast<tensor::index_t>(peer) * n, n);
-    }
-    for (int peer = 0; peer < g; ++peer) {
-      if (peer != rank_) recv_internal(peer, tag, out + static_cast<tensor::index_t>(peer) * n, n);
-    }
-  });
 }
 
 }  // namespace optimus::comm

@@ -98,7 +98,6 @@ enum class CallKind : std::uint8_t {
   kAllReduceOrdered,
   kAllGather,
   kReduceScatter,
-  kAllToAll,
 };
 
 /// What one member called at a rendezvous: the collective signature.

@@ -125,7 +125,7 @@ struct CommStats {
   Op allreduce;
   Op allgather;
   Op reducescatter;
-  Op alltoall;
+  Op alltoall;  // always zero: no collective records it; hostbench still reads it
   Op barrier;
   // User-level point-to-point traffic only (collective-internal transfers are
   // accounted under their collective's Op).

@@ -157,12 +157,6 @@ double CostModel::ring_reducescatter_time(const std::vector<int>& group,
   return ring_allgather_time(group, total_bytes);
 }
 
-double CostModel::all_to_all_time(const std::vector<int>& group,
-                                  std::uint64_t chunk_bytes) const {
-  const int g = static_cast<int>(group.size());
-  return (g - 1) * (params_.alpha + beta_eff(group) * static_cast<double>(chunk_bytes));
-}
-
 double CostModel::barrier_time(const std::vector<int>& group) const {
   return 2.0 * log2_ceil(static_cast<int>(group.size())) * params_.alpha;
 }

@@ -19,8 +19,7 @@
 //   tree (broadcast/reduce):    ceil(log2 g) · (α + β·B)
 //   ring all-reduce:            2(g−1) · (α + β·B/g)
 //   ring all-gather / reduce-scatter: (g−1) · (α + β·B/g)
-// with B the payload in bytes, plus the two the paper does not price:
-//   pairwise all-to-all:        (g−1) · (α + β·B_chunk)
+// with B the payload in bytes, plus the one the paper does not price:
 //   dissemination barrier:      2·ceil(log2 g) · α
 // Communicator charges exactly these; it computes no time of its own.
 
@@ -111,9 +110,6 @@ class CostModel {
   double ring_allreduce_time(const std::vector<int>& group, std::uint64_t bytes) const;
   double ring_allgather_time(const std::vector<int>& group, std::uint64_t total_bytes) const;
   double ring_reducescatter_time(const std::vector<int>& group, std::uint64_t total_bytes) const;
-  /// Pairwise personalised exchange: every member sends and receives g−1
-  /// chunks concurrently, (g−1)·(α + β·chunk_bytes).
-  double all_to_all_time(const std::vector<int>& group, std::uint64_t chunk_bytes) const;
   /// Dissemination barrier, latency only: 2·⌈log₂g⌉·α.
   double barrier_time(const std::vector<int>& group) const;
   double p2p_time(int src, int dst, std::uint64_t bytes) const;

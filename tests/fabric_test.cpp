@@ -262,13 +262,37 @@ TEST(Fabric, MismatchedOpFailsByName) {
 
 TEST(Fabric, MismatchedCountFailsByName) {
   ots::Watchdog wd("fabric count mismatch", std::chrono::seconds(30));
-  const std::string what = misuse_diagnostic([](oc::Context& ctx) {
-    std::vector<float> buf(32, 1.0f);
-    ctx.world.broadcast(buf.data(), ctx.rank == 0 ? 16 : 32, 0);
-  });
-  EXPECT_NE(what.find("broadcast(n=16, root=0, elem=4B)"), std::string::npos) << what;
-  EXPECT_NE(what.find("broadcast(n=32, root=0, elem=4B)"), std::string::npos) << what;
-  EXPECT_NE(what.find("rank 0 (world 0)"), std::string::npos) << what;
+  struct Input {
+    void (*body)(oc::Context&);
+    const char* rank0_sig;
+    const char* peer_sig;
+  };
+  // Rank 0 disagrees on the payload: first its element count, then its
+  // element type (f32 against the peers' f64).
+  const Input inputs[] = {
+      {[](oc::Context& ctx) {
+         std::vector<float> buf(32, 1.0f);
+         ctx.world.broadcast(buf.data(), ctx.rank == 0 ? 16 : 32, 0);
+       },
+       "broadcast(n=16, root=0, elem=4B)", "broadcast(n=32, root=0, elem=4B)"},
+      {[](oc::Context& ctx) {
+         std::vector<float> f32(16, 1.0f);
+         std::vector<double> f64(16, 1.0);
+         if (ctx.rank == 0) {
+           ctx.world.all_reduce(f32.data(), 16);
+         } else {
+           ctx.world.all_reduce(f64.data(), 16);
+         }
+       },
+       "allreduce(n=16, elem=4B)", "allreduce(n=16, elem=8B)"},
+  };
+  for (const Input& in : inputs) {
+    const std::string what = misuse_diagnostic(in.body);
+    EXPECT_NE(what.find("seq 0"), std::string::npos) << what;
+    EXPECT_NE(what.find(in.rank0_sig), std::string::npos) << what;
+    EXPECT_NE(what.find(in.peer_sig), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 0 (world 0)"), std::string::npos) << what;
+  }
 }
 
 TEST(Fabric, PayloadPoolStaysWithinItsCap) {

@@ -9,14 +9,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "comm/cluster.hpp"
+#include "mesh/mesh.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "summa/summa.hpp"
 
 namespace ob = optimus::obs;
 namespace oc = optimus::comm;
+namespace om = optimus::mesh;
+namespace os = optimus::summa;
+using optimus::tensor::DTensor;
+using optimus::tensor::Shape;
 
 namespace {
 
@@ -227,7 +234,7 @@ TEST(Flight, DisabledNotesAreDropped) {
 
 TEST(Utilization, BucketsPartitionSimulatedTimePerRank) {
   // A mixed collective workload: broadcasts (transfer + align) with idle gaps.
-  const auto report = oc::run_cluster(4, [](oc::Context& ctx) {
+  const auto broadcasts = oc::run_cluster(4, [](oc::Context& ctx) {
     std::vector<float> buf(1024, ctx.rank == 0 ? 1.f : 0.f);
     for (int i = 0; i < 8; ++i) {
       ctx.world.broadcast(buf.data(), static_cast<optimus::tensor::index_t>(buf.size()), 0);
@@ -235,18 +242,39 @@ TEST(Utilization, BucketsPartitionSimulatedTimePerRank) {
       ctx.world.barrier();
     }
   });
-  ASSERT_EQ(report.ranks.size(), 4u);
-  for (std::size_t rank = 0; rank < report.ranks.size(); ++rank) {
-    const auto& rr = report.ranks[rank];
-    const auto& u = rr.util;
-    const double accounted = u.compute + u.align_wait + u.transfer + u.idle;
-    EXPECT_GT(rr.sim_time, 0.0);
-    EXPECT_NEAR(accounted, rr.sim_time, 1e-9 * rr.sim_time + 1e-15)
-        << "rank " << rank << " breakdown does not partition its timeline";
-    EXPECT_GE(u.align_wait, 0.0);
-    EXPECT_GT(u.transfer, 0.0);  // every rank moved broadcast bytes
+  // Pipelined summa_ab on a q = 2 mesh of depth d: its waits on in-flight
+  // broadcasts and (at d = 2) the depth reduce must be charged exactly once.
+  const auto pipelined_summa_ab = [](int d) {
+    os::PipelineGuard guard(true);
+    return oc::run_cluster(4 * d, [d](oc::Context& ctx) {
+      om::Mesh2D mesh(ctx.world, d);
+      DTensor a = DTensor::zeros(Shape{24, 24});
+      DTensor b = DTensor::zeros(Shape{24, 24});
+      DTensor c = DTensor::zeros(Shape{24, 24});
+      os::summa_ab(mesh, a, b, c);
+    });
+  };
+  const std::pair<const char*, oc::Cluster::Report> inputs[] = {
+      {"broadcast", broadcasts},
+      {"pipelined summa_ab q=2", pipelined_summa_ab(1)},
+      {"2.5D summa_ab q=2 d=2", pipelined_summa_ab(2)},
+  };
+  ASSERT_EQ(broadcasts.ranks.size(), 4u);
+  for (const auto& [name, report] : inputs) {
+    for (std::size_t rank = 0; rank < report.ranks.size(); ++rank) {
+      const auto& rr = report.ranks[rank];
+      const auto& u = rr.util;
+      const double accounted = u.compute + u.align_wait + u.transfer + u.idle;
+      EXPECT_GT(rr.sim_time, 0.0) << name;
+      EXPECT_NEAR(accounted, rr.sim_time, 1e-9 * rr.sim_time + 1e-15)
+          << name << ": rank " << rank << " breakdown does not partition its timeline";
+      EXPECT_GE(u.align_wait, 0.0) << name;
+    }
   }
+  // Every rank moved broadcast bytes. (The pipelined waits still charge their
+  // wire time to align_wait, so only the blocking input is checked here.)
+  for (const auto& rr : broadcasts.ranks) EXPECT_GT(rr.util.transfer, 0.0);
   // The injected stall is idle time on rank 0 and align-wait on its peers.
-  EXPECT_GE(report.ranks[0].util.idle, 8e-5 * (1 - 1e-9));
-  EXPECT_GT(report.ranks[1].util.align_wait, 0.0);
+  EXPECT_GE(broadcasts.ranks[0].util.idle, 8e-5 * (1 - 1e-9));
+  EXPECT_GT(broadcasts.ranks[1].util.align_wait, 0.0);
 }
