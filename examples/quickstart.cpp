@@ -13,7 +13,7 @@
 //
 // Walks through the whole public API surface:
 //   1. describe the model      (model::TransformerConfig)
-//   2. launch a device cluster (comm::Cluster — one thread per device)
+//   2. launch a device cluster (comm::Cluster — one fiber per device)
 //   3. build the mesh + engine (mesh::Mesh2D, core::OptimusTransformer)
 //   4. train                   (runtime::Adam + runtime::train_lm)
 // and prints the loss trace plus per-device communication statistics.

@@ -22,9 +22,12 @@
 #      so step 1 never compiles it. Build it standalone into build-hostbench/
 #      and run host_bench_selftest.
 #   7. Fast-label test suite under ASan+UBSan (`asan` preset) and TSan
-#      (`tsan` preset). The comm layer runs one thread per simulated device,
-#      exactly where TSan earns its keep. The serving-label suite also runs
-#      under TSan (scheduler + decode collectives interleave across ranks).
+#      (`tsan` preset). The comm layer runs every simulated device as a fiber
+#      on one runner thread; both sanitizers follow its annotated stack
+#      switches, and TSan checks the runner against the kernel pool's worker
+#      threads and the tests' watchdog threads. The serving-label suite also
+#      runs under TSan (scheduler + decode collectives interleave across
+#      ranks).
 #
 # Usage: scripts/check.sh [--skip-sanitizers|--skip-asan]
 set -euo pipefail
@@ -136,8 +139,8 @@ ctest --test-dir build-asan -L fast --output-on-failure -j"$(nproc)"
 echo "==> sanitizer pass: tsan preset (fast-label suite, both SUMMA schedules)"
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
-# The pipelined schedule changes which threads touch the fabric concurrently
-# (async irecvs + deferred waits), so TSan runs the suite under both modes.
+# The pipelined schedule changes where ranks switch (async irecvs + deferred
+# waits interleave with GEMMs), so TSan runs the suite under both modes.
 # The fast label includes the q×q×d (depth 2/3) mesh, SUMMA and fault tests,
 # so the 2.5D depth fold runs under both sanitizers as well.
 OPTIMUS_SUMMA_PIPELINE=0 ctest --test-dir build-tsan -L fast --output-on-failure -j"$(nproc)"

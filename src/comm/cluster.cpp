@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <exception>
+#include <sstream>
 #include <string>
-#include <thread>
 
+#include "comm/executor.hpp"
 #include "kernel/thread_pool.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
@@ -64,8 +65,7 @@ Cluster::Cluster(int world_size, const Topology& topology, const MachineParams& 
 Cluster::Report Cluster::run(const std::function<void(Context&)>& body) {
   // Register the simulated devices against the shared kernel thread budget:
   // while they run, each device's intra-op kernels get at most
-  // OPTIMUS_KERNEL_THREADS / world_size workers, so device threads × kernel
-  // workers never oversubscribe the host.
+  // OPTIMUS_KERNEL_THREADS / world_size workers.
   kernel::ActiveDevicesGuard devices_guard(world_size_);
   Fabric fabric(world_size_);
   if (fault_plan_.active()) fabric.set_fault_plan(fault_plan_);
@@ -73,59 +73,70 @@ Cluster::Report Cluster::run(const std::function<void(Context&)>& body) {
   std::vector<int> world_group(world_size_);
   for (int i = 0; i < world_size_; ++i) world_group[i] = i;
 
-  // Per-rank state lives on the heap so threads never share cache lines by
-  // accident and reports outlive the threads.
+  // Per-rank state lives on the heap so reports outlive the fibers.
   struct RankState {
     tensor::DeviceContext device;
     SimClock clock;
     CommStats stats;
     std::exception_ptr error;
+    bool returned = false;
   };
   std::vector<std::unique_ptr<RankState>> states;
   states.reserve(world_size_);
   for (int i = 0; i < world_size_; ++i) states.push_back(std::make_unique<RankState>());
 
-  std::vector<std::thread> threads;
-  threads.reserve(world_size_);
-  for (int rank = 0; rank < world_size_; ++rank) {
-    threads.emplace_back([&, rank] {
-      RankState& st = *states[rank];
-      tensor::ScopedDevice scoped(st.device);
-      // Register this thread as simulated device `rank` with the tracer. The
-      // sim-time callback extends the lazily-drained clock by the compute that
-      // has accumulated since the last collective, so span timestamps advance
-      // continuously instead of jumping at drain points.
-      obs::ScopedTrack track(rank, [&st, this] {
-        return st.clock.now() + cost_.compute_time(st.device.pending_mults());
-      });
-      try {
-        Context ctx{
-            Communicator(fabric, world_comm_id, world_group, rank, st.clock, cost_, st.stats),
-            st.clock,
-            st.device,
-            cost_,
-            rank,
-            world_size_,
-        };
-        ctx.world.set_label("world");
-        obs::Span span("cluster", "rank_body");
-        body(ctx);
-        // Account compute done after the last collective.
-        st.clock.drain_compute(cost_);
-      } catch (...) {
-        // Leave the post-mortem artifact while this thread still carries the
-        // rank's track (flight dumps are keyed by obs::current_rank()).
-        obs::flight_write_postmortem();
-        st.error = std::current_exception();
-        // Fail-stop: wake every peer blocked in a collective or receive so it
-        // unwinds with FabricAborted instead of waiting for this rank forever.
-        // The first reason wins, so after a fault (which aborts at its throw
-        // site) or on a peer's FabricAborted unwind this is a no-op.
-        fabric.abort("rank " + std::to_string(rank) + " failed: " + exception_message(st.error));
-      }
+  const auto rank_body = [&](int rank) {
+    RankState& st = *states[rank];
+    tensor::ScopedDevice scoped(st.device);
+    // Register this fiber as simulated device `rank` with the tracer. The
+    // sim-time callback extends the lazily-drained clock by the compute that
+    // has accumulated since the last collective, so span timestamps advance
+    // continuously instead of jumping at drain points.
+    obs::ScopedTrack track(rank, [&st, this] {
+      return st.clock.now() + cost_.compute_time(st.device.pending_mults());
     });
-  }
-  for (auto& t : threads) t.join();
+    try {
+      Context ctx{
+          Communicator(fabric, world_comm_id, world_group, rank, st.clock, cost_, st.stats),
+          st.clock,
+          st.device,
+          cost_,
+          rank,
+          world_size_,
+      };
+      ctx.world.set_label("world");
+      obs::Span span("cluster", "rank_body");
+      body(ctx);
+      // Account compute done after the last collective.
+      st.clock.drain_compute(cost_);
+      st.returned = true;
+    } catch (...) {
+      // Leave the post-mortem artifact while this fiber still carries the
+      // rank's track (flight dumps are keyed by obs::current_rank()).
+      obs::flight_write_postmortem();
+      st.error = std::current_exception();
+      // Fail-stop: wake every peer parked in a collective or receive so it
+      // unwinds with FabricAborted instead of waiting for this rank forever.
+      // The first reason wins, so after a fault (which aborts at its throw
+      // site) or on a peer's FabricAborted unwind this is a no-op.
+      fabric.abort("rank " + std::to_string(rank) + " failed: " + exception_message(st.error));
+    }
+  };
+  // Every unfinished rank is parked and nothing can wake one: a rank returned
+  // or skipped a collective its peers entered. Abort, naming what each waits
+  // for, so they unwind.
+  std::string deadlock;
+  const auto on_deadlock = [&] {
+    std::ostringstream os;
+    os << "deadlock: every unfinished rank is parked;" << fabric.describe_parked();
+    for (int rank = 0; rank < world_size_; ++rank) {
+      if (states[rank]->returned) os << "\n  rank " << rank << " returned";
+    }
+    deadlock = os.str();
+    fabric.abort(deadlock);
+  };
+  Executor(world_size_).run(rank_body, on_deadlock);
+  if (!deadlock.empty()) throw util::CheckError(deadlock);
 
   // Prefer the root cause: when one rank hits a fault and aborts the fabric,
   // its peers unwind with FabricAborted — rethrowing those would mask the

@@ -1,19 +1,24 @@
 #pragma once
 
-// Launches a simulated cluster: one std::thread per device, each with its own
-// DeviceContext (memory/flop accounting), SimClock and CommStats, connected by
-// a shared Fabric.
+// Launches a simulated cluster: one fiber per device, all run by the calling
+// thread (comm::Executor), each with its own DeviceContext (memory/flop
+// accounting), SimClock and CommStats, connected by a shared Fabric.
 //
 //   comm::Cluster cluster(p, topology, machine_params);
 //   comm::Cluster::Report report = cluster.run([&](comm::Context& ctx) {
 //     ... ctx.world.all_reduce(...) ...
 //   });
 //
-// The body runs on every rank. An exception on any rank is fail-stop: the
-// rank aborts the shared fabric, so peers blocked in (or later entering) a
-// collective or receive unwind with FabricAborted instead of hanging. After
-// all threads join, run() rethrows the root error — the first rank's
-// exception that is not a FabricAborted unwind.
+// The body runs on every rank. Ranks interleave only where they wait in the
+// fabric, in an order fixed by the rank numbers and the program, so a run
+// replays identically. An exception on any rank is fail-stop: the rank aborts
+// the shared fabric, so peers parked in (or later entering) a collective or
+// receive unwind with FabricAborted instead of hanging. After every rank has
+// finished, run() rethrows the root error — the first rank's exception that
+// is not a FabricAborted unwind. When every unfinished rank is parked (a rank
+// returned or skipped a collective its peers entered), run() aborts the
+// fabric and throws a CheckError naming the op, communicator and seq each
+// parked rank waits in.
 
 #include <functional>
 #include <memory>
@@ -69,6 +74,7 @@ class Cluster {
   /// Runs `body` on every rank and gathers per-rank reports. If any rank
   /// throws, the *root* error is rethrown: FabricAborted unwinds from peers of
   /// a faulted rank are reported only when no rank holds the original fault.
+  /// A deadlock throws CheckError.
   Report run(const std::function<void(Context&)>& body);
 
  private:

@@ -1,11 +1,9 @@
 #include "comm/fabric.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <sstream>
-#include <thread>
 
 #include "obs/flight.hpp"
 #include "util/rng.hpp"
@@ -47,8 +45,7 @@ std::ostream& operator<<(std::ostream& os, const CallSig& s) {
 /// slot serves next and guards that invariant.
 struct Fabric::Group {
   struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
+    WaitList waiters;
     std::uint64_t gen = 0;
     int arrived = 0;
     int departed = 0;
@@ -68,8 +65,11 @@ struct Fabric::Group {
 
   std::uint64_t id;
   std::vector<int> ranks;  // world ranks in group order
+  std::string label;       // the first non-empty label a member passed, for diagnostics
   std::array<Slot, 2> slots;
 };
+
+const char*& Fabric::op_slot() { return t_current_op; }
 
 const char* Fabric::current_op() { return t_current_op ? t_current_op : "?"; }
 
@@ -79,9 +79,9 @@ Fabric::OpScope::~OpScope() { t_current_op = prev_; }
 Fabric::Fabric(int world_size) : world_size_(world_size) {
   OPT_CHECK(world_size >= 1, "world_size " << world_size);
   channels_ = std::make_unique<Channel[]>(static_cast<std::size_t>(world_size) * world_size);
+  parked_.resize(static_cast<std::size_t>(world_size));
   std::vector<int> world(world_size);
   for (int i = 0; i < world_size; ++i) world[i] = i;
-  std::lock_guard<std::mutex> lock(groups_mu_);
   world_comm_id_ = next_comm_id_++;
   add_group(world_comm_id_, std::move(world));
 }
@@ -93,7 +93,6 @@ void Fabric::add_group(std::uint64_t comm_id, std::vector<int> ranks) {
 }
 
 Fabric::Group& Fabric::group(std::uint64_t comm_id) {
-  std::lock_guard<std::mutex> lock(groups_mu_);
   const auto it = groups_.find(comm_id);
   OPT_CHECK(it != groups_.end(), "no communicator with id " << comm_id);
   return *it->second;
@@ -101,62 +100,87 @@ Fabric::Group& Fabric::group(std::uint64_t comm_id) {
 
 void Fabric::set_fault_plan(const FaultPlan& plan) {
   fault_plan_ = plan;
-  std::lock_guard<std::mutex> lock(fault_mu_);
   fault_counts_.clear();
 }
 
 void Fabric::abort(const std::string& reason) {
-  {
-    std::lock_guard<std::mutex> lock(fail_mu_);
-    if (failed_.load(std::memory_order_acquire)) return;  // first reason wins
-    fail_reason_ = reason;
-    failed_.store(true, std::memory_order_release);
-  }
-  // Wake everyone blocked in recv or in a rendezvous so they unwind. Groups
-  // are never removed, so the pointers stay valid after groups_mu_ drops
-  // (slot locks are taken after it, never under it: split_sync nests the
-  // other way).
+  if (failed_) return;  // first reason wins
+  fail_reason_ = reason;
+  failed_ = true;
+  // Wake every rank parked in recv or in a rendezvous so it unwinds.
   for (std::size_t i = 0; i < static_cast<std::size_t>(world_size_) * world_size_; ++i) {
-    std::lock_guard<std::mutex> lock(channels_[i].mu);
-    channels_[i].cv.notify_all();
+    Executor::wake_all(channels_[i].waiters);
   }
-  std::vector<Group*> groups;
-  {
-    std::lock_guard<std::mutex> lock(groups_mu_);
-    for (auto& [id, g] : groups_) groups.push_back(g.get());
-  }
-  for (Group* g : groups) {
-    for (Group::Slot& s : g->slots) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.cv.notify_all();
-    }
+  for (auto& [id, g] : groups_) {
+    for (Group::Slot& s : g->slots) Executor::wake_all(s.waiters);
   }
 }
 
-void Fabric::throw_if_aborted() const {
-  if (!failed_.load(std::memory_order_acquire)) return;
-  // Record the op THIS rank was inside — deterministic per rank, unlike the
-  // first-aborter-wins fail_reason_ below, which depends on scheduling and is
-  // therefore kept out of the flight dump.
+void Fabric::throw_if_aborted(int rank) {
+  if (!failed_) return;
+  // Record the op THIS rank was inside, which the flight dump keys by rank.
   obs::flight_note_abort(current_op());
-  std::lock_guard<std::mutex> lock(fail_mu_);
-  throw FabricAborted("fabric aborted: " + fail_reason_);
+  std::ostringstream what;
+  what << "fabric aborted: " << fail_reason_;
+  if (rank >= 0 && parked_[static_cast<std::size_t>(rank)].op != nullptr) {
+    what << "\n  woke";
+    describe_wait(rank, what);
+    parked_[static_cast<std::size_t>(rank)] = Parked{};
+  }
+  throw FabricAborted(what.str());
+}
+
+void Fabric::describe_wait(int rank, std::ostream& os) const {
+  const Parked& p = parked_[static_cast<std::size_t>(rank)];
+  const Group* g = p.group;
+  std::uint64_t seq = p.seq;
+  if (p.peer >= 0) {
+    // Communicator tags are [comm_id : 32][seq : 24][phase : 8]; a decoded
+    // group counts only if both ends of the receive belong to it.
+    const auto it = groups_.find(p.tag >> 32);
+    g = nullptr;
+    if (it != groups_.end()) {
+      const std::vector<int>& m = it->second->ranks;
+      if (std::count(m.begin(), m.end(), rank) == 1 && std::count(m.begin(), m.end(), p.peer) == 1) {
+        g = it->second.get();
+        seq = (p.tag >> 8) & 0xFFFFFF;
+      }
+    }
+  }
+  os << " rank " << rank << " parked in " << p.op;
+  if (g != nullptr) {
+    os << " on communicator '" << (g->label.empty() ? "?" : g->label) << "' (id " << g->id
+       << ") seq " << seq;
+  }
+  if (p.peer >= 0) os << ", receiving from rank " << p.peer << " (tag " << p.tag << ")";
+}
+
+std::string Fabric::describe_parked() const {
+  std::ostringstream os;
+  for (int r = 0; r < world_size_; ++r) {
+    const Parked& p = parked_[static_cast<std::size_t>(r)];
+    if (p.op == nullptr) continue;
+    os << "\n ";
+    describe_wait(r, os);
+    if (p.peer >= 0) continue;
+    os << ", waiting for world rank(s)";
+    for (int m : p.group->ranks) {
+      const Parked& q = parked_[static_cast<std::size_t>(m)];
+      if (q.op == nullptr || q.group != p.group || q.seq != p.seq || q.peer >= 0) os << " " << m;
+    }
+  }
+  return os.str();
 }
 
 std::uint64_t Fabric::fault_draw(int src, int dst, std::uint64_t tag, std::uint64_t salt) {
   // Channel identity: (src, dst, salt) mixed with the tag. Per-channel
   // occurrence counters make the n-th message of a channel a stable logical
-  // coordinate, so draws are independent of thread interleaving.
+  // coordinate.
   const std::uint64_t channel =
       util::mix3(tag ^ salt, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
                                  static_cast<std::uint32_t>(dst),
                  0x0F);
-  std::uint64_t occurrence;
-  {
-    std::lock_guard<std::mutex> lock(fault_mu_);
-    occurrence = fault_counts_[channel]++;
-  }
-  return util::mix3(fault_plan_.seed, channel, occurrence);
+  return util::mix3(fault_plan_.seed, channel, fault_counts_[channel]++);
 }
 
 void Fabric::send(int src, int dst, std::uint64_t tag, const void* data, std::size_t bytes,
@@ -171,7 +195,6 @@ void Fabric::send(int src, int dst, std::uint64_t tag, const void* data, std::si
   if (bytes > 0) {
     // Reuse a buffer this channel's receiver released (no allocation, and
     // assign() below copies without zero-filling first).
-    std::lock_guard<std::mutex> lock(ch.mu);
     for (std::size_t i = ch.free.size(); i-- > 0;) {
       if (ch.free[i].capacity() < bytes) continue;
       ch.free_bytes -= ch.free[i].capacity();
@@ -187,9 +210,8 @@ void Fabric::send(int src, int dst, std::uint64_t tag, const void* data, std::si
   if (fault_plan_.active()) {
     const std::uint64_t h = fault_draw(src, dst, tag, /*salt=*/0x5E4D);
     msg.checksum = fnv1a(msg.payload.data(), msg.payload.size());
-    if (draw_hits(util::mix3(h, 1, 1), fault_plan_.spike_prob)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(fault_plan_.spike_us));
-    }
+    // A latency spike: every other runnable rank goes first.
+    if (draw_hits(util::mix3(h, 1, 1), fault_plan_.spike_prob)) Executor::yield();
     if (bytes > 0 && draw_hits(util::mix3(h, 2, 2), fault_plan_.poison_prob)) {
       // Flip bits of one deterministic byte after checksumming: the receiver's
       // integrity check must catch it.
@@ -197,27 +219,19 @@ void Fabric::send(int src, int dst, std::uint64_t tag, const void* data, std::si
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(ch.mu);
-    ch.queue.push_back(std::move(msg));
-  }
-  // Channels live as long as the fabric, so notifying after the unlock is
-  // safe; only dst ever waits here.
-  ch.cv.notify_all();
+  ch.queue.push_back(std::move(msg));
+  Executor::wake_all(ch.waiters);
 }
 
 void Fabric::maybe_stall(int dst, int src, std::uint64_t tag) {
   if (fault_plan_.active() && dst == fault_plan_.stall_rank) {
     const std::uint64_t h = fault_draw(src, dst, tag, /*salt=*/0x57A1);
-    if (draw_hits(util::mix3(h, 4, 4), fault_plan_.stall_prob)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(fault_plan_.stall_us));
-    }
+    if (draw_hits(util::mix3(h, 4, 4), fault_plan_.stall_prob)) Executor::yield();
   }
 }
 
-bool Fabric::try_consume_locked(Channel& ch, std::unique_lock<std::mutex>& lock, int dst,
-                                int src, std::uint64_t tag, void* out, std::size_t bytes,
-                                double* ts) {
+bool Fabric::try_consume(Channel& ch, int dst, int src, std::uint64_t tag, void* out,
+                         std::size_t bytes, double* ts) {
   const auto it = std::find_if(ch.queue.begin(), ch.queue.end(),
                                [&](const Message& m) { return m.tag == tag; });
   if (it == ch.queue.end()) return false;
@@ -228,7 +242,6 @@ bool Fabric::try_consume_locked(Channel& ch, std::unique_lock<std::mutex>& lock,
     std::ostringstream why;
     why << "poisoned payload detected in op '" << current_op() << "' (src " << src << " -> dst "
         << dst << ", tag " << tag << ", " << bytes << " bytes)";
-    lock.unlock();
     obs::flight_note_abort(current_op());
     abort(why.str());
     throw FaultError(why.str());
@@ -249,30 +262,28 @@ double Fabric::recv(int dst, int src, std::uint64_t tag, void* out, std::size_t 
             "recv at rank " << dst << " from rank " << src);
   maybe_stall(dst, src, tag);
   Channel& ch = channel(dst, src);
-  std::unique_lock<std::mutex> lock(ch.mu);
+  Parked& parked = parked_[static_cast<std::size_t>(dst)];
   for (;;) {
-    throw_if_aborted();
+    throw_if_aborted(dst);
+    parked = Parked{};
     double ts = 0;
-    if (try_consume_locked(ch, lock, dst, src, tag, out, bytes, &ts)) return ts;
-    ch.cv.wait(lock);
+    if (try_consume(ch, dst, src, tag, out, bytes, &ts)) return ts;
+    parked = Parked{current_op(), nullptr, 0, src, tag};
+    Executor::park(ch.waiters);
   }
 }
 
-std::size_t Fabric::pooled_bytes(int dst, int src) const {
-  Channel& ch = channel(dst, src);
-  std::lock_guard<std::mutex> lock(ch.mu);
-  return ch.free_bytes;
-}
+std::size_t Fabric::pooled_bytes(int dst, int src) const { return channel(dst, src).free_bytes; }
 
 double Fabric::rendezvous(Group& g, std::uint64_t seq, int member, const CallSig& sig,
                           double value, const std::string& label,
                           const std::array<int, 2>* split, SplitResult* split_out) {
   const int size = static_cast<int>(g.ranks.size());
   Group::Slot& s = g.slots[seq & 1];
-  std::unique_lock<std::mutex> lock(s.mu);
   throw_if_aborted();
   OPT_CHECK(s.gen == seq, "communicator " << g.id << ": rank " << member << " entered seq "
                                           << seq << " while its slot serves seq " << s.gen);
+  if (g.label.empty()) g.label = label;
   if (s.arrived == 0) {
     s.max_value = value;
     s.first = sig;
@@ -285,25 +296,31 @@ double Fabric::rendezvous(Group& g, std::uint64_t seq, int member, const CallSig
     }
   }
   if (split != nullptr) s.deposits.push_back({(*split)[0], (*split)[1], g.ranks[member]});
-  const bool last_arriver = ++s.arrived == size;
-  if (!last_arriver) {
-    s.cv.wait(lock, [&] { return s.arrived == size || aborted(); });
+  if (++s.arrived != size) {
+    const int rank = g.ranks[member];
+    Parked& parked = parked_[static_cast<std::size_t>(rank)];
+    parked = Parked{sig.op, &g, seq, -1, 0};
+    while (s.arrived != size && !failed_) Executor::park(s.waiters);
     // A completed rendezvous reports a mismatch even when a peer that already
     // threw it has aborted the fabric: every member names the misuse.
-    if (s.arrived != size || s.other_member < 0) throw_if_aborted();
-  } else if (split != nullptr && s.other_member < 0) {
-    // Partition the deposits into color groups, order each by
-    // (key, world_rank) and create each group's rendezvous state under a
-    // fresh communicator id — one per color, deterministic by sorting colors.
-    std::sort(s.deposits.begin(), s.deposits.end());
-    std::map<int, std::vector<int>> by_color;
-    for (const auto& d : s.deposits) by_color[d[0]].push_back(d[2]);
-    std::lock_guard<std::mutex> groups_lock(groups_mu_);
-    for (auto& [color, members] : by_color) {
-      const std::uint64_t id = next_comm_id_++;
-      for (int m : members) s.results[m] = SplitResult{id, members};
-      add_group(id, std::move(members));
+    if (s.arrived != size || s.other_member < 0) throw_if_aborted(rank);
+    parked = Parked{};
+  } else {
+    if (split != nullptr && s.other_member < 0) {
+      // Partition the deposits into color groups, order each by
+      // (key, world_rank) and create each group's rendezvous state under a
+      // fresh communicator id — one per color, deterministic by sorting
+      // colors.
+      std::sort(s.deposits.begin(), s.deposits.end());
+      std::map<int, std::vector<int>> by_color;
+      for (const auto& d : s.deposits) by_color[d[0]].push_back(d[2]);
+      for (auto& [color, members] : by_color) {
+        const std::uint64_t id = next_comm_id_++;
+        for (int m : members) s.results[m] = SplitResult{id, members};
+        add_group(id, std::move(members));
+      }
     }
+    Executor::wake_all(s.waiters);
   }
 
   const double result = s.max_value;
@@ -327,10 +344,6 @@ double Fabric::rendezvous(Group& g, std::uint64_t seq, int member, const CallSig
     s.deposits.clear();
     s.results.clear();
   }
-  lock.unlock();
-  // The slot cannot be reused for seq+2 while this member is still here, so
-  // the wake-up after the unlock reaches only this seq's waiters.
-  if (last_arriver) s.cv.notify_all();
   if (!mismatch.empty()) throw util::CheckError(mismatch);
   return result;
 }

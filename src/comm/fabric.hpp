@@ -3,12 +3,17 @@
 // The shared transport under all simulated devices.
 //
 // Every ordered pair of ranks has its own channel: send(src, dst) deposits a
-// tagged byte payload into channel (dst, src), recv(dst, src) blocks on that
+// tagged byte payload into channel (dst, src), recv(dst, src) parks on that
 // channel alone until a message with the wanted tag arrives. Matching is FIFO
 // per (src, tag) pair. A send wakes only its receiver; a receive never scans
 // or waits on another peer's traffic. Payload buffers are recycled through a
 // per-channel free list capped at kPoolBytesPerChannel, so steady traffic
 // allocates nothing and retained memory stays bounded.
+//
+// The ranks run as fibers of one comm::Executor (executor.hpp), so only one
+// thread ever touches a Fabric and it needs no lock. A rank waits by parking
+// on a channel's or a rendezvous slot's WaitList; a receive that would block
+// outside a fiber throws CheckError instead, because nothing could wake it.
 //
 // The fabric also provides two *side channels* that model operations a real
 // backend performs out-of-band (communicator construction, clock agreement in
@@ -28,28 +33,27 @@
 // naming the communicator, the sequence number and both calls, instead of
 // letting mismatched collectives hang or exchange garbage.
 //
-// Deterministic fault injection: a FaultPlan arms seeded per-message latency
-// spikes (wall-clock sleeps that perturb thread interleavings without touching
-// payloads), rank stalls (one designated straggler rank sleeps before its
-// receives) and a poison mode (payload bits flipped in flight). Poisoned
-// payloads are caught by a per-message checksum at the receiver, which aborts
-// the whole fabric: every rank blocked in recv/sync wakes up and throws, so a
-// corrupted run fails loudly with a diagnosable error instead of deadlocking
-// or silently diverging. All fault decisions hash (seed, channel, occurrence)
-// so a given plan replays identically across runs.
+// Deterministic fault injection: a FaultPlan arms seeded per-message send
+// spikes and receive stalls of one straggler rank (a hit moves the rank
+// behind every other runnable rank, so the plan reorders the interleaving
+// without touching payloads) and a poison mode (payload bits flipped in
+// flight). Poisoned payloads are caught by a per-message checksum at the
+// receiver, which aborts the whole fabric: every rank parked in recv/sync
+// wakes up and throws, so a corrupted run fails loudly with a diagnosable
+// error instead of deadlocking or silently diverging. All fault decisions
+// hash (seed, channel, occurrence), so a given plan replays identically.
 
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "comm/executor.hpp"
 #include "util/check.hpp"
 
 namespace optimus::comm {
@@ -63,7 +67,7 @@ class FaultError : public std::runtime_error {
 };
 
 /// Thrown by every *other* rank once the fabric has been aborted: their
-/// blocking receives and sync rendezvous wake up and unwind instead of
+/// parked receives and sync rendezvous wake up and unwind instead of
 /// waiting forever on a peer that died.
 class FabricAborted : public std::runtime_error {
  public:
@@ -72,14 +76,13 @@ class FabricAborted : public std::runtime_error {
 
 /// Seeded fault-injection plan. Probabilities are per message; decisions are
 /// pure functions of (seed, src, dst, tag, occurrence), so two runs with the
-/// same plan inject the same faults at the same logical points.
+/// same plan inject the same faults at the same logical points. A spike or
+/// stall yields: the rank goes to the back of the executor's ready queue.
 struct FaultPlan {
   std::uint64_t seed = 0;
-  double spike_prob = 0.0;  // chance a send sleeps spike_us before delivery
-  int spike_us = 0;
+  double spike_prob = 0.0;  // chance a send yields before delivery
   int stall_rank = -1;      // rank whose receives stall (straggler model)
-  double stall_prob = 0.0;
-  int stall_us = 0;
+  double stall_prob = 0.0;  // chance such a receive yields first
   double poison_prob = 0.0;  // chance a payload is corrupted in flight
 
   bool active() const { return spike_prob > 0 || stall_prob > 0 || poison_prob > 0; }
@@ -137,11 +140,11 @@ class Fabric {
   void send(int src, int dst, std::uint64_t tag, const void* data, std::size_t bytes,
             double timestamp = 0.0);
 
-  /// Blocks until a message from `src` with `tag` arrives at `dst`; copies the
+  /// Parks until a message from `src` with `tag` arrives at `dst`; copies the
   /// payload into `out` (size must match exactly). Returns the sender's
   /// timestamp. Fault semantics: a poisoned payload aborts the fabric and
   /// throws FaultError; an abort by any rank wakes the call with
-  /// FabricAborted.
+  /// FabricAborted. Throws CheckError if it would park outside a fiber.
   double recv(int dst, int src, std::uint64_t tag, void* out, std::size_t bytes);
 
   /// Payload bytes currently kept for reuse by channel (dst, src).
@@ -176,21 +179,28 @@ class Fabric {
   // -- fault injection -------------------------------------------------------
 
   /// Installs (or clears, with a default-constructed plan) the fault plan.
-  /// Must be called before any traffic; not thread-safe against in-flight ops.
+  /// Must be called before any traffic.
   void set_fault_plan(const FaultPlan& plan);
   const FaultPlan& fault_plan() const { return fault_plan_; }
 
-  /// Marks the fabric dead with a reason and wakes every blocked thread; all
-  /// subsequent/blocked operations throw FabricAborted. First reason wins.
+  /// Marks the fabric dead with a reason and wakes every parked rank; all
+  /// subsequent/parked operations throw FabricAborted. First reason wins.
   void abort(const std::string& reason);
-  bool aborted() const { return failed_.load(std::memory_order_acquire); }
 
-  /// Name of the communicator operation the calling thread is currently
+  /// One line per parked rank, in rank order: the op, communicator label, id
+  /// and seq it waits in, and for what. Empty when no rank is parked.
+  std::string describe_parked() const;
+
+  /// Name of the communicator operation the calling rank is currently
   /// executing ("allreduce", "broadcast", ...); "?" outside any op. Used to
   /// label fault diagnostics with the op that hit the fault.
   static const char* current_op();
 
-  /// RAII thread-local op label; Communicator ops hold one for their span.
+  /// The calling thread's op label (null outside any op). comm::Executor
+  /// exchanges it whenever it switches the rank running on the thread.
+  static const char*& op_slot();
+
+  /// RAII op label; Communicator ops hold one for their span.
   class OpScope {
    public:
     explicit OpScope(const char* name);
@@ -211,9 +221,8 @@ class Fabric {
   };
 
   /// Mailbox of one (dst, src) pair plus its recycled payload buffers.
-  struct alignas(64) Channel {
-    std::mutex mu;
-    std::condition_variable cv;
+  struct Channel {
+    WaitList waiters;            // only dst ever parks here
     std::vector<Message> queue;  // arrival order; FIFO per tag
     std::vector<std::vector<std::byte>> free;
     std::size_t free_bytes = 0;  // sum of the free buffers' capacities
@@ -223,45 +232,58 @@ class Fabric {
     return channels_[static_cast<std::size_t>(dst) * world_size_ + src];
   }
 
-  /// Creates the rendezvous state of a new communicator with members `ranks`
-  /// (caller holds groups_mu_).
+  /// What a parked rank waits in, for the deadlock diagnostic: a rendezvous
+  /// (peer < 0) or a receive from world rank `peer`.
+  struct Parked {
+    const char* op = nullptr;  // null while the rank is not parked
+    const Group* group = nullptr;
+    std::uint64_t seq = 0;
+    int peer = -1;
+    std::uint64_t tag = 0;
+  };
+
+  /// Creates the rendezvous state of a new communicator with members `ranks`.
   void add_group(std::uint64_t comm_id, std::vector<int> ranks);
 
   /// One rendezvous: deposits `value` (and, for a split, the member's color
-  /// and key), waits for the group, checks signatures, returns the max.
+  /// and key), parks until the group arrives, checks signatures, returns the
+  /// max.
   double rendezvous(Group& g, std::uint64_t seq, int member, const CallSig& sig, double value,
                     const std::string& label, const std::array<int, 2>* split,
                     SplitResult* split_out);
 
-  /// Draws the straggler stall fault for a receive at `dst` and sleeps if hit.
+  /// Draws the straggler stall fault for a receive at `dst` and yields if hit.
   void maybe_stall(int dst, int src, std::uint64_t tag);
 
-  /// Tries to match-and-consume a message under `ch.mu`; copies the payload,
-  /// returns false if nothing matches yet. Throws FaultError on a poisoned
-  /// payload (after aborting the fabric).
-  bool try_consume_locked(Channel& ch, std::unique_lock<std::mutex>& lock, int dst, int src,
-                          std::uint64_t tag, void* out, std::size_t bytes, double* ts);
+  /// Tries to match-and-consume a message; copies the payload, returns false
+  /// if nothing matches yet. Throws FaultError on a poisoned payload (after
+  /// aborting the fabric).
+  bool try_consume(Channel& ch, int dst, int src, std::uint64_t tag, void* out,
+                   std::size_t bytes, double* ts);
 
-  /// Throws FabricAborted if the fabric has been aborted.
-  void throw_if_aborted() const;
+  /// Throws FabricAborted if the fabric has been aborted. If world rank
+  /// `rank` was parked, the message also names what it waited in.
+  void throw_if_aborted(int rank = -1);
+
+  /// Writes " rank R parked in OP on communicator 'L' (id I) seq S" and,
+  /// for a receive, its peer and tag.
+  void describe_wait(int rank, std::ostream& os) const;
 
   /// Deterministic per-message fault draw: the n-th message on the (src, dst,
-  /// tag, salt) channel gets a fresh 64-bit hash. Thread-safe.
+  /// tag, salt) channel gets a fresh 64-bit hash.
   std::uint64_t fault_draw(int src, int dst, std::uint64_t tag, std::uint64_t salt);
 
   int world_size_;
   std::unique_ptr<Channel[]> channels_;  // world_size² channels, [dst·p + src]
+  std::vector<Parked> parked_;           // by world rank
 
-  std::mutex groups_mu_;  // guards groups_ and comm id assignment
   std::map<std::uint64_t, std::unique_ptr<Group>> groups_;
   std::uint64_t next_comm_id_ = 1;
   std::uint64_t world_comm_id_ = 0;
 
   FaultPlan fault_plan_;
-  std::mutex fault_mu_;
   std::map<std::uint64_t, std::uint64_t> fault_counts_;  // channel key -> occurrences
-  std::atomic<bool> failed_{false};
-  mutable std::mutex fail_mu_;
+  bool failed_ = false;
   std::string fail_reason_;
 };
 

@@ -286,6 +286,8 @@ ThreadPool& ThreadPool::global() {
 
 bool ThreadPool::on_worker_thread() { return tl_on_worker; }
 
+bool ThreadPool::in_region() { return tl_on_worker || tl_in_region; }
+
 ThreadPool::~ThreadPool() {
   if (impl_ == nullptr) return;
   impl_->stop.store(true, std::memory_order_release);
@@ -312,7 +314,7 @@ int ThreadPool::parallel_region(int nthreads, const std::function<void(Region&)>
   nthreads = std::min(nthreads, kMaxWorkers + 1);
   const bool degrade = nthreads <= 1 || tl_on_worker || tl_in_region;
   if (degrade || !impl_->region_mutex.try_lock()) {
-    // Serial degradation: nested call, or another device thread owns the
+    // Serial degradation: nested call, or another thread owns the
     // region slot right now. SPMD bodies see nthreads()==1 and a no-op
     // barrier, so they reduce to their serial schedule.
     g_stats.inline_regions.fetch_add(1, std::memory_order_relaxed);

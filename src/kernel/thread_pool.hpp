@@ -2,10 +2,9 @@
 
 // Intra-op thread pool and the process-wide kernel thread budget.
 //
-// The simulated cluster already runs one std::thread per device; the kernel
-// layer adds *intra-op* workers underneath each device. To keep p devices ×
-// intra-op workers from oversubscribing the host, both layers share one
-// budget:
+// The simulated cluster runs its devices as fibers on one runner thread
+// (comm::Executor); the kernel layer adds *intra-op* workers underneath the
+// device that is running. The budget is shared per device:
 //
 //   * `OPTIMUS_KERNEL_THREADS` (env) or set_threads(n) fixes the *global*
 //     intra-op worker budget for the whole process;
@@ -13,7 +12,9 @@
 //   * each kernel invocation may use at most
 //       effective_threads() = max(1, budget / max(1, active_devices()))
 //     workers, where active_devices() counts simulated devices currently
-//     running (comm::Cluster registers them via ActiveDevicesGuard).
+//     running (comm::Cluster registers them via ActiveDevicesGuard). Giving
+//     the one runner the whole budget instead made small-GEMM workloads
+//     slower per CPU second: workers spin between the many small regions.
 //
 // Execution model: the primitive is a *persistent parallel region*.
 // parallel_region(n, fn) wakes n-1 resident workers and runs fn(Region&) on
@@ -34,7 +35,7 @@
 // calls parallel_* again runs the nested region inline on the calling thread
 // (no recursive fan-out, no deadlock). The same serial degradation applies
 // when another thread currently owns the pool's region slot — concurrent
-// device threads never block each other on the intra-op pool.
+// submitting threads never block each other on the intra-op pool.
 
 #include <cstdint>
 #include <functional>
@@ -71,7 +72,7 @@ int effective_threads();
 ///
 /// `submit_wait_ns` is wall time submitters spent blocked at the end of a
 /// region waiting for workers to finish their last chunks. It is an
-/// *aggregate across concurrent submitters*: with several device threads
+/// *aggregate across concurrent submitters*: with several host threads
 /// driving the pool at once their waits overlap in wall time, so the sum can
 /// legitimately exceed the wall time of the enclosing run. Consumers report
 /// it as `aggregate_submit_wait_ms`, alongside the per-region average
@@ -155,6 +156,10 @@ class ThreadPool {
 
   /// True on a pool worker thread (used to run nested regions inline).
   static bool on_worker_thread();
+
+  /// True on a thread that is running a parallel region's body: a worker, or
+  /// the submitter of a region that fanned out.
+  static bool in_region();
 
   /// Runs fn(Region&) on min(nthreads, budget) threads: the caller is tid 0,
   /// resident workers take tids 1..n-1. Returns the number of threads that

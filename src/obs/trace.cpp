@@ -15,11 +15,8 @@ namespace optimus::obs {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
-}
 
-namespace {
-
-// Spans are appended to per-thread buffers; the global registry keeps every
+// Spans are appended to per-track buffers; the global registry keeps every
 // buffer alive (threads may exit before export) and hands out stable ids used
 // as host-track tids.
 struct ThreadBuffer {
@@ -27,6 +24,11 @@ struct ThreadBuffer {
   std::mutex m;
   std::vector<SpanRecord> spans;
 };
+}  // namespace detail
+
+namespace {
+
+using detail::ThreadBuffer;
 
 struct Registry {
   std::mutex m;
@@ -37,13 +39,6 @@ Registry& registry() {
   static Registry* r = new Registry();  // leaked: buffers may outlive main
   return *r;
 }
-
-struct TrackState {
-  int rank = kHostRank;
-  std::function<double()> sim_now;
-  int depth = 0;
-  std::shared_ptr<ThreadBuffer> buffer;
-};
 
 thread_local TrackState tl_track;
 
@@ -112,6 +107,8 @@ ScopedTrack::~ScopedTrack() {
   tl_track.sim_now = std::move(prev_sim_now_);
   util::set_thread_log_rank(prev_log_rank_);
 }
+
+void swap_track(TrackState& other) { std::swap(tl_track, other); }
 
 int current_rank() { return tl_track.rank; }
 

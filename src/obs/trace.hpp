@@ -12,9 +12,10 @@
 //     itself.
 //
 // Threads register a track (device rank + simulated-time source) with
-// ScopedTrack; comm::Cluster installs one per device thread. Spans recorded
-// on a thread without a track land on the host track and only their wall
-// clock is meaningful.
+// ScopedTrack; comm::Cluster installs one per device fiber, and its executor
+// exchanges them on every switch (swap_track). Spans recorded on a thread
+// without a track land on the host track and only their wall clock is
+// meaningful.
 //
 // Cost contract: when tracing is disabled (the default) constructing a Span
 // is a single relaxed atomic load and nothing else — no allocation, no clock
@@ -22,8 +23,9 @@
 // clock and counters, so program output is byte-identical with tracing on or
 // off.
 //
-// Thread safety: each thread appends to its own buffer; buffers are
-// registered globally and merged (per device rank) at export time.
+// Thread safety: each track (a thread, or a device fiber) appends to its own
+// buffer; buffers are registered globally and merged (per device rank) at
+// export time.
 //
 // Export: Chrome trace-event JSON ("traceEvents" complete events, ts/dur in
 // microseconds of *simulated* time, one pid/tid track per device rank; host
@@ -33,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,6 +82,24 @@ class ScopedTrack {
   std::function<double()> prev_sim_now_;
   int prev_log_rank_;
 };
+
+namespace detail {
+struct ThreadBuffer;
+}
+
+/// A thread's track: device rank, simulated-time source, span nesting depth
+/// and span buffer. A scheduler that runs several simulated devices on one
+/// thread (comm::Executor) gives each its own and exchanges them on every
+/// switch.
+struct TrackState {
+  int rank = kHostRank;
+  std::function<double()> sim_now;
+  int depth = 0;
+  std::shared_ptr<detail::ThreadBuffer> buffer;  // created at the first span
+};
+
+/// Exchanges the calling thread's track with `other`.
+void swap_track(TrackState& other);
 
 /// Rank of the calling thread's track (kHostRank if none).
 int current_rank();

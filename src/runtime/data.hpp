@@ -90,7 +90,7 @@ class SyntheticClsWorkload {
 };
 
 /// Wraps a batch source shared by the lock-stepped ranks of a simulated
-/// cluster. Every rank thread calls `sampler(rank)` and observes the identical
+/// cluster. Every rank calls `sampler(rank)` and observes the identical
 /// batch sequence, while the source is drawn exactly once per position (the
 /// first consumer to reach a position fills the cache; stragglers replay it).
 /// Copies of the returned functor share one cache, so it can be captured by

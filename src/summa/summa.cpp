@@ -54,7 +54,7 @@ void set_pipeline_enabled(bool enabled) {
 
 PipelineGuard::PipelineGuard(bool enabled) : prev_(pipeline_enabled()) {
   OPT_CHECK(obs::current_rank() == obs::kHostRank,
-            "PipelineGuard built on the thread of simulated rank "
+            "PipelineGuard built inside the body of simulated rank "
                 << obs::current_rank()
                 << "; the SUMMA pipeline mode is process-wide, so set it on the thread that "
                    "launches the cluster");

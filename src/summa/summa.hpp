@@ -63,10 +63,9 @@ void set_pipeline_enabled(bool enabled);
 
 /// RAII override of the pipeline mode (tests, benches, fuzz configs). The mode
 /// is process-wide, so build the guard on the thread that launches the
-/// cluster: every rank thread of one run must see the same mode, and rank
-/// threads restoring it in racing order would leak their override past the
-/// run. Throws CheckError naming the rank when built on a simulated-device
-/// thread.
+/// cluster: every rank of one run must see the same mode, and ranks
+/// restoring it in their own order would leak their override past the
+/// run. Throws CheckError naming the rank when built inside a rank body.
 class PipelineGuard {
  public:
   explicit PipelineGuard(bool enabled);

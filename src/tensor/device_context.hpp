@@ -2,9 +2,10 @@
 
 // Per-simulated-device accounting.
 //
-// Every simulated device (one thread in comm::Cluster) installs a
+// Every simulated device (one fiber in comm::Cluster) installs a
 // DeviceContext for its lifetime via ScopedDevice. All tensor allocations and
-// matmul flops on that thread are charged to it:
+// matmul flops while that device runs are charged to it; the cluster's
+// executor exchanges the installed context whenever it switches devices:
 //
 //   * bytes_live / bytes_peak — drives the Figure-9 memory-limit experiments
 //     and validates the analytic memory model.
@@ -102,10 +103,12 @@ class DeviceContext {
   /// The context charged on the calling thread (never null).
   static DeviceContext& current();
 
- private:
-  friend class ScopedDevice;
+  /// The calling thread's installed context (null if none). ScopedDevice
+  /// sets it; comm::Executor exchanges it whenever it switches the simulated
+  /// device running on the thread.
   static DeviceContext*& current_slot();
 
+ private:
   std::shared_ptr<Counters> counters_;
 };
 

@@ -380,10 +380,8 @@ void run_impl(const FuzzConfig& fc, const EquivalenceOptions& opts, EquivalenceR
     comm::FaultPlan plan;
     plan.seed = fc.data_seed ^ 0xFA17FA17ull;
     plan.spike_prob = 0.2;
-    plan.spike_us = 100;
     plan.stall_rank = 1;
     plan.stall_prob = 0.25;
-    plan.stall_us = 150;
     res.fault_replay_ran = true;
     try {
       comm::run_cluster(world_2d, plan, [&](comm::Context& ctx) { optimus_body(ctx, false); });

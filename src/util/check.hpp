@@ -6,7 +6,7 @@
 // OPT_DCHECK(cond, msg...)  — compiled out in NDEBUG builds (hot paths only).
 //
 // We throw instead of aborting so that tests can assert on failure paths and
-// so a simulated device thread failing surfaces as a catchable error on the
+// so a simulated device failing surfaces as a catchable error on the
 // launcher instead of tearing the whole process down.
 
 #include <sstream>

@@ -28,7 +28,7 @@ LogLevel parse_log_level(const std::string& name);
 
 /// Simulated-device rank tag for log lines emitted by this thread: -1 (the
 /// default) prints as `r-` (host code), ranks >= 0 as `rN`. Installed for
-/// device threads by obs::ScopedTrack / comm::Cluster.
+/// simulated devices by obs::ScopedTrack / comm::Cluster.
 int thread_log_rank();
 void set_thread_log_rank(int rank);
 

@@ -131,6 +131,14 @@ struct ShapeCase {
   bool causal;
 };
 
+// Names the case in the `GetParam() =` comment that CTest's test discovery
+// turns into the test name; the default byte dump would include the
+// struct's uninitialized padding, which differs from build to build.
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  *os << "b" << c.b << "_s" << c.s << "_h" << c.h << "_n" << c.n << "_v" << c.v << "_l"
+      << c.layers << "_m" << c.mlp_ratio << (c.causal ? "_causal" : "_bidirectional");
+}
+
 class OddShapeSweep : public ::testing::TestWithParam<ShapeCase> {};
 
 ITensor tokens_for(const om::TransformerConfig& cfg, std::uint64_t seed) {

@@ -14,12 +14,13 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "comm/cluster.hpp"
 #include "comm/communicator.hpp"
+#include "comm/executor.hpp"
 #include "comm/fabric.hpp"
+#include "kernel/thread_pool.hpp"
 #include "mesh/mesh.hpp"
 #include "testing/watchdog.hpp"
 
@@ -174,12 +175,17 @@ TEST(Fabric, ThrowWakesRanksParkedInSlotsAndChannels) {
   try {
     oc::run_cluster(16, [&](oc::Context& ctx) {
       optimus::mesh::Mesh2D mesh(ctx.world);
+      // Every rank has built its mesh once the barrier completes.
+      ctx.world.barrier();
       outcomes.run(ctx.rank, [&] {
         std::vector<float> buf(8, 1.0f);
         const index_t n = static_cast<index_t>(buf.size());
         switch (ctx.rank) {
           case 5:  // row 1, col 1
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            // Ranks run in FIFO order, so yielding once lets every peer run
+            // until it parks: none of their calls can complete while rank 5
+            // stays out, so none of them wakes again before the throw.
+            oc::Executor::yield();
             throw std::runtime_error("rank 5 boom");
           case 4: case 6: case 7:  // row 1 waits for rank 5
             mesh.row_comm().all_reduce(buf.data(), n);
@@ -314,20 +320,57 @@ TEST(Fabric, PayloadPoolStaysWithinItsCap) {
       }
     }
   };
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kP; ++r) {
-    threads.emplace_back([&, r] {
-      oc::SimClock clock;
-      oc::CommStats stats;
-      oc::Communicator comm(fabric, fabric.world_comm_id(), world, r, clock, cost, stats);
-      std::vector<float> data(static_cast<std::size_t>(kLarge), 1.0f);
-      for (int i = 0; i < 4; ++i) comm.all_reduce(data.data(), kLarge);
-      for (int i = 0; i < 4; ++i) comm.all_reduce(data.data(), 16);
-    });
-  }
-  for (auto& t : threads) t.join();
+  oc::Executor(kP).run(
+      [&](int r) {
+        oc::SimClock clock;
+        oc::CommStats stats;
+        oc::Communicator comm(fabric, fabric.world_comm_id(), world, r, clock, cost, stats);
+        std::vector<float> data(static_cast<std::size_t>(kLarge), 1.0f);
+        for (int i = 0; i < 4; ++i) comm.all_reduce(data.data(), kLarge);
+        for (int i = 0; i < 4; ++i) comm.all_reduce(data.data(), 16);
+      },
+      [] { ADD_FAILURE() << "ranks deadlocked"; });
   check_caps();
   std::size_t pooled = 0;
   for (int r = 0; r < kP; ++r) pooled += fabric.pooled_bytes((r + 1) % kP, r);
   EXPECT_GT(pooled, 0u) << "small ring traffic was not recycled";
+}
+
+TEST(Fabric, RecvThatWouldParkOutsideAFiberThrows) {
+  // A bare fabric has no executor: a receive with nothing to match could
+  // never be woken, so it fails by name instead of hanging.
+  ots::Watchdog wd("fabric bare recv", std::chrono::seconds(30));
+  oc::Fabric fabric(2);
+  const int sent = 5;
+  fabric.send(0, 1, /*tag=*/3, &sent, sizeof(sent));
+  int out = 0;
+  fabric.recv(1, 0, 3, &out, sizeof(out));  // matched: never parks
+  EXPECT_EQ(out, sent);
+  try {
+    fabric.recv(1, 0, 3, &out, sizeof(out));
+    FAIL() << "a receive with nothing to match returned";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("outside a fiber"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Fabric, RecvThatWouldParkInsideAKernelRegionThrows) {
+  // Pool workers of a fanned-out region wait for its submitter, the runner
+  // thread: a rank that parked there would stall them, so the wait fails by
+  // name instead.
+  ots::Watchdog wd("fabric park in kernel region", std::chrono::seconds(30));
+  namespace ok = optimus::kernel;
+  std::string what;
+  try {
+    oc::run_cluster(2, [&](oc::Context& ctx) {
+      ok::ThreadPool::global().parallel_region(2, [&](ok::Region& r) {
+        float x = 0;
+        if (r.tid() == 0) ctx.world.recv(1 - ctx.rank, 0, &x, 1);
+      });
+    });
+    ADD_FAILURE() << "a receive parked inside a kernel region";
+  } catch (const CheckError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("inside a kernel parallel region"), std::string::npos) << what;
 }

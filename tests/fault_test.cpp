@@ -69,7 +69,6 @@ TEST(Fault, LatencySpikesLeaveCollectivesBitwiseUnchanged) {
   oc::FaultPlan plan;
   plan.seed = seed;
   plan.spike_prob = 0.5;
-  plan.spike_us = 200;
   EXPECT_EQ(base, allreduce_results(4, &plan));
 }
 
@@ -83,7 +82,6 @@ TEST(Fault, StallingRankDoesNotDeadlockOrDiverge) {
   plan.seed = seed;
   plan.stall_rank = 2;  // straggler model: one rank's receives lag
   plan.stall_prob = 0.5;
-  plan.stall_us = 300;
   EXPECT_EQ(base, allreduce_results(4, &plan));
 }
 
@@ -403,10 +401,8 @@ TEST(Fault, LatencyFaultsLeave25dSummaBitwise) {
   oc::FaultPlan plan;
   plan.seed = seed;
   plan.spike_prob = 0.5;
-  plan.spike_us = 200;
   plan.stall_rank = 5;  // a straggler inside depth layer 1
   plan.stall_prob = 0.5;
-  plan.stall_us = 300;
   for (const bool pipelined : {false, true}) {
     const auto base = run_faulted(nullptr, pipelined);
     EXPECT_EQ(base, run_faulted(&plan, pipelined))
@@ -452,10 +448,8 @@ TEST(Fault, LatencyFaultsLeavePipelinedSummaBitwise) {
   oc::FaultPlan plan;
   plan.seed = seed;
   plan.spike_prob = 0.5;
-  plan.spike_us = 200;
   plan.stall_rank = 1;
   plan.stall_prob = 0.5;
-  plan.stall_us = 300;
   const DTensor faulted = run_faulted(&plan);
   for (optimus::tensor::index_t i = 0; i < base.numel(); ++i) {
     ASSERT_EQ(faulted[i], base[i]) << "diverged at " << i;

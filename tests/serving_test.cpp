@@ -431,10 +431,8 @@ TEST(Serving, LatencyFaultsLeaveServedTokensIdentical) {
   plan.seed = ots::test_seed(77);
   OPTIMUS_SEED_TRACE(plan.seed);
   plan.spike_prob = 0.2;
-  plan.spike_us = 100;
   plan.stall_rank = 1;
   plan.stall_prob = 0.25;
-  plan.stall_us = 150;
   int mismatch = 0;
   std::mutex mu;
   oc::run_cluster(4, plan, [&](oc::Context& ctx) {
