@@ -169,7 +169,7 @@ void write_summa_json() {
     r.sim_ms /= reps;
     return r;
   };
-  const auto add_row = [&](const std::string& name, int q, const ModeResult& r,
+  const auto add_row = [&](const std::string& name, const ModeResult& r,
                            double overlap_efficiency) {
     const double gflops = 2.0 * n * n * n / (r.wall_ms * 1e-3) / 1e9;
     // Per-device collective traffic is identical across reps (the schedule is
@@ -185,14 +185,14 @@ void write_summa_json() {
   };
   for (int q : {1, 2, 4}) {
     const ModeResult blocking = run_mode(q, 1, false);
-    add_row("summa_ab_q" + std::to_string(q), q, blocking, 0.0);
+    add_row("summa_ab_q" + std::to_string(q), blocking, 0.0);
     if (q > 1) {
       // Pipelined rows ride next to the blocking baselines they are compared
       // against; overlap_efficiency is the fraction of the blocking critical
       // path hidden by the async schedule.
       const ModeResult pipelined = run_mode(q, 1, true);
       const double eff = (blocking.sim_ms - pipelined.sim_ms) / blocking.sim_ms;
-      add_row("summa_ab_q" + std::to_string(q) + "_pipelined", q, pipelined, eff);
+      add_row("summa_ab_q" + std::to_string(q) + "_pipelined", pipelined, eff);
     }
   }
   // 2.5D (Tesseract) crossover sweep vs both baselines. The q2d4 rows use the
@@ -202,12 +202,12 @@ void write_summa_json() {
   for (const auto& [q, d] : {std::pair<int, int>{2, 2}, {2, 4}}) {
     const std::string base = "summa25_ab_q" + std::to_string(q) + "d" + std::to_string(d);
     const ModeResult blocking = run_mode(q, d, false);
-    add_row(base, q, blocking, 0.0);
+    add_row(base, blocking, 0.0);
     const ModeResult pipelined = run_mode(q, d, true);
     const double eff = (blocking.sim_ms - pipelined.sim_ms) / blocking.sim_ms;
-    add_row(base + "_pipelined", q, pipelined, eff);
+    add_row(base + "_pipelined", pipelined, eff);
   }
-  add_row("cannon_ab_q4", 4, run_mode(4, 1, false, /*kind=*/1), 0.0);
+  add_row("cannon_ab_q4", run_mode(4, 1, false, /*kind=*/1), 0.0);
   json.write("BENCH_summa.json");
 }
 

@@ -139,8 +139,8 @@ ctest --test-dir build-asan -L fast --output-on-failure -j"$(nproc)"
 echo "==> sanitizer pass: tsan preset (fast-label suite, both SUMMA schedules)"
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
-# The pipelined schedule changes where ranks switch (async irecvs + deferred
-# waits interleave with GEMMs), so TSan runs the suite under both modes.
+# The pipelined schedule changes where ranks switch (async collectives issued
+# ahead of the GEMMs they overlap), so TSan runs the suite under both modes.
 # The fast label includes the q×q×d (depth 2/3) mesh, SUMMA and fault tests,
 # so the 2.5D depth fold runs under both sanitizers as well.
 OPTIMUS_SUMMA_PIPELINE=0 ctest --test-dir build-tsan -L fast --output-on-failure -j"$(nproc)"

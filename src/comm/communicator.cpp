@@ -68,61 +68,21 @@ TreeTopo Communicator::tree_topo(int root) const {
   return t;
 }
 
-std::vector<Chunk> Communicator::chunk_layout(tensor::index_t n, int chunks) {
-  if (chunks < 1) chunks = 1;
-  if (static_cast<tensor::index_t>(chunks) > n && n > 0) {
-    chunks = static_cast<int>(n);
-  }
-  std::vector<Chunk> out;
-  out.reserve(static_cast<std::size_t>(chunks));
-  const tensor::index_t base = n / chunks;
-  const tensor::index_t rem = n % chunks;
-  tensor::index_t begin = 0;
-  for (int c = 0; c < chunks; ++c) {
-    const tensor::index_t count = base + (c < rem ? 1 : 0);
-    out.push_back({begin, count});
-    begin += count;
-  }
-  return out;
-}
-
-std::unique_ptr<Request::State> Communicator::tree_request(const char* wait_op,
-                                                           const CollectiveTiming& ct,
-                                                           std::uint64_t bytes, tensor::index_t n,
-                                                           int chunks, int root,
-                                                           std::uint64_t tag, void* data) {
-  auto st = std::make_unique<Request::State>();
-  st->comm = this;
-  st->wait_op = wait_op;
-  st->completion = ct.completion();
-  st->issue_local = ct.entry_local;
-  st->dt = ct.dt;
-  st->bytes = bytes;
-  st->topo = tree_topo(root);
-  st->chunks = chunk_layout(n, chunks);
-  st->tag = tag;
-  st->data = data;
-  return st;
-}
-
 void Request::wait() {
-  if (!st_) return;
-  const std::unique_ptr<State> st = std::move(st_);
-  Communicator& comm = *st->comm;
-  Fabric::OpScope op_scope(st->wait_op);
-  if (st->finish != nullptr) st->finish(*st);
+  if (comm_ == nullptr) return;
+  Communicator& comm = *std::exchange(comm_, nullptr);
   comm.clock_->drain_compute(*comm.cost_);
   // The span covers exactly the idle time this rank spends blocked on the
   // in-flight transfer — the part of the modelled dt that compute did NOT
   // hide. The transfer itself was accounted (args + link reservation) at
   // issue, so transfer_s here is 0 and sim_dur == wait_s.
-  obs::Span span("comm", st->wait_op);
-  const double idle = std::max(0.0, st->completion - comm.clock_->now());
-  comm.clock_->align_to(st->completion);
+  obs::Span span("comm", wait_op_);
+  const double idle = std::max(0.0, completion_ - comm.clock_->now());
+  comm.clock_->align_to(completion_);
   if (span.armed()) {
     if (!comm.label_.empty()) span.arg("comm", comm.label_);
     span.arg("g", comm.size());
-    span.arg("bytes", st->bytes);
+    span.arg("bytes", bytes_);
     span.arg("wait_s", idle);
     span.arg("transfer_s", 0.0);
   }

@@ -6,11 +6,12 @@
 // be entered by every member in the same order (standard MPI contract), move
 // real bytes through the fabric, and advance the simulated clock by the
 // CostModel's closed-form time for the operation. They block, except
-// ibroadcast/ireduce: those return a Request whose wait() completes them, so
-// the transfer overlaps whatever compute runs in between.
+// ibroadcast/ireduce: those move their bytes at issue like the blocking forms
+// but return a Request, and only Request::wait() advances the clock, so the
+// modelled transfer overlaps whatever compute runs in between.
 //
-//   broadcast / reduce     — binomial tree  (paper eq. 4: log₂(g)·β·B),
-//     ibroadcast / ireduce   streamed in chunks when the payload is large
+//   broadcast / reduce     — binomial tree  (paper eq. 4: log₂(g)·β·B), priced
+//     ibroadcast / ireduce   as a chunked pipeline when the payload is large
 //   all_reduce             — ring reduce-scatter + ring all-gather
 //                            (paper eq. 5: 2(g−1)/g·β·B)
 //   all_reduce_max / all_reduce_ordered — gather-to-0 fold + flat broadcast,
@@ -29,7 +30,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -69,55 +69,40 @@ struct TreeTopo {
   std::vector<int> children;
 };
 
-/// A contiguous run [begin, begin + count) of a chunked payload.
-struct Chunk {
-  tensor::index_t begin = 0;
-  tensor::index_t count = 0;
-};
-
-/// Handle for a non-blocking collective (ibroadcast/ireduce). The operation's
-/// cost was modelled at issue time; wait() performs any deferred data
-/// movement, then advances this rank's clock only if it is still behind the
-/// modelled completion — compute done in between overlaps for free, so a
-/// pipelined step costs max(comm, compute) instead of their sum.
+/// Handle for a non-blocking collective (ibroadcast/ireduce). The collective
+/// moved its bytes at issue; its modelled transfer is still in flight on the
+/// simulated clock. wait() advances this rank's clock only if it is still
+/// behind the modelled completion — compute done in between overlaps for
+/// free, so a pipelined step costs max(comm, compute) instead of their sum.
 ///
-/// Every issued request must be waited exactly once (unless unwinding from a
-/// fabric abort). Move-only; default-constructed requests are inert.
+/// Wait every issued request: until then this rank's clock has not paid for
+/// the transfer. Move-only; default-constructed requests are inert.
 class Request {
  public:
   Request() = default;
-  Request(Request&&) = default;
-  Request& operator=(Request&&) = default;
-  Request(const Request&) = delete;
-  Request& operator=(const Request&) = delete;
+  Request(Request&& o) noexcept { *this = std::move(o); }
+  Request& operator=(Request&& o) noexcept {
+    comm_ = std::exchange(o.comm_, nullptr);
+    wait_op_ = o.wait_op_;
+    completion_ = o.completion_;
+    bytes_ = o.bytes_;
+    return *this;
+  }
 
-  bool active() const { return st_ != nullptr; }
+  bool active() const { return comm_ != nullptr; }
 
-  /// Completes the collective on this rank; may throw FaultError /
-  /// FabricAborted if the fabric died while the payload was in flight.
+  /// Moves this rank's clock to the modelled completion; no data moves.
   void wait();
 
  private:
   friend class Communicator;
-  struct State {
-    Communicator* comm = nullptr;
-    const char* wait_op = "";  // string literal (obs::Span lifetime contract)
-    double completion = 0;
-    double issue_local = 0;
-    double dt = 0;
-    std::uint64_t bytes = 0;
-    // Deferred tree steps (receives, forwards, accumulates) of a non-root
-    // broadcast or non-leaf reduce; null when everything moved at issue.
-    void (*finish)(State&) = nullptr;
-    TreeTopo topo;
-    std::vector<Chunk> chunks;
-    std::uint64_t tag = 0;
-    void* data = nullptr;
-    void* scratch = nullptr;                    // reduce receive buffer
-    std::unique_ptr<std::byte[]> owned_scratch;  // when the caller passed none
-  };
-  explicit Request(std::unique_ptr<State> st) : st_(std::move(st)) {}
-  std::unique_ptr<State> st_;
+  Request(Communicator* comm, const char* wait_op, double completion, std::uint64_t bytes)
+      : comm_(comm), wait_op_(wait_op), completion_(completion), bytes_(bytes) {}
+
+  Communicator* comm_ = nullptr;
+  const char* wait_op_ = "";  // string literal (obs::Span lifetime contract)
+  double completion_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
 class Communicator {
@@ -164,20 +149,19 @@ class Communicator {
 
   // -- non-blocking collectives ---------------------------------------------
   //
-  // Issue now, complete at Request::wait(). The modelled cost, clock
-  // alignment and stats are identical to the blocking forms (recorded at
-  // issue); only this rank's clock advance is deferred, which is what lets a
-  // SUMMA step overlap the next panel's transfer with the current GEMM. Must
-  // be issued by every member in the same order, like any collective.
+  // Run the same tree as the blocking forms, bytes included, and return a
+  // Request. The modelled cost, clock alignment and stats are identical to
+  // the blocking forms (recorded at issue); only this rank's clock advance
+  // is deferred to Request::wait(), which is what lets a SUMMA step overlap
+  // the next panel's transfer with the current GEMM. Must be issued by every
+  // member in the same order, like any collective.
 
-  /// Async broadcast. `data` must stay valid (and, on non-root ranks,
-  /// untouched) until wait() returns.
+  /// Async broadcast: every member holds the root's payload on return.
   template <typename T>
   Request ibroadcast(T* data, tensor::index_t n, int root);
 
-  /// Async sum-reduce toward `root`. The local partial in `data` must be
-  /// final at issue; the reduced result is valid at root after wait().
-  /// `scratch` (n elements, optional) must stay valid until wait().
+  /// Async sum-reduce toward `root`: `data` holds the local partial at issue
+  /// and, at root, the sum on return. `scratch` as for reduce().
   template <typename T>
   Request ireduce(T* data, tensor::index_t n, int root, T* scratch = nullptr);
 
@@ -239,7 +223,7 @@ class Communicator {
   }
   std::uint64_t user_tag(int tag) const {
     OPT_CHECK(tag >= 0 && tag < (1 << 24), "user tag " << tag << " out of range");
-    return (comm_id_ << 32) | (0xFFull << 24 << 8) | static_cast<std::uint64_t>(tag);
+    return (comm_id_ << 32) | (0xFFull << 24) | static_cast<std::uint64_t>(tag);
   }
   std::uint64_t next_seq() {
     const std::uint64_t s = seq_++;
@@ -256,7 +240,7 @@ class Communicator {
     CallSig sig;                  // op name (fault scope, span, rendezvous) and signature
     std::uint64_t bytes = 0;      // payload bytes, for the span and the stats
     double dt = 0;                // modelled time (CostModel)
-    int chunks = 1;               // tree chunks; more than one is noted on the span
+    int chunks = 1;               // tree plan's chunks (cost only); >1 is noted on the span
     CommStats::Op* op = nullptr;  // where the call is counted,
     std::uint64_t elems = 0;      // with its elements
     double weighted = 0;          // and Table-1 units (elems × the β-multiplier)
@@ -332,41 +316,18 @@ class Communicator {
   /// This rank's position in the binomial tree rooted at group rank `root`.
   TreeTopo tree_topo(int root) const;
 
-  /// Splits [0, n) into `chunks` contiguous runs (sizes differ by ≤ 1).
-  static std::vector<Chunk> chunk_layout(tensor::index_t n, int chunks);
+  /// broadcast (kAsync false) and ibroadcast: MPICH-style binomial tree
+  /// rooted at `root`; each member receives the whole payload from its
+  /// parent, then forwards it to every child, one message per tree edge.
+  template <bool kAsync, typename T>
+  std::conditional_t<kAsync, Request, void> tree_broadcast(T* data, tensor::index_t n, int root);
 
-  /// This rank's part of a binomial-tree broadcast: per chunk, receive from
-  /// the parent (if any), then forward to every child. Chunks move in order
-  /// on each edge, so FIFO matching per (src, tag) keeps them aligned.
-  template <typename T>
-  void tree_broadcast_steps(const TreeTopo& topo, const std::vector<Chunk>& chunks,
-                            std::uint64_t tag, T* data);
-
-  /// This rank's part of a reverse binomial-tree sum: per chunk, accumulate
-  /// the children's partials in ascending-mask order, then send the sum to
-  /// the parent (if any). Every element sees the same addition order whatever
-  /// the chunk count, so chunked and un-chunked reduces are bitwise identical.
-  template <typename T>
-  void tree_reduce_steps(const TreeTopo& topo, const std::vector<Chunk>& chunks,
-                         std::uint64_t tag, T* data, T* scratch);
-
-  /// Request::State::finish for the deferred steps of ibroadcast / ireduce.
-  template <typename T>
-  static void finish_broadcast(Request::State& st) {
-    st.comm->tree_broadcast_steps(st.topo, st.chunks, st.tag, static_cast<T*>(st.data));
-  }
-  template <typename T>
-  static void finish_reduce(Request::State& st) {
-    st.comm->tree_reduce_steps(st.topo, st.chunks, st.tag, static_cast<T*>(st.data),
-                               static_cast<T*>(st.scratch));
-  }
-
-  /// Request state of an issued ibroadcast / ireduce: timing, tree, chunks
-  /// and tag; the caller pushes what is ready and defers the rest (finish).
-  std::unique_ptr<Request::State> tree_request(const char* wait_op, const CollectiveTiming& ct,
-                                               std::uint64_t bytes, tensor::index_t n,
-                                               int chunks, int root, std::uint64_t tag,
-                                               void* data);
+  /// reduce (kAsync false) and ireduce: reverse binomial tree; each member
+  /// adds its children's partials in ascending-mask order, then sends the
+  /// sum to its parent, one message per tree edge.
+  template <bool kAsync, typename T>
+  std::conditional_t<kAsync, Request, void> tree_reduce(T* data, tensor::index_t n, int root,
+                                                        T* scratch);
 
   template <typename T>
   void send_internal(int dst_group_rank, std::uint64_t tag, const T* data, tensor::index_t n);
@@ -459,28 +420,6 @@ void Communicator::recv(int src, int tag, T* data, tensor::index_t n) {
   }
 }
 
-template <typename T>
-void Communicator::tree_broadcast_steps(const TreeTopo& topo, const std::vector<Chunk>& chunks,
-                                        std::uint64_t tag, T* data) {
-  for (const Chunk& ck : chunks) {
-    if (topo.parent >= 0) recv_internal(topo.parent, tag, data + ck.begin, ck.count);
-    for (int child : topo.children) send_internal(child, tag, data + ck.begin, ck.count);
-  }
-}
-
-template <typename T>
-void Communicator::tree_reduce_steps(const TreeTopo& topo, const std::vector<Chunk>& chunks,
-                                     std::uint64_t tag, T* data, T* scratch) {
-  for (const Chunk& ck : chunks) {
-    T* target = data + ck.begin;
-    for (auto it = topo.children.rbegin(); it != topo.children.rend(); ++it) {
-      recv_internal(*it, tag, scratch, ck.count);
-      for (tensor::index_t i = 0; i < ck.count; ++i) target[i] += scratch[i];
-    }
-    if (topo.parent >= 0) send_internal(topo.parent, tag, target, ck.count);
-  }
-}
-
 template <typename Body>
 std::invoke_result_t<Body&, std::uint64_t, const CollectiveTiming&> Communicator::collective(
     const Entry& e, Body&& body) {
@@ -525,69 +464,60 @@ void Communicator::ring_steps(int first, std::uint64_t tag, const At& at, T* inc
   }
 }
 
-template <typename T>
-void Communicator::broadcast(T* data, tensor::index_t n, int root) {
-  const Entry e = tree_entry<T>("broadcast", CallKind::kBroadcast, n, root, stats_->broadcast);
-  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
-    // MPICH-style binomial tree rooted at `root`; large payloads stream down
-    // the tree in chunks (the plan's pipelined schedule).
-    tree_broadcast_steps(tree_topo(root), chunk_layout(n, e.chunks), collective_tag(seq, 0),
-                         data);
+template <bool kAsync, typename T>
+std::conditional_t<kAsync, Request, void> Communicator::tree_broadcast(T* data, tensor::index_t n,
+                                                                       int root) {
+  const Entry e = tree_entry<T>(kAsync ? "ibroadcast" : "broadcast", CallKind::kBroadcast, n,
+                                root, stats_->broadcast);
+  return collective(e, [&](std::uint64_t seq, const CollectiveTiming& ct) {
+    const TreeTopo topo = tree_topo(root);
+    const std::uint64_t tag = collective_tag(seq, 0);
+    if (topo.parent >= 0) recv_internal(topo.parent, tag, data, n);
+    for (int child : topo.children) send_internal(child, tag, data, n);
+    if constexpr (kAsync) return Request(this, "ibroadcast.wait", ct.completion(), e.bytes);
   });
 }
 
-template <typename T>
-void Communicator::reduce(T* data, tensor::index_t n, int root, T* scratch) {
-  const Entry e = tree_entry<T>("reduce", CallKind::kReduce, n, root, stats_->reduce);
-  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
+template <bool kAsync, typename T>
+std::conditional_t<kAsync, Request, void> Communicator::tree_reduce(T* data, tensor::index_t n,
+                                                                    int root, T* scratch) {
+  const Entry e =
+      tree_entry<T>(kAsync ? "ireduce" : "reduce", CallKind::kReduce, n, root, stats_->reduce);
+  return collective(e, [&](std::uint64_t seq, const CollectiveTiming& ct) {
     const TreeTopo topo = tree_topo(root);
+    const std::uint64_t tag = collective_tag(seq, 1);
     std::vector<T> owned;
     if (scratch == nullptr && !topo.children.empty()) {
       owned.resize(static_cast<std::size_t>(n));
       scratch = owned.data();
     }
-    tree_reduce_steps(topo, chunk_layout(n, e.chunks), collective_tag(seq, 1), data, scratch);
+    for (auto it = topo.children.rbegin(); it != topo.children.rend(); ++it) {
+      recv_internal(*it, tag, scratch, n);
+      for (tensor::index_t i = 0; i < n; ++i) data[i] += scratch[i];
+    }
+    if (topo.parent >= 0) send_internal(topo.parent, tag, data, n);
+    if constexpr (kAsync) return Request(this, "ireduce.wait", ct.completion(), e.bytes);
   });
+}
+
+template <typename T>
+void Communicator::broadcast(T* data, tensor::index_t n, int root) {
+  tree_broadcast<false>(data, n, root);
+}
+
+template <typename T>
+void Communicator::reduce(T* data, tensor::index_t n, int root, T* scratch) {
+  tree_reduce<false>(data, n, root, scratch);
 }
 
 template <typename T>
 Request Communicator::ibroadcast(T* data, tensor::index_t n, int root) {
-  const Entry e = tree_entry<T>("ibroadcast", CallKind::kBroadcast, n, root, stats_->broadcast);
-  return collective(e, [&](std::uint64_t seq, const CollectiveTiming& ct) {
-    auto st = tree_request("ibroadcast.wait", ct, e.bytes, n, e.chunks, root,
-                           collective_tag(seq, 0), data);
-    if (st->topo.parent < 0) {
-      // Root: the payload is ready now; push every chunk eagerly (fabric
-      // sends are buffered and never block), leaving nothing deferred.
-      tree_broadcast_steps(st->topo, st->chunks, st->tag, data);
-    } else {
-      st->finish = &finish_broadcast<T>;
-    }
-    return Request(std::move(st));
-  });
+  return tree_broadcast<true>(data, n, root);
 }
 
 template <typename T>
 Request Communicator::ireduce(T* data, tensor::index_t n, int root, T* scratch) {
-  const Entry e = tree_entry<T>("ireduce", CallKind::kReduce, n, root, stats_->reduce);
-  return collective(e, [&](std::uint64_t seq, const CollectiveTiming& ct) {
-    auto st = tree_request("ireduce.wait", ct, e.bytes, n, e.chunks, root,
-                           collective_tag(seq, 1), data);
-    if (st->topo.children.empty()) {
-      // Leaf: the local partial is final at issue; push every chunk now.
-      tree_reduce_steps<T>(st->topo, st->chunks, st->tag, data, nullptr);
-    } else {
-      // Interior/root: children's partials arrive at wait time, each chunk's
-      // into the same scratch (finish() consumes them strictly in order).
-      if (scratch == nullptr) {
-        st->owned_scratch.reset(new std::byte[static_cast<std::size_t>(n) * sizeof(T)]);
-        scratch = reinterpret_cast<T*>(st->owned_scratch.get());
-      }
-      st->scratch = scratch;
-      st->finish = &finish_reduce<T>;
-    }
-    return Request(std::move(st));
-  });
+  return tree_reduce<true>(data, n, root, scratch);
 }
 
 template <typename T>

@@ -135,19 +135,6 @@ obs::Json metrics_json(const Cluster::Report& report, const MetricsReportOptions
   return doc;
 }
 
-obs::Json metrics_json(const Cluster::Report& report, bool include_spans) {
-  MetricsReportOptions options;
-  options.include_spans = include_spans;
-  return metrics_json(report, options);
-}
-
-void write_metrics(const std::string& path, const Cluster::Report& report,
-                   bool include_spans) {
-  MetricsReportOptions options;
-  options.include_spans = include_spans;
-  write_metrics(path, report, options);
-}
-
 void write_metrics(const std::string& path, const Cluster::Report& report,
                    const MetricsReportOptions& options) {
   std::ofstream out(path);

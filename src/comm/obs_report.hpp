@@ -17,12 +17,12 @@
 //               aggregate_submit_wait_ms, avg_region_wait_ms,
 //               barrier_crossings, parks, workers_spawned },
 //
-// aggregate_submit_wait_ms sums submitter wait across *concurrent* device
-// threads, so with p simulated devices it can exceed wall time by up to p×;
-// avg_region_wait_ms (aggregate / regions) is the wall-comparable figure. The
-// per-rank "utilization" fractions have no such caveat: they partition one
-// rank's simulated timeline (compute + align_wait + transfer + idle ≈
-// sim_time_s), so each fraction is ≤ 1.
+// aggregate_submit_wait_ms sums the submitter's wait over every region. The
+// simulated devices run as fibers on one runner thread, so only that thread
+// submits regions and the sum stays within wall time; avg_region_wait_ms
+// (aggregate / regions) is the per-call figure. The per-rank "utilization"
+// fractions partition one rank's simulated timeline (compute + align_wait +
+// transfer + idle ≈ sim_time_s), so each fraction is ≤ 1.
 //     "spans": { "cat/name": {count, sim_total_s, sim_max_s, wall_total_ms} },
 //     "metrics": { "name": {type, value | count/min/max/p50/p99/p999/buckets} }
 //   }
@@ -49,17 +49,10 @@ struct MetricsReportOptions {
 };
 
 /// Builds the metrics document for `report`.
-obs::Json metrics_json(const Cluster::Report& report, const MetricsReportOptions& options);
-
-/// Back-compat convenience: all sections, spans gated by `include_spans`.
-obs::Json metrics_json(const Cluster::Report& report, bool include_spans = true);
+obs::Json metrics_json(const Cluster::Report& report, const MetricsReportOptions& options = {});
 
 /// Serialises metrics_json() to `path` (pretty-printed).
 void write_metrics(const std::string& path, const Cluster::Report& report,
-                   bool include_spans = true);
-
-/// Serialises with explicit section toggles.
-void write_metrics(const std::string& path, const Cluster::Report& report,
-                   const MetricsReportOptions& options);
+                   const MetricsReportOptions& options = {});
 
 }  // namespace optimus::comm

@@ -71,13 +71,12 @@ int effective_threads();
 /// futex/condvar sleep (both measure how well spin-then-park is working).
 ///
 /// `submit_wait_ns` is wall time submitters spent blocked at the end of a
-/// region waiting for workers to finish their last chunks. It is an
-/// *aggregate across concurrent submitters*: with several host threads
-/// driving the pool at once their waits overlap in wall time, so the sum can
-/// legitimately exceed the wall time of the enclosing run. Consumers report
-/// it as `aggregate_submit_wait_ms`, alongside the per-region average
-/// (`avg_region_wait_ms` = aggregate / regions), which is the interpretable
-/// per-call figure.
+/// region waiting for workers to finish their last chunks, summed over every
+/// region. The simulated devices run as fibers on one runner thread, so that
+/// thread is the only submitter and the sum stays within the wall time of the
+/// enclosing run. Consumers report it as `aggregate_submit_wait_ms`,
+/// alongside the per-region average (`avg_region_wait_ms` = aggregate /
+/// regions), which is the per-call figure.
 struct PoolStats {
   std::uint64_t regions = 0;
   std::uint64_t inline_regions = 0;

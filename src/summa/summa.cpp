@@ -130,7 +130,7 @@ void k_step_args(obs::Span& span, int l, int lookahead) {
 
 /// Tree-reduces the per-depth C partials to depth layer 0, applies the
 /// accumulate semantics there, and broadcasts the finished block back down the
-/// depth group so every replica ends bitwise identical. Reuses the chunked
+/// depth group so every replica ends bitwise identical. Reuses the
 /// non-blocking collectives. Issue + immediate wait leaves the clock where
 /// the blocking forms would, but charges the whole transfer to align_wait
 /// rather than transfer (the d = 2 rows of SummaReduceForms pin this).

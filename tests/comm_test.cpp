@@ -355,6 +355,25 @@ TEST(Collectives, UserPointToPointAdvancesClock) {
   EXPECT_EQ(report.ranks[0].stats.p2p_bytes, sizeof(double));
 }
 
+TEST(Collectives, UserTagsOfTwoCommunicatorsStayApart) {
+  // Same members, same user tag, two communicators: each receive must match
+  // the send made on its own communicator, whatever the arrival order.
+  oc::run_cluster(2, [](oc::Context& ctx) {
+    auto twin = ctx.world.split(0, ctx.rank);
+    if (ctx.rank == 0) {
+      const double on_world = 1.0, on_twin = 2.0;
+      ctx.world.send(1, 5, &on_world, 1);
+      twin.send(1, 5, &on_twin, 1);
+    } else {
+      double y = 0;
+      twin.recv(0, 5, &y, 1);
+      ASSERT_EQ(y, 2.0);
+      ctx.world.recv(0, 5, &y, 1);
+      ASSERT_EQ(y, 1.0);
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Async collectives (ibroadcast / ireduce) and the overlap clock model
 // ---------------------------------------------------------------------------
@@ -491,6 +510,50 @@ TEST(AsyncCollectives, ChunkedReduceMatchesUnchunkedBitwise) {
   }
   ASSERT_EQ(results[0].size(), n);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(results[0][i], results[1][i]);
+}
+
+TEST(AsyncCollectives, TreeBytesMoveAtIssueAndWaitOnlyMovesTheClock) {
+  // 256 KiB over an inter-node tree of depth ≥ 2 is priced as a chunked
+  // pipeline. The payload still moves inside the call: every member holds
+  // the root's broadcast, and the root the reduced sum, as soon as
+  // ibroadcast/ireduce return. The clock reaches the modelled completion
+  // only at wait().
+  const std::size_t n = 32768;  // doubles → 256 KiB
+  const auto len = static_cast<optimus::tensor::index_t>(n);
+  for (int p : {4, 8}) {
+    oc::Topology topo(p, /*gpus_per_node=*/1, oc::Arrangement::kNaive);
+    const oc::MachineParams mp;
+    std::vector<int> group(static_cast<std::size_t>(p));
+    std::iota(group.begin(), group.end(), 0);
+    const auto plan = oc::CostModel(topo, mp).tree_plan(group, n * sizeof(double));
+    ASSERT_GT(plan.chunks, 1);
+
+    oc::Cluster cluster(p, topo, mp);
+    cluster.run([&](oc::Context& ctx) {
+      std::vector<double> data(n, 0.0);
+      if (ctx.rank == 0) {
+        optimus::util::Rng rng(41);
+        for (auto& v : data) v = rng.uniform(-1, 1);
+      }
+      oc::Request bc = ctx.world.ibroadcast(data.data(), len, 0);
+      optimus::util::Rng rng(41);
+      for (const double v : data) ASSERT_EQ(v, rng.uniform(-1, 1));
+      EXPECT_EQ(ctx.clock.now(), 0.0);
+      bc.wait();
+      EXPECT_DOUBLE_EQ(ctx.clock.now(), plan.time);
+
+      // Small integers: the sum is exact whatever the fold order.
+      for (std::size_t i = 0; i < n; ++i) data[i] = (ctx.rank + 1) * static_cast<double>(i % 7);
+      oc::Request red = ctx.world.ireduce(data.data(), len, 0);
+      if (ctx.rank == 0) {
+        const double ranks_sum = p * (p + 1) / 2.0;
+        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(data[i], ranks_sum * (i % 7));
+      }
+      EXPECT_DOUBLE_EQ(ctx.clock.now(), plan.time);
+      red.wait();
+      EXPECT_DOUBLE_EQ(ctx.clock.now(), 2 * plan.time);
+    });
+  }
 }
 
 TEST(Cluster, BodyExceptionPropagates) {
