@@ -1,9 +1,10 @@
 // GFLOP/s microbenchmark for the dense kernel layer (DESIGN.md §3).
 //
 // Compares GEMM paths on identical problems:
-//   * naive        — the seed's blocked scalar loop (ops::gemm_naive_raw),
-//                    built with the portable project flags; this is the
-//                    baseline every optimisation is measured against.
+//   * naive        — the seed's blocked scalar loop (naive_gemm below, the
+//                    only copy left in the tree), built with the portable
+//                    project flags; this is the baseline every optimisation
+//                    is measured against.
 //   * packed       — kernel::gemm_packed, the cache-blocked panel-packing
 //                    microkernel on one thread.
 //   * threadN      — kernel::gemm with the thread budget forced to N. Since
@@ -27,6 +28,7 @@
 // submitters — can exceed wall time) plus the per-region average
 // `pool_avg_region_wait_ms`.
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -35,7 +37,6 @@
 #include "bench_common.hpp"
 #include "kernel/gemm.hpp"
 #include "kernel/thread_pool.hpp"
-#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/cli.hpp"
@@ -43,7 +44,6 @@
 namespace {
 
 namespace ok = optimus::kernel;
-namespace ops = optimus::tensor::ops;
 using optimus::bench::JsonWriter;
 using index_t = ok::index_t;
 
@@ -53,6 +53,34 @@ std::vector<T> random_buffer(index_t n, std::uint64_t seed) {
   std::vector<T> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<T>(rng.uniform(-1, 1));
   return v;
+}
+
+// The seed's GEMM, kept only as this table's baseline: C = A·B (row-major,
+// no transposes) as a blocked i-k-j loop whose innermost loop streams rows of
+// B, so the compiler can vectorise it without packing.
+template <typename T>
+void naive_gemm(T* C, const T* A, const T* B, index_t m, index_t n, index_t k) {
+  constexpr index_t kBlockM = 32;
+  constexpr index_t kBlockN = 64;
+  constexpr index_t kBlockK = 64;
+  std::fill(C, C + m * n, T{0});
+  for (index_t i0 = 0; i0 < m; i0 += kBlockM) {
+    const index_t i1 = std::min(i0 + kBlockM, m);
+    for (index_t k0 = 0; k0 < k; k0 += kBlockK) {
+      const index_t k1 = std::min(k0 + kBlockK, k);
+      for (index_t j0 = 0; j0 < n; j0 += kBlockN) {
+        const index_t j1 = std::min(j0 + kBlockN, n);
+        for (index_t i = i0; i < i1; ++i) {
+          T* c_row = C + i * n;
+          for (index_t kk = k0; kk < k1; ++kk) {
+            const T a = A[i * k + kk];
+            const T* b_row = B + kk * n;
+            for (index_t j = j0; j < j1; ++j) c_row[j] += a * b_row[j];
+          }
+        }
+      }
+    }
+  }
 }
 
 // Times `fn` adaptively: one warm-up/calibration rep, then enough reps to
@@ -120,8 +148,7 @@ void run_gemm_suite(const char* dtype, const std::vector<Problem<T>>& problems,
     const Recorder record{json, p.tag, 2.0 * static_cast<double>(m) * n * k};
 
     record(std::string("gemm_naive_") + dtype, [&] {
-      ops::gemm_naive_raw(C.data(), A.data(), B.data(), m, n, k, k, n, n,
-                          ops::Trans::No, ops::Trans::No, T{1}, T{0});
+      naive_gemm(C.data(), A.data(), B.data(), m, n, k);
     });
     record(std::string("gemm_packed_") + dtype, [&] {
       ok::gemm_packed(C.data(), A.data(), B.data(), m, n, k, k, n, n,

@@ -105,7 +105,10 @@ void pack_b(const T* B, index_t ldb, Trans tb, index_t k0, index_t j0, index_t k
   }
 }
 
-// The register-tiled core: acc[MR][NR] += sum_l Ap[l][·] ⊗ Bp[l][·].
+// The register-tiled core on one MR×NR tile of C (row stride ldc): the
+// accumulators start from beta·C (zeros when beta == 0, never scaled —
+// NaN/Inf in C must not survive), then take one multiply-add
+// acc[i][j] += Ap[l][i]·Bp[l][j] per l in order, and are stored back.
 //
 // Written with GNU vector extensions (GCC/Clang): one NR-wide accumulator row
 // is exactly 64 bytes for both element types, so each row is a single vector
@@ -119,8 +122,8 @@ void pack_b(const T* B, index_t ldb, Trans tb, index_t k0, index_t j0, index_t k
 #endif
 
 #ifdef OPTIMUS_KERNEL_VECTOR_EXT
-// aligned(alignof(T)): the packed buffers are only element-aligned; may_alias
-// because these lvalues access plain T arrays.
+// aligned(alignof(T)): the packed buffers and C rows are only
+// element-aligned; may_alias because these lvalues access plain T arrays.
 typedef float vec_f32 __attribute__((vector_size(64), aligned(4), may_alias));
 typedef double vec_f64 __attribute__((vector_size(64), aligned(8), may_alias));
 template <typename T>
@@ -136,27 +139,38 @@ struct VecOf<double> {
 
 template <typename T>
 inline void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict Bp,
-                         T* __restrict acc) {
+                         T* __restrict c, index_t ldc, T beta) {
   constexpr index_t MR = Tile<T>::MR;
   constexpr index_t NR = Tile<T>::NR;
   using vec = typename VecOf<T>::type;
   static_assert(sizeof(vec) == NR * sizeof(T));
   vec vacc[MR];
-  for (index_t i = 0; i < MR; ++i) vacc[i] = vec{};
+  for (index_t i = 0; i < MR; ++i) {
+    vacc[i] = beta == T{0} ? vec{} : *reinterpret_cast<const vec*>(c + i * ldc);
+  }
+  if (beta != T{0} && beta != T{1}) {
+    for (index_t i = 0; i < MR; ++i) vacc[i] *= beta;
+  }
   for (index_t l = 0; l < kc; ++l) {
     const vec b = *reinterpret_cast<const vec*>(Bp + l * NR);
     const T* a = Ap + l * MR;
     for (index_t i = 0; i < MR; ++i) vacc[i] += a[i] * b;
   }
-  for (index_t i = 0; i < MR; ++i) *reinterpret_cast<vec*>(acc + i * NR) = vacc[i];
+  for (index_t i = 0; i < MR; ++i) *reinterpret_cast<vec*>(c + i * ldc) = vacc[i];
 }
 #else
 template <typename T>
 inline void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict Bp,
-                         T* __restrict acc) {
+                         T* __restrict c, index_t ldc, T beta) {
   constexpr index_t MR = Tile<T>::MR;
   constexpr index_t NR = Tile<T>::NR;
-  for (index_t i = 0; i < MR * NR; ++i) acc[i] = T{0};
+  T acc[MR * NR];
+  for (index_t i = 0; i < MR; ++i) {
+    for (index_t j = 0; j < NR; ++j) {
+      acc[i * NR + j] = beta == T{0} ? T{0} : c[i * ldc + j];
+      if (beta != T{0} && beta != T{1}) acc[i * NR + j] *= beta;
+    }
+  }
   for (index_t l = 0; l < kc; ++l) {
     const T* a = Ap + l * MR;
     const T* b = Bp + l * NR;
@@ -165,27 +179,26 @@ inline void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict
       for (index_t j = 0; j < NR; ++j) acc[i * NR + j] += ai * b[j];
     }
   }
+  for (index_t i = 0; i < MR; ++i) {
+    for (index_t j = 0; j < NR; ++j) c[i * ldc + j] = acc[i * NR + j];
+  }
 }
 #endif
 
-// Writes an mr×nr corner of the accumulator tile back into C. The first K
-// panel applies beta (beta == 0 stores, never scales — NaN/Inf in C must not
-// survive); later panels accumulate.
+// An edge tile (mr < MR or nr < NR) runs the same microkernel on a
+// zero-padded copy of its mr×nr corner of C, so edge elements round exactly
+// like interior ones.
 template <typename T>
-void write_tile(T* C, index_t ldc, const T* acc, index_t mr, index_t nr, T beta,
-                bool first_panel) {
+void edge_tile(index_t kc, const T* Ap, const T* Bp, T* C, index_t ldc, index_t mr, index_t nr,
+               T beta) {
+  constexpr index_t MR = Tile<T>::MR;
   constexpr index_t NR = Tile<T>::NR;
-  for (index_t i = 0; i < mr; ++i) {
-    T* c = C + i * ldc;
-    const T* a = acc + i * NR;
-    if (!first_panel || beta == T{1}) {
-      for (index_t j = 0; j < nr; ++j) c[j] += a[j];
-    } else if (beta == T{0}) {
-      for (index_t j = 0; j < nr; ++j) c[j] = a[j];
-    } else {
-      for (index_t j = 0; j < nr; ++j) c[j] = beta * c[j] + a[j];
-    }
+  alignas(64) T acc[MR * NR] = {};
+  if (beta != T{0}) {
+    for (index_t i = 0; i < mr; ++i) std::copy_n(C + i * ldc, nr, acc + i * NR);
   }
+  micro_kernel<T>(kc, Ap, Bp, acc, NR, beta);
+  for (index_t i = 0; i < mr; ++i) std::copy_n(acc + i * NR, nr, C + i * ldc);
 }
 
 // C = beta·C (beta == 0 stores zeros) — the k == 0 / alpha == 0 degenerate.
@@ -312,13 +325,15 @@ struct CoopCtx {
 //      KC×NR strip of B each. Claimed dynamically from the stage counter.
 //   2. barrier — publishes the shared panels.
 //   3. tile stage — units of one MC×NR block of C (an MC sweep over one B
-//      strip), claimed dynamically; each unit runs the fixed serial
-//      microkernel loop, and applies the fused epilogue after the final K
-//      panel while the block is register/L1-hot.
+//      strip), claimed dynamically; each unit runs the microkernel over its
+//      C tiles, and applies the fused epilogue after the final K panel while
+//      the block is register/L1-hot.
 //   4. barrier — the next stage may repack the shared buffers.
 //
-// Every C element is produced by exactly one claimed unit and the K order is
-// the serial one, so the result is bitwise identical for any thread count.
+// Every C element is produced by exactly one claimed unit as one running
+// fold — beta·C, then one multiply-add per k in ascending order — so its
+// value depends on neither the thread count nor m, n or the blocking
+// constants.
 template <typename T>
 void coop_body(Region& r, const CoopCtx<T>& cx) {
   constexpr index_t MR = Tile<T>::MR;
@@ -371,11 +386,14 @@ void coop_body(Region& r, const CoopCtx<T>& cx) {
           for (index_t ir = 0; ir < mc; ir += MR) {
             const index_t mr = std::min(MR, mc - ir);
             const T* ap = ablock + (ir / MR) * kc * MR;
-            // micro_kernel fully writes acc (it owns the zero-init).
-            alignas(64) T acc[Tile<T>::MR * Tile<T>::NR];
-            micro_kernel<T>(kc, ap, bp, acc);
             T* ct = cx.C + (ic + ir) * cx.ldc + jc + jr;
-            write_tile(ct, cx.ldc, acc, mr, nr, cx.beta, first_panel);
+            // Later K panels continue C's running value.
+            const T beta = first_panel ? cx.beta : T{1};
+            if (mr == MR && nr == NR) {
+              micro_kernel<T>(kc, ap, bp, ct, cx.ldc, beta);
+            } else {
+              edge_tile<T>(kc, ap, bp, ct, cx.ldc, mr, nr, beta);
+            }
             if (last_panel) apply_epilogue_block(cx.ep, ct, cx.ldc, ic + ir, jc + jr, mr, nr);
           }
         }
@@ -396,6 +414,7 @@ void gemm_ex_impl(T* C, const T* A, const T* B, index_t m, index_t n, index_t k,
                   index_t ldb, index_t ldc, Trans ta, Trans tb, T alpha, T beta,
                   const EpilogueArgs<T>& ep, int threads) {
   constexpr index_t MR = Tile<T>::MR;
+  constexpr index_t NR = Tile<T>::NR;
   if (m <= 0 || n <= 0) return;
   if (k <= 0 || alpha == T{0}) {
     scale_c(C, ldc, m, n, beta);
@@ -408,11 +427,19 @@ void gemm_ex_impl(T* C, const T* A, const T* B, index_t m, index_t n, index_t k,
   const index_t n_mo = (m + kMOuter - 1) / kMOuter;
   const index_t n_stages = n_jc * n_pc * n_mo;
 
+  // Workspace sized to this problem and only ever grown: growing a vector
+  // zero-fills the new tail, which a shrink-then-grow would pay again on
+  // every small GEMM that follows a large one.
+  const auto grow = [](std::vector<T>& buf, index_t size) {
+    if (buf.size() < static_cast<std::size_t>(size)) buf.resize(static_cast<std::size_t>(size));
+  };
+  const index_t kc_max = std::min(k, kKC);
   const index_t a_rows = ((std::min(m, kMOuter) + MR - 1) / MR) * MR;
+  const index_t b_cols = ((std::min(n, kNC) + NR - 1) / NR) * NR;
   std::vector<T>& abuf = pack_buffer_a<T>();
   std::vector<T>& bbuf = pack_buffer_b<T>();
-  abuf.resize(static_cast<std::size_t>(a_rows * kKC));
-  bbuf.resize(static_cast<std::size_t>(kKC * kNC));
+  grow(abuf, a_rows * kc_max);
+  grow(bbuf, kc_max * b_cols);
 
   CoopCtx<T> cx{C,  A,  B,     m,     n,  k,           lda,         ldb, ldc, ta, tb,
                 alpha, beta, ep, abuf.data(), bbuf.data(), claim_cells().get(2 * n_stages)};

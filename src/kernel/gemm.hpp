@@ -13,10 +13,15 @@
 // packed B strips are produced once into shared buffers (packing itself is
 // claimed in parallel), a barrier publishes them, and then workers claim
 // MC×NR tile blocks of C dynamically from an atomic counter. Tile ownership
-// is dynamic but every output element is produced by exactly one claim with
-// the serial loop structure inside, and the K accumulation order is fixed by
-// the blocking constants — results are bitwise identical to the serial
-// packed path for every thread count.
+// is dynamic but every output element is produced by exactly one claim.
+//
+// Rounding contract: each output element is one fold in k-order. The
+// accumulator tile starts from beta·C (zeros when beta == 0) and adds
+// (alpha·op(A)(i,k))·op(B)(k,j) for k = 0, 1, …, K−1, one multiply-add
+// each; between K panels the running value lives in C. Its value therefore
+// depends on neither m, n, the blocking constants nor the thread count: row
+// i of an m×n product equals the 1×n product of row i, and splitting K into
+// beta = 1 calls equals one call, bit for bit.
 //
 // Semantics: C = alpha·op(A)·op(B) + beta·C on row-major buffers with row
 // strides lda/ldb/ldc (of the *stored* matrices, pre-transpose). beta == 0

@@ -13,22 +13,24 @@ namespace optimus::tensor::ops {
 
 namespace {
 
-// Blocked micro-kernel sizes for the naive reference path. The production
-// path lives in src/kernel/ (packed panels + register tiling + intra-op
-// threading); this blocked loop is kept as the bench baseline and the
-// correctness oracle for the kernel tests.
-constexpr index_t kBlockM = 32;
-constexpr index_t kBlockN = 64;
-constexpr index_t kBlockK = 64;
+kernel::Trans to_kernel(Trans t) {
+  return t == Trans::No ? kernel::Trans::No : kernel::Trans::Yes;
+}
 
-// Below this many multiplications the kernel layer's packing overhead is not
-// worth it; the naive blocked loop wins. Shape-only rule, so dispatch is
-// deterministic.
-constexpr index_t kKernelDispatchCutoff = 16 * 16 * 16;
-
+// Every product in this file lands here: charge m·n·k mults to the current
+// DeviceContext, then run the kernel layer's packed GEMM, plain or with a
+// fused epilogue.
 template <typename T>
-inline T element(const T* M, index_t ld, Trans trans, index_t r, index_t c) {
-  return trans == Trans::No ? M[r * ld + c] : M[c * ld + r];
+void gemm_charged(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t lda,
+                  index_t ldb, index_t ldc, Trans trans_a, Trans trans_b, T alpha, T beta,
+                  const kernel::EpilogueArgs<T>& ep) {
+  // Span opens before the mult charge, so its simulated duration is exactly
+  // compute_time(m·n·k) via the tracer's pending-mults clock extension.
+  obs::Span span("kernel", "gemm");
+  if (span.armed()) span.arg("m", m).arg("n", n).arg("k", k);
+  DeviceContext::current().on_mults(static_cast<std::uint64_t>(m) * n * k);
+  kernel::gemm_ex(C, A, B, m, n, k, lda, ldb, ldc, to_kernel(trans_a), to_kernel(trans_b), alpha,
+                  beta, ep);
 }
 
 }  // namespace
@@ -36,98 +38,8 @@ inline T element(const T* M, index_t ld, Trans trans, index_t r, index_t c) {
 template <typename T>
 void gemm_raw(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t lda,
               index_t ldb, index_t ldc, Trans trans_a, Trans trans_b, T alpha, T beta) {
-  // Span opens before the mult charge, so its simulated duration is exactly
-  // compute_time(m·n·k) via the tracer's pending-mults clock extension.
-  obs::Span span("kernel", "gemm");
-  if (span.armed()) span.arg("m", m).arg("n", n).arg("k", k);
-  DeviceContext::current().on_mults(static_cast<std::uint64_t>(m) * n * k);
-  if (m * n * k >= kKernelDispatchCutoff) {
-    kernel::gemm(C, A, B, m, n, k, lda, ldb, ldc,
-                 trans_a == Trans::No ? kernel::Trans::No : kernel::Trans::Yes,
-                 trans_b == Trans::No ? kernel::Trans::No : kernel::Trans::Yes, alpha, beta);
-    return;
-  }
-  gemm_naive_raw(C, A, B, m, n, k, lda, ldb, ldc, trans_a, trans_b, alpha, beta);
-}
-
-template <typename T>
-void gemm_naive_raw(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t lda,
-                    index_t ldb, index_t ldc, Trans trans_a, Trans trans_b, T alpha, T beta) {
-  // Apply beta first so the accumulation loops can always +=. beta == 0
-  // stores (never scales): C may legitimately hold NaN/Inf garbage, e.g. an
-  // uninitialised Arena slab handed out by summa::make_temp.
-  for (index_t i = 0; i < m; ++i) {
-    T* c_row = C + i * ldc;
-    if (beta == T{0}) {
-      std::fill(c_row, c_row + n, T{0});
-    } else if (beta != T{1}) {
-      for (index_t j = 0; j < n; ++j) c_row[j] *= beta;
-    }
-  }
-
-  if (trans_a == Trans::No && trans_b == Trans::No) {
-    // Blocked i-k-j with the innermost loop streaming rows of B: cache friendly
-    // and auto-vectorisable.
-    for (index_t i0 = 0; i0 < m; i0 += kBlockM) {
-      const index_t i1 = std::min(i0 + kBlockM, m);
-      for (index_t k0 = 0; k0 < k; k0 += kBlockK) {
-        const index_t k1 = std::min(k0 + kBlockK, k);
-        for (index_t j0 = 0; j0 < n; j0 += kBlockN) {
-          const index_t j1 = std::min(j0 + kBlockN, n);
-          for (index_t i = i0; i < i1; ++i) {
-            T* c_row = C + i * ldc;
-            for (index_t kk = k0; kk < k1; ++kk) {
-              const T a = alpha * A[i * lda + kk];
-              const T* b_row = B + kk * ldb;
-              for (index_t j = j0; j < j1; ++j) c_row[j] += a * b_row[j];
-            }
-          }
-        }
-      }
-    }
-    return;
-  }
-
-  if (trans_a == Trans::No && trans_b == Trans::Yes) {
-    // C[i,j] += alpha * dot(A[i,:], B[j,:]) — both operands row-streamed.
-    for (index_t i = 0; i < m; ++i) {
-      const T* a_row = A + i * lda;
-      T* c_row = C + i * ldc;
-      for (index_t j = 0; j < n; ++j) {
-        const T* b_row = B + j * ldb;
-        T acc{0};
-        for (index_t kk = 0; kk < k; ++kk) acc += a_row[kk] * b_row[kk];
-        c_row[j] += alpha * acc;
-      }
-    }
-    return;
-  }
-
-  if (trans_a == Trans::Yes && trans_b == Trans::No) {
-    // C[i,j] += alpha * sum_k A[k,i] * B[k,j] — k-outer keeps both row-major.
-    for (index_t kk = 0; kk < k; ++kk) {
-      const T* a_row = A + kk * lda;
-      const T* b_row = B + kk * ldb;
-      for (index_t i = 0; i < m; ++i) {
-        const T a = alpha * a_row[i];
-        T* c_row = C + i * ldc;
-        for (index_t j = 0; j < n; ++j) c_row[j] += a * b_row[j];
-      }
-    }
-    return;
-  }
-
-  // Trans::Yes / Trans::Yes — rare; simple triple loop.
-  for (index_t i = 0; i < m; ++i) {
-    T* c_row = C + i * ldc;
-    for (index_t j = 0; j < n; ++j) {
-      T acc{0};
-      for (index_t kk = 0; kk < k; ++kk) {
-        acc += element(A, lda, Trans::Yes, i, kk) * element(B, ldb, Trans::Yes, kk, j);
-      }
-      c_row[j] += alpha * acc;
-    }
-  }
+  gemm_charged(C, A, B, m, n, k, lda, ldb, ldc, trans_a, trans_b, alpha, beta,
+               kernel::EpilogueArgs<T>{});
 }
 
 template <typename T>
@@ -170,59 +82,6 @@ TensorT<T> matmul(const TensorT<T>& A, const TensorT<T>& B, Trans trans_a, Trans
 
 namespace {
 
-// The unfused reference tail, used on the naive (below-cutoff) path so fused
-// wrappers stay bitwise identical to the kernel's in-tile epilogue there too.
-template <typename T>
-void epilogue_reference(const kernel::EpilogueArgs<T>& ep, T* C, index_t ldc, index_t m,
-                        index_t n) {
-  switch (ep.op) {
-    case kernel::Epilogue::None:
-      return;
-    case kernel::Epilogue::BiasAdd:
-      for (index_t i = 0; i < m; ++i) {
-        T* c = C + i * ldc;
-        for (index_t j = 0; j < n; ++j) c[j] += ep.bias[j];
-      }
-      return;
-    case kernel::Epilogue::BiasGelu:
-      for (index_t i = 0; i < m; ++i) {
-        T* c = C + i * ldc;
-        T* pre = ep.pre + i * ep.ldp;
-        for (index_t j = 0; j < n; ++j) {
-          const T v = c[j] + ep.bias[j];
-          pre[j] = v;
-          c[j] = kernel::gelu_scalar(v);
-        }
-      }
-      return;
-    case kernel::Epilogue::ResidualAdd:
-      for (index_t i = 0; i < m; ++i) {
-        T* c = C + i * ldc;
-        const T* res = ep.residual + i * ep.ldr;
-        for (index_t j = 0; j < n; ++j) c[j] = (c[j] + ep.bias[j]) + res[j];
-      }
-      return;
-  }
-}
-
-template <typename T>
-void gemm_fused_raw(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t lda,
-                    index_t ldb, index_t ldc, Trans trans_a, Trans trans_b,
-                    const kernel::EpilogueArgs<T>& ep) {
-  obs::Span span("kernel", "gemm");
-  if (span.armed()) span.arg("m", m).arg("n", n).arg("k", k);
-  DeviceContext::current().on_mults(static_cast<std::uint64_t>(m) * n * k);
-  if (m * n * k >= kKernelDispatchCutoff) {
-    kernel::gemm_ex(C, A, B, m, n, k, lda, ldb, ldc,
-                    trans_a == Trans::No ? kernel::Trans::No : kernel::Trans::Yes,
-                    trans_b == Trans::No ? kernel::Trans::No : kernel::Trans::Yes, T{1}, T{0},
-                    ep);
-    return;
-  }
-  gemm_naive_raw(C, A, B, m, n, k, lda, ldb, ldc, trans_a, trans_b, T{1}, T{0});
-  epilogue_reference(ep, C, ldc, m, n);
-}
-
 // Shape resolution shared by the fused wrappers (mirrors gemm's checks).
 template <typename T>
 void resolve_gemm_shapes(const TensorT<T>& C, const TensorT<T>& A, const TensorT<T>& B,
@@ -252,8 +111,8 @@ void gemm_bias(TensorT<T>& C, const TensorT<T>& A, const TensorT<T>& B, const Te
   kernel::EpilogueArgs<T> ep;
   ep.op = kernel::Epilogue::BiasAdd;
   ep.bias = bias.data();
-  gemm_fused_raw(C.data(), A.data(), B.data(), m, n, k, A.size(1), B.size(1), C.size(1),
-                 trans_a, trans_b, ep);
+  gemm_charged(C.data(), A.data(), B.data(), m, n, k, A.size(1), B.size(1), C.size(1), trans_a,
+               trans_b, T{1}, T{0}, ep);
 }
 
 template <typename T>
@@ -268,8 +127,8 @@ void gemm_bias_gelu(TensorT<T>& gelu_out, TensorT<T>& pre, const TensorT<T>& A,
   ep.bias = bias.data();
   ep.pre = pre.data();
   ep.ldp = n;
-  gemm_fused_raw(gelu_out.data(), A.data(), B.data(), m, n, k, A.size(1), B.size(1),
-                 gelu_out.size(1), trans_a, trans_b, ep);
+  gemm_charged(gelu_out.data(), A.data(), B.data(), m, n, k, A.size(1), B.size(1),
+               gelu_out.size(1), trans_a, trans_b, T{1}, T{0}, ep);
 }
 
 template <typename T>
@@ -285,8 +144,8 @@ void gemm_bias_residual(TensorT<T>& C, const TensorT<T>& A, const TensorT<T>& B,
   ep.bias = bias.data();
   ep.residual = residual.data();
   ep.ldr = n;
-  gemm_fused_raw(C.data(), A.data(), B.data(), m, n, k, A.size(1), B.size(1), C.size(1),
-                 trans_a, trans_b, ep);
+  gemm_charged(C.data(), A.data(), B.data(), m, n, k, A.size(1), B.size(1), C.size(1), trans_a,
+               trans_b, T{1}, T{0}, ep);
 }
 
 namespace {
@@ -761,8 +620,6 @@ TensorT<U> cast(const TensorT<T>& src) {
 #define OPTIMUS_INSTANTIATE_OPS(T)                                                             \
   template void gemm_raw<T>(T*, const T*, const T*, index_t, index_t, index_t, index_t,       \
                             index_t, index_t, Trans, Trans, T, T);                             \
-  template void gemm_naive_raw<T>(T*, const T*, const T*, index_t, index_t, index_t,          \
-                                  index_t, index_t, index_t, Trans, Trans, T, T);              \
   template void gemm<T>(TensorT<T>&, const TensorT<T>&, const TensorT<T>&, Trans, Trans, T,   \
                         T);                                                                    \
   template TensorT<T> matmul<T>(const TensorT<T>&, const TensorT<T>&, Trans, Trans);          \

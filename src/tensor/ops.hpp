@@ -26,20 +26,14 @@ enum class Trans { No, Yes };
 /// C = alpha * op(A) * op(B) + beta * C on raw row-major buffers.
 /// op(A) is m×k, op(B) is k×n, C is m×n. ld* are the row strides of the
 /// *stored* matrices (pre-transpose). Charges m·n·k mults to the current
-/// DeviceContext, then dispatches into the high-performance kernel layer
-/// (src/kernel/: packed panels, register tiling, intra-op threading); tiny
-/// problems fall back to the naive blocked loop. beta == 0 *stores* into C —
-/// uninitialised (NaN/Inf) output buffers are safe.
+/// DeviceContext, then runs the kernel layer's packed GEMM (src/kernel/:
+/// packed panels, register tiling, intra-op threading) whatever the shape,
+/// so every product rounds the same way: each C element is one fold in
+/// k-order (see kernel/gemm.hpp). beta == 0 *stores* into C — uninitialised
+/// (NaN/Inf) output buffers are safe.
 template <typename T>
 void gemm_raw(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t lda,
               index_t ldb, index_t ldc, Trans trans_a, Trans trans_b, T alpha, T beta);
-
-/// The seed scalar/blocked reference implementation (single thread, no
-/// packing, no flop accounting). Kept as the correctness oracle for the
-/// kernel tests and as the bench_kernels baseline.
-template <typename T>
-void gemm_naive_raw(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t lda,
-                    index_t ldb, index_t ldc, Trans trans_a, Trans trans_b, T alpha, T beta);
 
 /// C = alpha * op(A) * op(B) + beta * C. A, B, C must be 2-D; shapes checked.
 template <typename T>
@@ -63,8 +57,6 @@ TensorT<T> matmul(const TensorT<T>& A, const TensorT<T>& B, Trans trans_a = Tran
 // can mix fused and unfused paths and still agree to 0 ULPs (the fuzz
 // harness relies on this). Flop accounting is unchanged — the epilogue is
 // elementwise and the paper's Table-1 unit only counts matrix products.
-// Tiny problems fall back to the naive GEMM followed by the same reference
-// tail, keeping dispatch shape-deterministic.
 
 /// C = op(A)·op(B) + bias (bias[j] broadcast over rows).
 /// Bitwise identical to { gemm(C, A, B); add_bias_(C, bias); }.

@@ -11,11 +11,11 @@
 //   * the input gradient and every structurally-exposed parameter gradient
 //     (weight blocks, hosted bias/layernorm slices, embedding shards),
 //   * the post-step parameters of the same tensors,
-//   * a KV-cached incremental decode replay of the whole token batch against
-//     the prefill hidden state, per engine (ULP budget, not bitwise: decode
-//     GEMMs have m = b instead of b·s, so the two paths can land on different
-//     sides of the kernel-dispatch cutoff; serving_test pins the bitwise claim
-//     at dispatch-parity shapes).
+//   * a KV-cached incremental decode replay of the whole token batch, per
+//     engine: within the ULP budget of the serial prefill hidden state, and
+//     bitwise equal to the engine's own prefill rows (every GEMM folds each
+//     element in k-order whatever its m, so decode's m = b rows must
+//     reproduce prefill's m = b·s rows).
 //
 // It also round-trips every engine's parameters through checkpoint_io
 // (save → load → bitwise-equal) and, when requested, replays the Optimus run

@@ -5,7 +5,8 @@
 // strings round-trip, sampled configs are always valid, shrink candidates
 // are valid and strictly smaller, ULP comparison semantics, and a seeded
 // 8-config differential smoke run (serial vs 2D vs 1D, checkpoint
-// round-trips, finite-difference oracle check).
+// round-trips, finite-difference oracle check), plus regression configs
+// replayed from past sweep failures.
 
 #include <gtest/gtest.h>
 
@@ -110,5 +111,27 @@ TEST(FuzzSmoke, EightSampledConfigsMatchAcrossEngines) {
     const ots::FuzzConfig fc = ots::FuzzConfig::sample(gen);
     const ots::EquivalenceResult res = ots::run_equivalence(fc, opts);
     EXPECT_TRUE(res.pass()) << ots::summarize(res);
+  }
+}
+
+TEST(FuzzRegression, DecodeMatchesPrefillOnceSplitByGemmShape) {
+  // Sampled configs whose f32 decode replay once missed its prefill by
+  // thousands of ULPs: small decode GEMMs (m = b) and large prefill GEMMs
+  // (m = b·s) ran different kernels that rounded differently. With one
+  // k-order GEMM for every shape both must pass, decode bitwise equal to
+  // each engine's own prefill.
+  ots::Watchdog wd("fuzz regression test", std::chrono::seconds(300));
+  const char* repros[] = {
+      "q=4,d=1,mp=1,b=8,s=5,heads=12,hd=5,v=36,layers=2,mlp=2,dtype=f32,threads=1,ckpt2d=0,"
+      "ckpt1d=0,buf=heap,pipe=1,lr=0.1,pseed=195344342,dseed=1101366717",
+      "q=3,d=1,mp=1,b=3,s=3,heads=9,hd=4,v=12,layers=3,mlp=4,dtype=f32,threads=4,ckpt2d=1,"
+      "ckpt1d=1,buf=heap,pipe=1,lr=0.05,pseed=2054437078,dseed=1379344060",
+  };
+  ots::EquivalenceOptions opts;
+  opts.fault_replay = true;
+  for (const char* repro : repros) {
+    const ots::EquivalenceResult res = ots::run_equivalence(ots::FuzzConfig::parse(repro), opts);
+    EXPECT_TRUE(res.pass()) << ots::summarize(res) << "\n"
+                            << (res.failures.empty() ? "" : res.failures.front());
   }
 }

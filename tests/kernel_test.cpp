@@ -1,7 +1,8 @@
 // Tests for the dense kernel layer (src/kernel/): packed GEMM correctness
 // across all transpose forms / odd shapes / alpha-beta combinations, bitwise
-// determinism across thread counts, beta==0 store semantics over poisoned
-// memory, the shared thread budget, and the pool itself.
+// determinism across thread counts, the k-order rounding contract, beta==0
+// store semantics over poisoned memory, the shared thread budget, and the
+// pool itself.
 
 #include <gtest/gtest.h>
 
@@ -218,6 +219,73 @@ TEST(KernelGemm, CooperativeBitwiseForThreads1Through4EdgeShapes) {
   }
 }
 
+// The rounding contract (kernel/gemm.hpp): each C element is one fold in
+// k-order starting from beta·C, so its bits depend on neither how K is split
+// into beta = 1 calls, nor m, nor the thread count. K = 600 crosses two
+// kKC = 256 panel boundaries, and the K splits land mid-panel.
+template <typename T>
+void check_k_order_contract(ok::Trans ta, ok::Trans tb) {
+  const index_t m = 70, n = 90, k = 600;
+  const index_t lda = ta == ok::Trans::No ? k : m;
+  const index_t ldb = tb == ok::Trans::No ? n : k;
+  auto A = random_buffer<T>((ta == ok::Trans::No ? m : k) * lda, 91);
+  auto B = random_buffer<T>((tb == ok::Trans::No ? k : n) * ldb, 92);
+  // op(A)[:, k0:] and op(B)[k0:, :] as offsets into the stored matrices.
+  const auto a_at = [&](index_t i, index_t k0) {
+    return A.data() + (ta == ok::Trans::No ? i * lda + k0 : k0 * lda + i);
+  };
+  const auto b_at = [&](index_t k0) {
+    return B.data() + (tb == ok::Trans::No ? k0 * ldb : k0);
+  };
+  SCOPED_TRACE(::testing::Message() << "ta=" << int(ta) << " tb=" << int(tb)
+                                    << " bytes=" << sizeof(T));
+  const auto bits_equal = [](const std::vector<T>& x, const std::vector<T>& y) {
+    return std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+  };
+
+  ok::set_threads(1);
+  std::vector<T> whole(static_cast<std::size_t>(m * n));
+  ok::gemm(whole.data(), A.data(), B.data(), m, n, k, lda, ldb, n, ta, tb, T{1}, T{0});
+
+  // (a) K split into beta = 1 calls, as SUMMA's k-steps issue it.
+  std::vector<T> split(whole.size());
+  const index_t cuts[] = {0, 100, 357, 420, k};
+  for (int s = 0; s + 1 < 5; ++s) {
+    ok::gemm(split.data(), a_at(0, cuts[s]), b_at(cuts[s]), m, n, cuts[s + 1] - cuts[s], lda,
+             ldb, n, ta, tb, T{1}, s == 0 ? T{0} : T{1});
+  }
+  EXPECT_TRUE(bits_equal(split, whole)) << "K split into beta = 1 calls";
+
+  // (b) Row i alone, as decode computes it with m = 1; also from a nonzero
+  // C with beta ∉ {0, 1}.
+  for (const T beta : {T{0}, T{0.5}}) {
+    const auto c0 = random_buffer<T>(m * n, 93);
+    std::vector<T> full = c0, rows = c0;
+    ok::gemm(full.data(), A.data(), B.data(), m, n, k, lda, ldb, n, ta, tb, T{1}, beta);
+    for (index_t i = 0; i < m; ++i) {
+      ok::gemm(rows.data() + i * n, a_at(i, 0), b_at(0), 1, n, k, lda, ldb, n, ta, tb, T{1},
+               beta);
+    }
+    EXPECT_TRUE(bits_equal(rows, full)) << "1×n products of each row, beta=" << beta;
+  }
+
+  // (c) The cooperative path at 4 threads.
+  ok::set_threads(4);
+  std::vector<T> threaded(whole.size());
+  ok::gemm(threaded.data(), A.data(), B.data(), m, n, k, lda, ldb, n, ta, tb, T{1}, T{0});
+  ok::set_threads(0);
+  EXPECT_TRUE(bits_equal(threaded, whole)) << "4 threads vs 1";
+}
+
+TEST(KernelGemm, EachElementIsOneFoldInKOrder) {
+  for (ok::Trans ta : {ok::Trans::No, ok::Trans::Yes}) {
+    for (ok::Trans tb : {ok::Trans::No, ok::Trans::Yes}) {
+      check_k_order_contract<float>(ta, tb);
+      check_k_order_contract<double>(ta, tb);
+    }
+  }
+}
+
 // Unfused two-pass reference for each epilogue: gemm, then the elementwise op
 // over the full C — exactly the pre-fusion model-layer sequence. The fused
 // path must match it bitwise (same scalar ops, same order, just tile-hot).
@@ -330,7 +398,7 @@ TEST(KernelGemm, BetaZeroStoresOverNaN) {
                  ok::Trans::No, 1.0f, 0.0f);
 
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (auto* path : {"packed", "threaded", "dispatch"}) {
+  for (auto* path : {"packed", "threaded", "ops"}) {
     std::vector<float> C(static_cast<std::size_t>(m * n), nan);
     if (std::string(path) == "packed") {
       ok::gemm_packed(C.data(), A.data(), B.data(), m, n, k, k, n, n, ok::Trans::No,

@@ -3,20 +3,16 @@
 //
 // The load-bearing claims, each tested directly:
 //   * decode ≡ prefill *bitwise* (0 ULPs) for every engine — serial, Optimus
-//     2D at q ∈ {1,2,3}, Megatron 1D at p ∈ {1,2,3} — at shapes where both
-//     paths take the same GEMM kernel dispatch (see the cutoff note below);
+//     2D at q ∈ {1,2,3}, Megatron 1D at p ∈ {1,2,3} — at tiny shapes and at
+//     the host benchmark's serving shape: every GEMM folds each output
+//     element in k-order whatever its m, so decode's m = b rows reproduce
+//     prefill's m = b·s rows;
 //   * eviction + replay is invisible: a request evicted mid-generation and
 //     re-admitted produces the identical token sequence;
 //   * a decode step's simulated cost equals the closed-form predictor exactly;
 //   * injected latency faults never change served tokens; a poisoned
 //     collective aborts loudly, naming the op, and the preserved request state
 //     resumes on a fresh cluster to the identical completion.
-//
-// Shape note: kernel dispatch (ops.cpp) switches micro-kernels on m·n·k.
-// Bitwise decode≡prefill additionally requires both paths to land on the
-// same side of that cutoff, so these tests use tiny hidden sizes where every
-// GEMM in both paths stays below it. Cross-dispatch shapes are covered by the
-// ULP-budgeted fuzz stage in testing/equivalence.cpp instead.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +23,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/cluster.hpp"
@@ -55,8 +52,7 @@ using optimus::tensor::Shape;
 
 namespace {
 
-/// Smallest config whose dimensions divide a group of size g and whose GEMMs
-/// stay on one side of the kernel-dispatch cutoff in both prefill and decode.
+/// Smallest config whose dimensions divide a group of size g.
 om::TransformerConfig tiny_cfg(int g) {
   om::TransformerConfig cfg;
   cfg.heads = g == 3 ? 3 : 2;
@@ -64,6 +60,21 @@ om::TransformerConfig tiny_cfg(int g) {
   cfg.vocab = g == 3 ? 9 : 8;
   cfg.batch = g == 3 ? 3 : 4;
   cfg.seq_len = 5;  // odd on purpose: no even-split luck in the cache layout
+  cfg.layers = 2;
+  cfg.causal = true;
+  cfg.seed = 42;
+  return cfg;
+}
+
+/// The host benchmark's serving model (hidden 128, 8 heads, vocab 256) at 4
+/// slots and 24 positions; its dimensions divide groups of 1, 2 and 4.
+om::TransformerConfig serve_cfg() {
+  om::TransformerConfig cfg;
+  cfg.heads = 8;
+  cfg.hidden = 128;
+  cfg.vocab = 256;
+  cfg.batch = 4;
+  cfg.seq_len = 24;
   cfg.layers = 2;
   cfg.causal = true;
   cfg.seed = 42;
@@ -210,34 +221,40 @@ TEST(Serving, SchedulerEvictRewindsCursorAndPreservesProgress) {
 
 TEST(Serving, DecodeMatchesPrefillBitwiseSerial) {
   ots::Watchdog wd("serial decode equivalence", std::chrono::seconds(120));
-  const om::TransformerConfig cfg = tiny_cfg(1);
-  const ITensor tokens = random_tokens(cfg, 9);
-  om::SerialTransformer<float> m(cfg);
-  const auto hidden = m.forward(tokens).clone();  // [b*s, h]
-  const auto logits = m.lm_logits();              // [b*s, v]
-  auto cache = m.make_kv_cache(cfg.batch);
-  const index_t h = cfg.hidden, v = cfg.vocab, s = cfg.seq_len;
-  for (index_t t = 0; t < s; ++t) {
-    ITensor step(Shape{cfg.batch});
-    for (index_t b = 0; b < cfg.batch; ++b) step[b] = tokens.at(b, t);
-    const auto& hid = m.forward_decode(step, cache);
-    const auto lg = m.lm_logits_decode();
-    for (index_t b = 0; b < cfg.batch; ++b) {
-      EXPECT_EQ(0, std::memcmp(hid.data() + b * h, hidden.data() + (b * s + t) * h,
-                               sizeof(float) * static_cast<std::size_t>(h)))
-          << "hidden row b=" << b << " t=" << t;
-      EXPECT_EQ(0, std::memcmp(lg.data() + b * v, logits.data() + (b * s + t) * v,
-                               sizeof(float) * static_cast<std::size_t>(v)))
-          << "logits row b=" << b << " t=" << t;
+  for (const om::TransformerConfig& cfg : {tiny_cfg(1), serve_cfg()}) {
+    SCOPED_TRACE(::testing::Message() << "hidden=" << cfg.hidden);
+    const ITensor tokens = random_tokens(cfg, 9);
+    om::SerialTransformer<float> m(cfg);
+    const auto hidden = m.forward(tokens).clone();  // [b*s, h]
+    const auto logits = m.lm_logits();              // [b*s, v]
+    auto cache = m.make_kv_cache(cfg.batch);
+    const index_t h = cfg.hidden, v = cfg.vocab, s = cfg.seq_len;
+    int bad_hidden = 0, bad_logits = 0;
+    for (index_t t = 0; t < s; ++t) {
+      ITensor step(Shape{cfg.batch});
+      for (index_t b = 0; b < cfg.batch; ++b) step[b] = tokens.at(b, t);
+      const auto& hid = m.forward_decode(step, cache);
+      const auto lg = m.lm_logits_decode();
+      for (index_t b = 0; b < cfg.batch; ++b) {
+        bad_hidden += std::memcmp(hid.data() + b * h, hidden.data() + (b * s + t) * h,
+                                  sizeof(float) * static_cast<std::size_t>(h)) != 0;
+        bad_logits += std::memcmp(lg.data() + b * v, logits.data() + (b * s + t) * v,
+                                  sizeof(float) * static_cast<std::size_t>(v)) != 0;
+      }
     }
+    EXPECT_EQ(bad_hidden, 0);
+    EXPECT_EQ(bad_logits, 0);
   }
 }
 
 TEST(Serving, DecodeMatchesPrefillBitwiseOptimus) {
   ots::Watchdog wd("optimus decode equivalence", std::chrono::seconds(240));
-  for (const int q : {1, 2, 3}) {
-    SCOPED_TRACE(::testing::Message() << "q=" << q);
-    const om::TransformerConfig cfg = tiny_cfg(q);
+  const std::pair<int, om::TransformerConfig> cases[] = {
+      {1, tiny_cfg(1)}, {2, tiny_cfg(2)}, {3, tiny_cfg(3)}, {2, serve_cfg()}};
+  for (const auto& c : cases) {
+    const int q = c.first;
+    const om::TransformerConfig& cfg = c.second;
+    SCOPED_TRACE(::testing::Message() << "q=" << q << " hidden=" << cfg.hidden);
     const ITensor tokens = random_tokens(cfg, 9);
     int bad_hidden = 0, bad_logits = 0;
     std::mutex mu;
@@ -270,9 +287,12 @@ TEST(Serving, DecodeMatchesPrefillBitwiseOptimus) {
 
 TEST(Serving, DecodeMatchesPrefillBitwiseMegatron) {
   ots::Watchdog wd("megatron decode equivalence", std::chrono::seconds(240));
-  for (const int p : {1, 2, 3}) {
-    SCOPED_TRACE(::testing::Message() << "p=" << p);
-    const om::TransformerConfig cfg = tiny_cfg(p);
+  const std::pair<int, om::TransformerConfig> cases[] = {
+      {1, tiny_cfg(1)}, {2, tiny_cfg(2)}, {3, tiny_cfg(3)}, {2, serve_cfg()}};
+  for (const auto& c : cases) {
+    const int p = c.first;
+    const om::TransformerConfig& cfg = c.second;
+    SCOPED_TRACE(::testing::Message() << "p=" << p << " hidden=" << cfg.hidden);
     const ITensor tokens = random_tokens(cfg, 9);
     int bad = 0;
     std::mutex mu;

@@ -14,7 +14,8 @@
 // derives from the deterministic simulated clock. Extra fields in the fresh
 // file are allowed (schema growth); a fresh record or field missing for a
 // baseline entry is a failure. Exits 0 when everything is within tolerance,
-// 1 on any regression or shape mismatch, 2 on usage/parse errors.
+// 1 on any regression or shape mismatch, 2 on usage/parse errors (an unknown
+// flag among them); --help prints the usage and exits 0.
 
 #include <cmath>
 #include <fstream>
@@ -81,26 +82,32 @@ bool within_tol(double a, double b, double tol) {
 }  // namespace
 
 static int run_main(int argc, char** argv) {
+  const char* usage =
+      "usage: bench_gate <baseline.json> <fresh.json> [--tol T] [--include-wall]\n";
   std::string baseline_path, fresh_path;
   double tol = 0.05;
   bool include_wall = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    if (a == "--help") throw optimus::util::CliHelp(usage);
     if (a == "--tol" && i + 1 < argc) {
       tol = std::atof(argv[++i]);
     } else if (a == "--include-wall") {
       include_wall = true;
+    } else if (a.rfind("--", 0) == 0) {
+      std::cerr << "error: unknown flag '" << a << "'\n" << usage;
+      return 2;
     } else if (baseline_path.empty()) {
       baseline_path = a;
     } else if (fresh_path.empty()) {
       fresh_path = a;
     } else {
-      std::cerr << "usage: bench_gate <baseline.json> <fresh.json> [--tol T] [--include-wall]\n";
+      std::cerr << usage;
       return 2;
     }
   }
   if (fresh_path.empty() || tol <= 0) {
-    std::cerr << "usage: bench_gate <baseline.json> <fresh.json> [--tol T] [--include-wall]\n";
+    std::cerr << usage;
     return 2;
   }
 

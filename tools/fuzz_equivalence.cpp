@@ -15,7 +15,8 @@
 // per config, no timing, no pointers — so two identical invocations must be
 // byte-identical (scripts/check.sh diffs them). On failure the tool greedily
 // shrinks the config toward the smallest one that still fails and prints a
-// self-contained repro command. Exit code: 0 all pass, 1 failures, 2 usage.
+// self-contained repro command. Exit code: 0 all pass, 1 failures, 2 usage
+// (an unknown flag among them); --help prints the usage and exits 0.
 //
 // Flags:
 //   --configs N           number of sampled configs (default 25)
@@ -56,10 +57,13 @@ struct Args {
   bool verbose = false;
 };
 
+const char* const kUsage =
+    "usage: fuzz_equivalence [--configs N] [--seed S] [--config STR] [--report PATH]\n"
+    "                        [--gradcheck N] [--no-megatron] [--no-fault-replay]\n"
+    "                        [--no-shrink] [--verbose]\n";
+
 int usage() {
-  std::cerr << "usage: fuzz_equivalence [--configs N] [--seed S] [--config STR] [--report PATH]\n"
-               "                        [--gradcheck N] [--no-megatron] [--no-fault-replay]\n"
-               "                        [--no-shrink] [--verbose]\n";
+  std::cerr << kUsage;
   return 2;
 }
 
@@ -95,8 +99,10 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.shrink = false;
     } else if (flag == "--verbose") {
       a.verbose = true;
+    } else if (flag == "--help") {
+      throw optimus::util::CliHelp(kUsage);
     } else {
-      std::cerr << "unknown flag '" << flag << "'\n";
+      std::cerr << "error: unknown flag '" << flag << "'\n";
       return false;
     }
   }

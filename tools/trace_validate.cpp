@@ -18,7 +18,8 @@
 //     gauge / histogram entries (histogram quantiles ordered, count matches
 //     bucket totals).
 // Exits 0 and prints a one-line summary per file on success; exits 1 with
-// the first violation otherwise.
+// the first violation otherwise, 2 on usage errors (an unknown flag among
+// them); --help prints the usage and exits 0.
 
 #include <cmath>
 #include <fstream>
@@ -163,14 +164,23 @@ bool load_json(const char* path, Json& doc) {
 }  // namespace
 
 static int run_main(int argc, char** argv) {
+  const char* usage = "usage: trace_validate [--metrics] <file.json> [more.json ...]\n";
   bool metrics_mode = false;
   int first = 1;
   if (argc >= 2 && std::string(argv[1]) == "--metrics") {
     metrics_mode = true;
     first = 2;
   }
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a == "--help") throw optimus::util::CliHelp(usage);
+    if (a.rfind("--", 0) == 0 && i >= first) {
+      std::cerr << "error: unknown flag '" << a << "'\n" << usage;
+      return 2;
+    }
+  }
   if (argc <= first) {
-    std::cerr << "usage: trace_validate [--metrics] <file.json> [more.json ...]\n";
+    std::cerr << usage;
     return 2;
   }
   bool ok = true;
