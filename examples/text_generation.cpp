@@ -27,6 +27,7 @@
 #include "runtime/lr_schedule.hpp"
 #include "runtime/optimizer.hpp"
 #include "runtime/trainer.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -234,6 +235,8 @@ static int run_main(int argc, char** argv) {
   const std::string prompt = cli.get_string("prompt", "the ");
   const int q = cli.get_int("q", 2);
   cli.finish();
+  OPT_CHECK(engine == "serial" || engine == "optimus",
+            "--engine must be serial or optimus, got '" << engine << "'");
 
   ort::CharCorpus corpus(ort::CharCorpus::builtin_text());
   std::cout << "corpus: " << corpus.length() << " chars, vocab " << corpus.vocab_size()

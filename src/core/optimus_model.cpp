@@ -236,11 +236,10 @@ void OptimusTransformer<T>::init_arenas() {
 }
 
 template <typename T>
-TensorT<T> OptimusTransformer<T>::bcast_from_row0(const TensorT<T>& hosted, Shape shape) {
-  TensorT<T> buf = alloc_fwd(shape);
+TensorT<T> OptimusTransformer<T>::bcast_from_row0(const TensorT<T>& hosted, TensorT<T> buf) {
   if (on_row0()) {
     OPT_CHECK(hosted.defined() && hosted.numel() == buf.numel(), "hosted slice mismatch");
-    buf.copy_from(hosted.reshape(shape));
+    buf.copy_from(hosted.reshape(buf.shape()));
   }
   mesh_->col_comm().broadcast(buf, /*root=*/0);
   return buf;
@@ -262,6 +261,7 @@ TensorT<T> OptimusTransformer<T>::embed(const ITensor& tokens) {
   const index_t hq = h_local();
   const index_t vq = vocab_local();
   const index_t s = cfg_.seq_len;
+  cfg_.check_vocab_ids(tokens, /*labels=*/false, "embedding");
   tokens_local_ = tensor::row_block(tokens.reshape(Shape{cfg_.batch, s}), q, mesh_->row());
 
   TensorT<T> x0 = TensorT<T>::zeros(Shape{rows, hq});
@@ -286,9 +286,8 @@ TensorT<T> OptimusTransformer<T>::embed(const ITensor& tokens) {
       }
     }
     // Positional slice, hosted on row 0.
-    TensorT<T> pos = ws_ ? ws_->template alloc<T>(Shape{s, hq}) : TensorT<T>(Shape{s, hq});
-    if (on_row0()) pos.copy_from(pos_embedding_);
-    mesh_->col_comm().broadcast(pos, /*root=*/0);
+    const TensorT<T> pos = bcast_from_row0(
+        pos_embedding_, ws_ ? ws_->template alloc<T>(Shape{s, hq}) : TensorT<T>(Shape{s, hq}));
     for (index_t bi = 0; bi < batch_local(); ++bi) {
       for (index_t t = 0; t < s; ++t) {
         T* dst = x0.data() + (bi * s + t) * hq;
@@ -301,9 +300,10 @@ TensorT<T> OptimusTransformer<T>::embed(const ITensor& tokens) {
 }
 
 template <typename T>
-TensorT<T> OptimusTransformer<T>::layer_forward(index_t l, LayerActs& a) {
+TensorT<T> OptimusTransformer<T>::layer_forward(index_t l, LayerActs& a,
+                                                model::KvCacheT<T>* cache) {
   const int q = mesh_->q();
-  const index_t rows = rows_local();
+  const index_t rows = a.input.size(0);
   const index_t hq = h_local();
   const index_t fq = cfg_.ffn_hidden() / q;
   const index_t tq = 3 * hq;
@@ -311,67 +311,71 @@ TensorT<T> OptimusTransformer<T>::layer_forward(index_t l, LayerActs& a) {
   const T eps = static_cast<T>(cfg_.layernorm_eps);
   Layer& p = layers_[l];
   comm::Communicator& row = mesh_->row_comm();
+  // Training blocks, and decode blocks up to one training batch, fit the
+  // §3.2.3 arenas; a larger decode batch falls back to the heap.
+  const bool fits = rows <= rows_local();
+  Arena* fwd = fits ? fwd_.get() : nullptr;
+  Arena* wsa = fits ? ws() : nullptr;
+  const auto alloc = [fwd](Shape shape) {
+    return fwd != nullptr ? fwd->template alloc<T>(shape) : TensorT<T>(shape);
+  };
+  // A row-0-hosted slice of this layer: broadcast down the column at its
+  // point of use in training; decode reads the copy cached at its first step.
+  const auto hosted = [&](TensorT<T> Layer::*field, index_t n) {
+    return cache != nullptr ? decode_hosted_[static_cast<std::size_t>(l)].*field
+                            : bcast_from_row0(p.*field, alloc(Shape{n}));
+  };
 
-  a.ln1_g_bcast = bcast_from_row0(p.ln1_g, Shape{hq});
-  a.ln1_b_bcast = bcast_from_row0(p.ln1_b, Shape{hq});
-  a.ln1_out = alloc_fwd(Shape{rows, hq});
-  a.ln1_xhat = alloc_fwd(Shape{rows, hq});
-  a.ln1_istd = alloc_fwd(Shape{rows});
+  a.ln1_g_bcast = hosted(&Layer::ln1_g, hq);
+  a.ln1_b_bcast = hosted(&Layer::ln1_b, hq);
+  a.ln1_out = alloc(Shape{rows, hq});
+  a.ln1_xhat = alloc(Shape{rows, hq});
+  a.ln1_istd = alloc(Shape{rows});
   layernorm2d_forward(row, a.input, a.ln1_g_bcast, a.ln1_b_bcast, eps, cfg_.hidden, a.ln1_out,
                       a.ln1_xhat, a.ln1_istd);
 
-  a.qkv = alloc_fwd(Shape{rows, tq});
-  summa::summa_ab(*mesh_, a.ln1_out, p.qkv_w, a.qkv, false, ws());
-  {
-    TensorT<T> bias = bcast_from_row0(p.qkv_b, Shape{tq});
-    ops::add_bias_(a.qkv, bias);
-  }
+  a.qkv = alloc(Shape{rows, tq});
+  summa::summa_ab(*mesh_, a.ln1_out, p.qkv_w, a.qkv, false, wsa);
+  ops::add_bias_(a.qkv, hosted(&Layer::qkv_b, tq));
 
-  a.ctx = alloc_fwd(Shape{rows, hq});
-  if (options_.fuse_attention) {
-    TensorT<T> scratch = alloc_fwd(Shape{model::attention_fused_scratch_elems(s)});
+  a.ctx = alloc(Shape{rows, hq});
+  if (cache != nullptr) {
+    model::attention_decode(a.qkv, rows, heads_local(), cfg_.head_dim(), *cache, l, a.ctx);
+  } else if (options_.fuse_attention) {
+    TensorT<T> scratch = alloc(Shape{model::attention_fused_scratch_elems(s)});
     model::attention_forward_fused(a.qkv, batch_local(), s, heads_local(), cfg_.head_dim(),
                                    cfg_.causal, a.ctx, scratch);
   } else {
-    a.probs = alloc_fwd(Shape{model::attention_probs_elems(batch_local(), s, heads_local())});
+    a.probs = alloc(Shape{model::attention_probs_elems(batch_local(), s, heads_local())});
     model::attention_forward(a.qkv, batch_local(), s, heads_local(), cfg_.head_dim(),
                              cfg_.causal, a.ctx, a.probs);
   }
 
   // SUMMA reduces over the mesh before the bias may apply, so the bias
   // cannot fuse into the local GEMMs — bias+residual fuse into one pass.
-  a.x1 = alloc_fwd(Shape{rows, hq});
-  summa::summa_ab(*mesh_, a.ctx, p.proj_w, a.x1, false, ws());
-  {
-    TensorT<T> bias = bcast_from_row0(p.proj_b, Shape{hq});
-    ops::bias_residual_(a.x1, bias, a.input);
-  }
+  a.x1 = alloc(Shape{rows, hq});
+  summa::summa_ab(*mesh_, a.ctx, p.proj_w, a.x1, false, wsa);
+  ops::bias_residual_(a.x1, hosted(&Layer::proj_b, hq), a.input);
 
-  a.ln2_g_bcast = bcast_from_row0(p.ln2_g, Shape{hq});
-  a.ln2_b_bcast = bcast_from_row0(p.ln2_b, Shape{hq});
-  a.ln2_out = alloc_fwd(Shape{rows, hq});
-  a.ln2_xhat = alloc_fwd(Shape{rows, hq});
-  a.ln2_istd = alloc_fwd(Shape{rows});
+  a.ln2_g_bcast = hosted(&Layer::ln2_g, hq);
+  a.ln2_b_bcast = hosted(&Layer::ln2_b, hq);
+  a.ln2_out = alloc(Shape{rows, hq});
+  a.ln2_xhat = alloc(Shape{rows, hq});
+  a.ln2_istd = alloc(Shape{rows});
   layernorm2d_forward(row, a.x1, a.ln2_g_bcast, a.ln2_b_bcast, eps, cfg_.hidden, a.ln2_out,
                       a.ln2_xhat, a.ln2_istd);
 
   // fc1 bias+GELU in one fused pass (fc1_out keeps the biased
   // pre-activation for backward).
-  a.fc1_out = alloc_fwd(Shape{rows, fq});
-  summa::summa_ab(*mesh_, a.ln2_out, p.fc1_w, a.fc1_out, false, ws());
-  a.gelu_out = alloc_fwd(Shape{rows, fq});
-  {
-    TensorT<T> bias = bcast_from_row0(p.fc1_b, Shape{fq});
-    ops::bias_gelu_(a.fc1_out, bias, a.gelu_out);
-  }
+  a.fc1_out = alloc(Shape{rows, fq});
+  summa::summa_ab(*mesh_, a.ln2_out, p.fc1_w, a.fc1_out, false, wsa);
+  a.gelu_out = alloc(Shape{rows, fq});
+  ops::bias_gelu_(a.fc1_out, hosted(&Layer::fc1_b, fq), a.gelu_out);
 
   // The layer output is the next layer's checkpointed input: persistent.
   TensorT<T> out(Shape{rows, hq});
-  summa::summa_ab(*mesh_, a.gelu_out, p.fc2_w, out, false, ws());
-  {
-    TensorT<T> bias = bcast_from_row0(p.fc2_b, Shape{hq});
-    ops::bias_residual_(out, bias, a.x1);
-  }
+  summa::summa_ab(*mesh_, a.gelu_out, p.fc2_w, out, false, wsa);
+  ops::bias_residual_(out, hosted(&Layer::fc2_b, hq), a.x1);
   a.full = true;
   return out;
 }
@@ -489,14 +493,8 @@ const TensorT<T>& OptimusTransformer<T>::forward(const ITensor& tokens) {
   }
   stem_out_ = x;
 
-  final_g_bcast_ = TensorT<T>(Shape{hq});
-  final_b_bcast_ = TensorT<T>(Shape{hq});
-  if (on_row0()) {
-    final_g_bcast_.copy_from(final_ln_g_);
-    final_b_bcast_.copy_from(final_ln_b_);
-  }
-  mesh_->col_comm().broadcast(final_g_bcast_, 0);
-  mesh_->col_comm().broadcast(final_b_bcast_, 0);
+  final_g_bcast_ = bcast_from_row0(final_ln_g_, TensorT<T>(Shape{hq}));
+  final_b_bcast_ = bcast_from_row0(final_ln_b_, TensorT<T>(Shape{hq}));
   hidden_ = TensorT<T>(Shape{rows, hq});
   final_xhat_ = TensorT<T>(Shape{rows, hq});
   final_istd_ = TensorT<T>(Shape{rows});
@@ -519,34 +517,27 @@ void OptimusTransformer<T>::ensure_decode_params() {
   const index_t hq = h_local();
   const index_t fq = cfg_.ffn_hidden() / q();
   const index_t tq = 3 * hq;
-  // Same copy-then-broadcast as bcast_from_row0, but into persistent tensors
-  // (the forward arena is per-layer scratch; these live across decode steps).
-  auto fetch = [&](const TensorT<T>& hosted, Shape shape) {
-    TensorT<T> buf(shape);
-    if (on_row0()) {
-      OPT_CHECK(hosted.defined() && hosted.numel() == buf.numel(), "hosted slice mismatch");
-      buf.copy_from(hosted.reshape(shape));
-    }
-    mesh_->col_comm().broadcast(buf, /*root=*/0);
-    return buf;
+  // Persistent heap copies: the forward arena is per-layer scratch, these
+  // live across decode steps. Each layer's slices go in layer_forward's order.
+  const auto fetch = [&](const TensorT<T>& hosted, index_t n) {
+    return bcast_from_row0(hosted, TensorT<T>(Shape{n}));
   };
-  decode_params_.clear();
-  decode_params_.resize(static_cast<std::size_t>(cfg_.layers));
+  decode_hosted_.assign(static_cast<std::size_t>(cfg_.layers), Layer{});
   for (index_t l = 0; l < cfg_.layers; ++l) {
-    Layer& p = layers_[l];
-    DecodeParams& dp = decode_params_[static_cast<std::size_t>(l)];
-    dp.ln1_g = fetch(p.ln1_g, Shape{hq});
-    dp.ln1_b = fetch(p.ln1_b, Shape{hq});
-    dp.qkv_b = fetch(p.qkv_b, Shape{tq});
-    dp.proj_b = fetch(p.proj_b, Shape{hq});
-    dp.ln2_g = fetch(p.ln2_g, Shape{hq});
-    dp.ln2_b = fetch(p.ln2_b, Shape{hq});
-    dp.fc1_b = fetch(p.fc1_b, Shape{fq});
-    dp.fc2_b = fetch(p.fc2_b, Shape{hq});
+    const Layer& p = layers_[l];
+    Layer& c = decode_hosted_[static_cast<std::size_t>(l)];
+    c.ln1_g = fetch(p.ln1_g, hq);
+    c.ln1_b = fetch(p.ln1_b, hq);
+    c.qkv_b = fetch(p.qkv_b, tq);
+    c.proj_b = fetch(p.proj_b, hq);
+    c.ln2_g = fetch(p.ln2_g, hq);
+    c.ln2_b = fetch(p.ln2_b, hq);
+    c.fc1_b = fetch(p.fc1_b, fq);
+    c.fc2_b = fetch(p.fc2_b, hq);
   }
-  decode_pos_ = fetch(pos_embedding_, Shape{cfg_.seq_len, hq});
-  decode_final_g_ = fetch(final_ln_g_, Shape{hq});
-  decode_final_b_ = fetch(final_ln_b_, Shape{hq});
+  decode_pos_ = bcast_from_row0(pos_embedding_, TensorT<T>(Shape{cfg_.seq_len, hq}));
+  decode_final_g_ = fetch(final_ln_g_, hq);
+  decode_final_b_ = fetch(final_ln_b_, hq);
   decode_params_ready_ = true;
 }
 
@@ -558,22 +549,16 @@ const TensorT<T>& OptimusTransformer<T>::forward_decode(
   const index_t n_global = tokens.numel();
   const index_t nl = cache.slots();  // this row's slot block
   const index_t hq = h_local();
-  const index_t fq = cfg_.ffn_hidden() / q;
-  const index_t tq = 3 * hq;
   const index_t vq = vocab_local();
-  const T eps = static_cast<T>(cfg_.layernorm_eps);
   OPT_CHECK(n_global == nl * q, "decode tokens must be the global slot vector");
   OPT_CHECK(active == nullptr || static_cast<index_t>(active->size()) == n_global,
             "active mask must be the global slot vector");
   OPT_CHECK(cache.layers() == cfg_.layers && cache.heads() == heads_local() &&
                 cache.head_dim() == cfg_.head_dim(),
             "kv cache does not match this device's shard");
+  cfg_.check_vocab_ids(tokens, /*labels=*/false, "embedding");
   ensure_decode_params();
   const index_t slot0 = static_cast<index_t>(mesh_->row()) * nl;
-  // Decode blocks are strictly smaller than training blocks whenever the
-  // in-flight slot count stays within one training batch, so the SUMMA
-  // workspace arena fits; fall back to heap beyond that.
-  tensor::Arena* wsd = nl <= rows_local() ? ws() : nullptr;
 
   // Embedding lookup, Algorithm-1 style but packed: instead of shipping the
   // [v/q, h/q] table block each round, mesh row l packs the rows the current
@@ -614,32 +599,20 @@ const TensorT<T>& OptimusTransformer<T>::forward_decode(
     }
   }
 
-  // Same per-layer sequence as layer_forward(), one row per slot. The SUMMA
-  // calls and the ordered-fold layernorm reduction are row-decomposable, so
-  // these rows match the full-prefix rows bitwise. Heap buffers, reused
-  // across layers; decode never feeds backward.
-  comm::Communicator& row = mesh_->row_comm();
-  TensorT<T> ln_out(Shape{nl, hq}), xhat(Shape{nl, hq}), istd(Shape{nl});
-  TensorT<T> qkv(Shape{nl, tq}), ctx(Shape{nl, hq}), x1(Shape{nl, hq});
-  TensorT<T> fc1_out(Shape{nl, fq}), gelu_out(Shape{nl, fq});
+  // forward()'s layer body on one row per slot. The SUMMA calls and the
+  // ordered-fold layernorm reduction are row-decomposable, so these rows
+  // match the full-prefix rows bitwise. Decode never feeds backward.
   for (index_t l = 0; l < cfg_.layers; ++l) {
-    Layer& p = layers_[l];
-    DecodeParams& dp = decode_params_[static_cast<std::size_t>(l)];
-    layernorm2d_forward(row, x, dp.ln1_g, dp.ln1_b, eps, cfg_.hidden, ln_out, xhat, istd);
-    summa::summa_ab(*mesh_, ln_out, p.qkv_w, qkv, false, wsd);
-    ops::add_bias_(qkv, dp.qkv_b);
-    model::attention_decode(qkv, nl, heads_local(), cfg_.head_dim(), cache, l, ctx);
-    summa::summa_ab(*mesh_, ctx, p.proj_w, x1, false, wsd);
-    ops::bias_residual_(x1, dp.proj_b, x);
-    layernorm2d_forward(row, x1, dp.ln2_g, dp.ln2_b, eps, cfg_.hidden, ln_out, xhat, istd);
-    summa::summa_ab(*mesh_, ln_out, p.fc1_w, fc1_out, false, wsd);
-    ops::bias_gelu_(fc1_out, dp.fc1_b, gelu_out);
-    summa::summa_ab(*mesh_, gelu_out, p.fc2_w, x, false, wsd);
-    ops::bias_residual_(x, dp.fc2_b, x1);
+    if (fwd_) fwd_->reset();
+    LayerActs a;
+    a.input = x;
+    x = layer_forward(l, a, &cache);
   }
   decode_hidden_ = TensorT<T>(Shape{nl, hq});
-  layernorm2d_forward(row, x, decode_final_g_, decode_final_b_, eps, cfg_.hidden,
-                      decode_hidden_, xhat, istd);
+  TensorT<T> xhat(Shape{nl, hq}), istd(Shape{nl});
+  layernorm2d_forward(mesh_->row_comm(), x, decode_final_g_, decode_final_b_,
+                      static_cast<T>(cfg_.layernorm_eps), cfg_.hidden, decode_hidden_, xhat,
+                      istd);
 
   if (active == nullptr) {
     cache.advance(nullptr);
@@ -663,6 +636,7 @@ TensorT<T> OptimusTransformer<T>::lm_logits_decode_block() {
 template <typename T>
 T OptimusTransformer<T>::lm_loss(const ITensor& labels) {
   OPT_CHECK(labels.numel() == cfg_.tokens_per_batch(), "labels must be the global [b, s]");
+  cfg_.check_vocab_ids(labels, /*labels=*/true, "lm_loss");
   const index_t rows = rows_local();
   const index_t vq = vocab_local();
   lm_labels_local_ =
@@ -802,16 +776,11 @@ TensorT<T> OptimusTransformer<T>::cls_logits_block() {
     std::memcpy(cls_pooled_.data() + bi * hq, hidden_.data() + bi * cfg_.seq_len * hq,
                 static_cast<std::size_t>(hq) * sizeof(T));
   }
-  cls_w_bcast_ = TensorT<T>(Shape{hq, c});
-  if (on_row0()) cls_w_bcast_.copy_from(cls_w_);
-  mesh_->col_comm().broadcast(cls_w_bcast_, 0);
+  cls_w_bcast_ = bcast_from_row0(cls_w_, TensorT<T>(Shape{hq, c}));
   TensorT<T> logits(Shape{bq, c});
   ops::gemm(logits, cls_pooled_, cls_w_bcast_);
   mesh_->row_comm().all_reduce(logits);  // sum the h/q partial products
-  TensorT<T> bias(Shape{c});
-  if (on_row0()) bias.copy_from(cls_b_);
-  mesh_->col_comm().broadcast(bias, 0);
-  ops::add_bias_(logits, bias);
+  ops::add_bias_(logits, bcast_from_row0(cls_b_, TensorT<T>(Shape{c})));
   return logits;
 }
 

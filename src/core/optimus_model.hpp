@@ -200,9 +200,6 @@ class OptimusTransformer {
     bool full = false;
   };
 
-  tensor::TensorT<T> alloc_fwd(tensor::Shape s) {
-    return fwd_ ? fwd_->template alloc<T>(s) : tensor::TensorT<T>(s);
-  }
   tensor::TensorT<T> alloc_bwd(tensor::Shape s) {
     return bwd_ ? bwd_->template alloc<T>(s) : tensor::TensorT<T>(s);
   }
@@ -211,9 +208,9 @@ class OptimusTransformer {
   void init_parameters();
   void init_arenas();
 
-  /// Broadcasts a row-0-hosted slice down this device's column. The result
-  /// lives in the forward arena (valid for the layer's lifetime).
-  tensor::TensorT<T> bcast_from_row0(const tensor::TensorT<T>& hosted, tensor::Shape shape);
+  /// Broadcasts a row-0-hosted slice down this device's column into `buf`
+  /// (row 0 copies it in first) and returns `buf`.
+  tensor::TensorT<T> bcast_from_row0(const tensor::TensorT<T>& hosted, tensor::TensorT<T> buf);
   /// Reduces a local partial gradient down the column; row 0 accumulates it
   /// into `grad_slot`.
   void reduce_to_row0(tensor::TensorT<T>& partial, tensor::TensorT<T>& grad_slot);
@@ -222,7 +219,14 @@ class OptimusTransformer {
   /// Broadcasts the row-0/col-hosted slices decode needs (biases, LN γ/β,
   /// positional table) down the columns once; cached until invalidated.
   void ensure_decode_params();
-  tensor::TensorT<T> layer_forward(tensor::index_t l, LayerActs& a);
+  /// Computes everything after a.input [rows, h/q] for layer l into `a` and
+  /// returns the layer output. Hosted slices are broadcast where they are
+  /// used, or read from the decode copies when a cache is given; with a
+  /// cache, attention runs KV-cached decode and no probs are kept. Up to
+  /// rows_local() rows carve from the forward and workspace arenas (pooled
+  /// mode); larger decode batches use the heap.
+  tensor::TensorT<T> layer_forward(tensor::index_t l, LayerActs& a,
+                                   model::KvCacheT<T>* cache = nullptr);
   tensor::TensorT<T> layer_backward(tensor::index_t l, LayerActs& a,
                                     const tensor::TensorT<T>& dout);
   void backward_stem(tensor::TensorT<T> d_hidden);
@@ -254,14 +258,9 @@ class OptimusTransformer {
   tensor::TensorT<T> d_x0_;
 
   // Decode state: column-broadcast copies of the hosted slices (persistent
-  // across steps) and the last step's hidden block.
-  struct DecodeParams {
-    tensor::TensorT<T> ln1_g, ln1_b, ln2_g, ln2_b;  // [h/q]
-    tensor::TensorT<T> qkv_b;                       // [3h/q]
-    tensor::TensorT<T> proj_b, fc2_b;               // [h/q]
-    tensor::TensorT<T> fc1_b;                       // [4h/q]
-  };
-  std::vector<DecodeParams> decode_params_;
+  // across steps; only the hosted fields of each Layer are set) and the last
+  // step's hidden block.
+  std::vector<Layer> decode_hosted_;
   tensor::TensorT<T> decode_pos_;                      // [s, h/q]
   tensor::TensorT<T> decode_final_g_, decode_final_b_;  // [h/q]
   bool decode_params_ready_ = false;

@@ -106,15 +106,19 @@ void MegatronTransformer<T>::init_parameters() {
 }
 
 template <typename T>
-TensorT<T> MegatronTransformer<T>::embed(const ITensor& tokens) {
+TensorT<T> MegatronTransformer<T>::embed(const ITensor& tokens,
+                                         const model::KvCacheT<T>* cache) {
   const index_t h = cfg_.hidden;
-  const index_t bs = cfg_.tokens_per_batch();
+  const index_t n = tokens.numel();
   const index_t v_begin = vocab_begin();
   const index_t v_local = vocab_per_rank();
+  cfg_.check_vocab_ids(tokens, /*labels=*/false, "embedding");
   // Each rank contributes rows for tokens in its vocab slice; the all-reduce
-  // assembles the full embedding (Megatron's VocabParallelEmbedding).
-  TensorT<T> x = TensorT<T>::zeros(Shape{bs, h});
-  for (index_t r = 0; r < bs; ++r) {
+  // assembles the full embedding (Megatron's VocabParallelEmbedding). The
+  // contributions are disjoint (one rank's row plus zeros), so any fold
+  // order gives the same bits and decode rows match prefill rows.
+  TensorT<T> x = TensorT<T>::zeros(Shape{n, h});
+  for (index_t r = 0; r < n; ++r) {
     const index_t tok = tokens[r];
     if (tok >= v_begin && tok < v_begin + v_local) {
       std::memcpy(x.data() + r * h, embedding_.data() + (tok - v_begin) * h,
@@ -123,59 +127,64 @@ TensorT<T> MegatronTransformer<T>::embed(const ITensor& tokens) {
   }
   comm_->all_reduce(x);
   // Positional embedding is replicated.
-  for (index_t bi = 0; bi < cfg_.batch; ++bi) {
-    for (index_t t = 0; t < cfg_.seq_len; ++t) {
-      T* row = x.data() + (bi * cfg_.seq_len + t) * h;
-      const T* pos = pos_embedding_.data() + t * h;
-      for (index_t j = 0; j < h; ++j) row[j] += pos[j];
-    }
+  for (index_t r = 0; r < n; ++r) {
+    const index_t t = cache != nullptr ? cache->len(r) : r % cfg_.seq_len;
+    OPT_CHECK(t < cfg_.seq_len, "decode position " << t << " past seq_len " << cfg_.seq_len);
+    T* row = x.data() + r * h;
+    const T* pos = pos_embedding_.data() + t * h;
+    for (index_t j = 0; j < h; ++j) row[j] += pos[j];
   }
   return x;
 }
 
 template <typename T>
-TensorT<T> MegatronTransformer<T>::layer_forward(index_t l, LayerActs& a) {
+TensorT<T> MegatronTransformer<T>::layer_forward(index_t l, LayerActs& a,
+                                                 model::KvCacheT<T>* cache) {
   const index_t h = cfg_.hidden;
-  const index_t bs = cfg_.tokens_per_batch();
+  const index_t rows = a.input.size(0);
   const T eps = static_cast<T>(cfg_.layernorm_eps);
   Layer& p = layers_[l];
 
-  a.ln1_out = TensorT<T>(Shape{bs, h});
-  a.ln1_xhat = TensorT<T>(Shape{bs, h});
-  a.ln1_istd = TensorT<T>(Shape{bs});
+  a.ln1_out = TensorT<T>(Shape{rows, h});
+  a.ln1_xhat = TensorT<T>(Shape{rows, h});
+  a.ln1_istd = TensorT<T>(Shape{rows});
   ops::layernorm_forward(a.input, p.ln1_g, p.ln1_b, eps, a.ln1_out, a.ln1_xhat, a.ln1_istd);
 
   // Column-parallel QKV: no reduce between the GEMM and its bias, so the
   // bias fuses into the GEMM epilogue.
-  a.qkv = TensorT<T>(Shape{bs, qkv_cols_});
+  a.qkv = TensorT<T>(Shape{rows, qkv_cols_});
   ops::gemm_bias(a.qkv, a.ln1_out, p.qkv_w, p.qkv_b);
 
-  a.ctx = TensorT<T>(Shape{bs, h / this->p()});
-  a.probs = TensorT<T>(Shape{cfg_.batch * heads_local_, cfg_.seq_len, cfg_.seq_len});
-  model::attention_forward(a.qkv, cfg_.batch, cfg_.seq_len, heads_local_, cfg_.head_dim(),
-                           cfg_.causal, a.ctx, a.probs);
+  a.ctx = TensorT<T>(Shape{rows, h / this->p()});
+  if (cache != nullptr) {
+    model::attention_decode(a.qkv, rows, heads_local_, cfg_.head_dim(), *cache, l, a.ctx);
+  } else {
+    a.probs = TensorT<T>(Shape{cfg_.batch * heads_local_, cfg_.seq_len, cfg_.seq_len});
+    model::attention_forward(a.qkv, cfg_.batch, cfg_.seq_len, heads_local_, cfg_.head_dim(),
+                             cfg_.causal, a.ctx, a.probs);
+  }
 
   // Row-parallel projection: partial result then all-reduce (the paper's
   // forward g-operator). The bias must apply once, *after* the reduce, so it
   // cannot fuse into the local GEMM — bias+residual fuse into one pass.
-  a.x1 = TensorT<T>(Shape{bs, h});
+  a.x1 = TensorT<T>(Shape{rows, h});
   ops::gemm(a.x1, a.ctx, p.proj_w);
   comm_->all_reduce_ordered(a.x1);  // ordered fold: decode must match prefill
   ops::bias_residual_(a.x1, p.proj_b, a.input);
 
-  a.ln2_out = TensorT<T>(Shape{bs, h});
-  a.ln2_xhat = TensorT<T>(Shape{bs, h});
-  a.ln2_istd = TensorT<T>(Shape{bs});
+  a.ln2_out = TensorT<T>(Shape{rows, h});
+  a.ln2_xhat = TensorT<T>(Shape{rows, h});
+  a.ln2_istd = TensorT<T>(Shape{rows});
   ops::layernorm_forward(a.x1, p.ln2_g, p.ln2_b, eps, a.ln2_out, a.ln2_xhat, a.ln2_istd);
 
   // Column-parallel fc1: bias+GELU fused into the GEMM epilogue (fc1_out
   // keeps the biased pre-activation for backward).
-  a.fc1_out = TensorT<T>(Shape{bs, ffn_local_});
-  a.gelu_out = TensorT<T>(Shape{bs, ffn_local_});
+  a.fc1_out = TensorT<T>(Shape{rows, ffn_local_});
+  a.gelu_out = TensorT<T>(Shape{rows, ffn_local_});
   ops::gemm_bias_gelu(a.gelu_out, a.fc1_out, a.ln2_out, p.fc1_w, p.fc1_b);
 
   // Row-parallel fc2: reduce first, then fused bias+residual.
-  TensorT<T> out(Shape{bs, h});
+  TensorT<T> out(Shape{rows, h});
   ops::gemm(out, a.gelu_out, p.fc2_w);
   comm_->all_reduce_ordered(out);  // ordered fold: decode must match prefill
   ops::bias_residual_(out, p.fc2_b, a.x1);
@@ -230,7 +239,7 @@ template <typename T>
 const TensorT<T>& MegatronTransformer<T>::forward(const ITensor& tokens) {
   OPT_CHECK(tokens.numel() == cfg_.tokens_per_batch(), "tokens must be [b, s]");
   tokens_ = tokens.clone();
-  x0_ = embed(tokens_);
+  x0_ = embed(tokens_, nullptr);
 
   acts_.clear();
   acts_.resize(cfg_.layers);
@@ -263,56 +272,24 @@ const TensorT<T>& MegatronTransformer<T>::forward_decode(
     const std::vector<std::uint8_t>* active) {
   const index_t n = tokens.numel();  // cache slots
   const index_t h = cfg_.hidden;
-  const T eps = static_cast<T>(cfg_.layernorm_eps);
-  const index_t v_begin = vocab_begin();
-  const index_t v_local = vocab_per_rank();
   OPT_CHECK(n == cache.slots(), "decode tokens must be one per cache slot");
   OPT_CHECK(cache.layers() == cfg_.layers && cache.heads() == heads_local_ &&
                 cache.head_dim() == cfg_.head_dim(),
             "kv cache does not match this rank's shard");
 
-  // Vocab-parallel embedding of the single new position per slot. The ring
-  // all-reduce is fine here: contributions are disjoint (one rank's row plus
-  // zeros), so any fold order yields the same bits — exactly as in prefill.
-  TensorT<T> x = TensorT<T>::zeros(Shape{n, h});
-  for (index_t r = 0; r < n; ++r) {
-    const index_t tok = tokens[r];
-    if (tok >= v_begin && tok < v_begin + v_local) {
-      std::memcpy(x.data() + r * h, embedding_.data() + (tok - v_begin) * h,
-                  static_cast<std::size_t>(h) * sizeof(T));
-    }
-  }
-  comm_->all_reduce(x);
-  for (index_t r = 0; r < n; ++r) {
-    const index_t t = cache.len(r);
-    OPT_CHECK(t < cfg_.seq_len, "decode position " << t << " past seq_len " << cfg_.seq_len);
-    T* row = x.data() + r * h;
-    const T* pos = pos_embedding_.data() + t * h;
-    for (index_t j = 0; j < h; ++j) row[j] += pos[j];
-  }
-
-  // Same per-layer sequence as layer_forward(), one row per slot; the two
-  // row-parallel all-reduces use the ordered fold so decode rows match the
-  // prefill rows bitwise. Buffers reused across layers; nothing retained.
-  TensorT<T> ln_out(Shape{n, h}), xhat(Shape{n, h}), istd(Shape{n});
-  TensorT<T> qkv(Shape{n, qkv_cols_}), ctx(Shape{n, h / p()}), x1(Shape{n, h});
-  TensorT<T> fc1_out(Shape{n, ffn_local_}), gelu_out(Shape{n, ffn_local_});
+  // forward()'s embedding and layer bodies on one row per slot; the two
+  // row-parallel all-reduces use the ordered fold, so decode rows match the
+  // prefill rows bitwise. Nothing is retained: decode never feeds backward.
+  TensorT<T> x = embed(tokens, &cache);
   for (index_t l = 0; l < cfg_.layers; ++l) {
-    Layer& p = layers_[l];
-    ops::layernorm_forward(x, p.ln1_g, p.ln1_b, eps, ln_out, xhat, istd);
-    ops::gemm_bias(qkv, ln_out, p.qkv_w, p.qkv_b);
-    model::attention_decode(qkv, n, heads_local_, cfg_.head_dim(), cache, l, ctx);
-    ops::gemm(x1, ctx, p.proj_w);
-    comm_->all_reduce_ordered(x1);
-    ops::bias_residual_(x1, p.proj_b, x);
-    ops::layernorm_forward(x1, p.ln2_g, p.ln2_b, eps, ln_out, xhat, istd);
-    ops::gemm_bias_gelu(gelu_out, fc1_out, ln_out, p.fc1_w, p.fc1_b);
-    ops::gemm(x, gelu_out, p.fc2_w);
-    comm_->all_reduce_ordered(x);
-    ops::bias_residual_(x, p.fc2_b, x1);
+    LayerActs a;
+    a.input = x;
+    x = layer_forward(l, a, &cache);
   }
   decode_hidden_ = TensorT<T>(Shape{n, h});
-  ops::layernorm_forward(x, final_ln_g_, final_ln_b_, eps, decode_hidden_, xhat, istd);
+  TensorT<T> xhat(Shape{n, h}), istd(Shape{n});
+  ops::layernorm_forward(x, final_ln_g_, final_ln_b_, static_cast<T>(cfg_.layernorm_eps),
+                         decode_hidden_, xhat, istd);
   cache.advance(active);
   return decode_hidden_;
 }
@@ -327,6 +304,7 @@ template <typename T>
 T MegatronTransformer<T>::lm_loss(const ITensor& labels) {
   OPT_CHECK(hidden_.defined(), "call forward() first");
   OPT_CHECK(labels.numel() == cfg_.tokens_per_batch(), "labels must be [b, s]");
+  cfg_.check_vocab_ids(labels, /*labels=*/true, "lm_loss");
   lm_labels_ = labels.clone();
   const index_t bs = cfg_.tokens_per_batch();
   const index_t v_local = vocab_per_rank();

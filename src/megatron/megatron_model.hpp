@@ -123,14 +123,18 @@ class MegatronTransformer {
   };
 
   void init_parameters();
-  /// Computes everything after `input` for layer l into `a` and returns the
-  /// layer output.
-  tensor::TensorT<T> layer_forward(tensor::index_t l, LayerActs& a);
+  /// Computes everything after a.input [rows, h] for layer l into `a` and
+  /// returns the layer output. With a cache, attention runs KV-cached decode
+  /// and no probs are kept.
+  tensor::TensorT<T> layer_forward(tensor::index_t l, LayerActs& a,
+                                   model::KvCacheT<T>* cache = nullptr);
   /// Backward through layer l; returns grad w.r.t. the layer input.
   tensor::TensorT<T> layer_backward(tensor::index_t l, LayerActs& a,
                                     const tensor::TensorT<T>& dout);
   void backward_stem(tensor::TensorT<T> d_hidden);
-  tensor::TensorT<T> embed(const tensor::ITensor& tokens);
+  /// Vocab-parallel token + positional embedding, one row per token. Row r
+  /// sits at position r mod s in prefill, or at cache->len(r) in decode.
+  tensor::TensorT<T> embed(const tensor::ITensor& tokens, const model::KvCacheT<T>* cache);
 
   model::TransformerConfig cfg_;
   comm::Communicator* comm_;

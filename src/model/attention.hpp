@@ -8,10 +8,14 @@
 // device owning b/q sequences and n/q heads), of which the serial model
 // (b, n) and Megatron (b, n/p) are special cases.
 //
-// Nonlinear(Q·Kᵀ)·V is computed entirely locally — no communication. The
-// attention probabilities are saved for backward; under activation
-// checkpointing, callers recompute the forward so probs only live during a
-// single layer's backward pass (the paper's §6 fusion discussion).
+// Nonlinear(Q·Kᵀ)·V is computed entirely locally — no communication. Every
+// entry point below runs one per-(sequence, head) body: scale·Q·Kᵀ, the
+// causal mask, softmax, then P·V, over `rows` queries and L keys. Prefill
+// runs it with rows = L = s; KV-cached decode runs one query row over the
+// len+1 cached keys. Its backward is likewise one per-head body. The
+// materialised and fused variants differ only in where P lives: saved for
+// backward in a [b·heads, s, s] tensor, or streamed through one [s, s]
+// scratch and recomputed in backward (the paper's §6 fusion discussion).
 
 #include <vector>
 

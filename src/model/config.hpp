@@ -31,6 +31,18 @@ struct TransformerConfig {
   tensor::index_t ffn_hidden() const { return mlp_ratio * hidden; }
   tensor::index_t tokens_per_batch() const { return batch * seq_len; }
 
+  /// Throws unless every entry of `ids` (token ids, or labels when `labels`:
+  /// a negative label masks its position) is a row of the vocabulary. Every
+  /// rank holds the same global ids, so all ranks throw before any collective.
+  template <typename Ids>
+  void check_vocab_ids(const Ids& ids, bool labels, const char* op) const {
+    for (tensor::index_t i = 0; i < ids.numel(); ++i) {
+      OPT_CHECK(ids[i] < vocab && (labels || ids[i] >= 0),
+                op << ": " << (labels ? "label " : "token id ") << ids[i] << " at index " << i
+                   << " outside vocab [0, " << vocab << ")");
+    }
+  }
+
   /// Total parameter count of the stem + embedding + heads.
   std::uint64_t parameter_count() const;
 

@@ -92,67 +92,84 @@ void SerialTransformer<T>::init_parameters() {
 }
 
 template <typename T>
-const TensorT<T>& SerialTransformer<T>::forward(const ITensor& tokens) {
-  const index_t b = cfg_.batch;
-  const index_t s = cfg_.seq_len;
+TensorT<T> SerialTransformer<T>::embed(const ITensor& tokens, const KvCacheT<T>* cache) const {
+  const index_t n = tokens.numel();
+  const index_t h = cfg_.hidden;
+  cfg_.check_vocab_ids(tokens, /*labels=*/false, "embedding");
+  TensorT<T> x(Shape{n, h});
+  ops::embedding_forward(embedding_, tokens, x);
+  for (index_t r = 0; r < n; ++r) {
+    const index_t t = cache != nullptr ? cache->len(r) : r % cfg_.seq_len;
+    OPT_CHECK(t < cfg_.seq_len, "decode position " << t << " past seq_len " << cfg_.seq_len);
+    T* row = x.data() + r * h;
+    const T* pos = pos_embedding_.data() + t * h;
+    for (index_t j = 0; j < h; ++j) row[j] += pos[j];
+  }
+  return x;
+}
+
+template <typename T>
+TensorT<T> SerialTransformer<T>::layer_forward(index_t l, LayerActs& a, KvCacheT<T>* cache) {
+  const index_t rows = a.input.size(0);
   const index_t h = cfg_.hidden;
   const index_t f = cfg_.ffn_hidden();
-  const index_t bs = b * s;
+  const T eps = static_cast<T>(cfg_.layernorm_eps);
+  LayerParams<T>& p = layers_[l];
+
+  // LN1
+  a.ln1_out = TensorT<T>(Shape{rows, h});
+  a.ln1_xhat = TensorT<T>(Shape{rows, h});
+  a.ln1_istd = TensorT<T>(Shape{rows});
+  ops::layernorm_forward(a.input, p.ln1_g, p.ln1_b, eps, a.ln1_out, a.ln1_xhat, a.ln1_istd);
+
+  // Fused QKV projection (bias applied in the GEMM epilogue).
+  a.qkv = TensorT<T>(Shape{rows, 3 * h});
+  ops::gemm_bias(a.qkv, a.ln1_out, p.qkv_w, p.qkv_b);
+
+  // Local attention.
+  a.ctx = TensorT<T>(Shape{rows, h});
+  if (cache != nullptr) {
+    attention_decode(a.qkv, rows, cfg_.heads, cfg_.head_dim(), *cache, l, a.ctx);
+  } else {
+    a.probs = TensorT<T>(Shape{cfg_.batch * cfg_.heads, cfg_.seq_len, cfg_.seq_len});
+    attention_forward(a.qkv, cfg_.batch, cfg_.seq_len, cfg_.heads, cfg_.head_dim(),
+                      cfg_.causal, a.ctx, a.probs);
+  }
+
+  // Output projection + bias + residual, one fused GEMM.
+  a.x1 = TensorT<T>(Shape{rows, h});
+  ops::gemm_bias_residual(a.x1, a.ctx, p.proj_w, p.proj_b, a.input);
+
+  // LN2 + MLP + residual.
+  a.ln2_out = TensorT<T>(Shape{rows, h});
+  a.ln2_xhat = TensorT<T>(Shape{rows, h});
+  a.ln2_istd = TensorT<T>(Shape{rows});
+  ops::layernorm_forward(a.x1, p.ln2_g, p.ln2_b, eps, a.ln2_out, a.ln2_xhat, a.ln2_istd);
+  // h→4h with bias+GELU fused into the GEMM epilogue (fc1_out keeps the
+  // biased pre-activation for backward), then 4h→h with bias+residual.
+  a.fc1_out = TensorT<T>(Shape{rows, f});
+  a.gelu_out = TensorT<T>(Shape{rows, f});
+  ops::gemm_bias_gelu(a.gelu_out, a.fc1_out, a.ln2_out, p.fc1_w, p.fc1_b);
+  TensorT<T> out(Shape{rows, h});
+  ops::gemm_bias_residual(out, a.gelu_out, p.fc2_w, p.fc2_b, a.x1);
+  return out;
+}
+
+template <typename T>
+const TensorT<T>& SerialTransformer<T>::forward(const ITensor& tokens) {
+  const index_t bs = cfg_.tokens_per_batch();
+  const index_t h = cfg_.hidden;
   const T eps = static_cast<T>(cfg_.layernorm_eps);
   OPT_CHECK(tokens.numel() == bs, "tokens must be [b, s] = " << bs << " entries");
   tokens_ = tokens.clone();
-
-  // Token + positional embedding.
-  x0_ = TensorT<T>(Shape{bs, h});
-  ops::embedding_forward(embedding_, tokens_, x0_);
-  for (index_t bi = 0; bi < b; ++bi) {
-    for (index_t t = 0; t < s; ++t) {
-      T* row = x0_.data() + (bi * s + t) * h;
-      const T* pos = pos_embedding_.data() + t * h;
-      for (index_t j = 0; j < h; ++j) row[j] += pos[j];
-    }
-  }
+  x0_ = embed(tokens_, nullptr);
 
   acts_.clear();
   acts_.resize(cfg_.layers);
   TensorT<T> x = x0_;
   for (index_t l = 0; l < cfg_.layers; ++l) {
-    LayerParams<T>& p = layers_[l];
-    LayerActs& a = acts_[l];
-    a.input = x.clone();
-
-    // LN1
-    a.ln1_out = TensorT<T>(Shape{bs, h});
-    a.ln1_xhat = TensorT<T>(Shape{bs, h});
-    a.ln1_istd = TensorT<T>(Shape{bs});
-    ops::layernorm_forward(a.input, p.ln1_g, p.ln1_b, eps, a.ln1_out, a.ln1_xhat, a.ln1_istd);
-
-    // Fused QKV projection (bias applied in the GEMM epilogue).
-    a.qkv = TensorT<T>(Shape{bs, 3 * h});
-    ops::gemm_bias(a.qkv, a.ln1_out, p.qkv_w, p.qkv_b);
-
-    // Local attention.
-    a.ctx = TensorT<T>(Shape{bs, h});
-    a.probs = TensorT<T>(Shape{b * cfg_.heads, s, s});
-    attention_forward(a.qkv, b, s, cfg_.heads, cfg_.head_dim(), cfg_.causal, a.ctx, a.probs);
-
-    // Output projection + bias + residual, one fused GEMM.
-    a.x1 = TensorT<T>(Shape{bs, h});
-    ops::gemm_bias_residual(a.x1, a.ctx, p.proj_w, p.proj_b, a.input);
-
-    // LN2 + MLP + residual.
-    a.ln2_out = TensorT<T>(Shape{bs, h});
-    a.ln2_xhat = TensorT<T>(Shape{bs, h});
-    a.ln2_istd = TensorT<T>(Shape{bs});
-    ops::layernorm_forward(a.x1, p.ln2_g, p.ln2_b, eps, a.ln2_out, a.ln2_xhat, a.ln2_istd);
-    // h→4h with bias+GELU fused into the GEMM epilogue (fc1_out keeps the
-    // biased pre-activation for backward), then 4h→h with bias+residual.
-    a.fc1_out = TensorT<T>(Shape{bs, f});
-    a.gelu_out = TensorT<T>(Shape{bs, f});
-    ops::gemm_bias_gelu(a.gelu_out, a.fc1_out, a.ln2_out, p.fc1_w, p.fc1_b);
-    TensorT<T> x2(Shape{bs, h});
-    ops::gemm_bias_residual(x2, a.gelu_out, p.fc2_w, p.fc2_b, a.x1);
-    x = x2;
+    acts_[l].input = x.clone();
+    x = layer_forward(l, acts_[l]);
   }
   stem_out_ = x;
 
@@ -178,44 +195,25 @@ const TensorT<T>& SerialTransformer<T>::forward_decode(const ITensor& tokens,
                                                        const std::vector<std::uint8_t>* active) {
   const index_t n = tokens.numel();  // cache slots
   const index_t h = cfg_.hidden;
-  const index_t f = cfg_.ffn_hidden();
-  const T eps = static_cast<T>(cfg_.layernorm_eps);
   OPT_CHECK(n == cache.slots(), "decode tokens must be one per cache slot");
   OPT_CHECK(cache.layers() == cfg_.layers && cache.heads() == cfg_.heads &&
                 cache.head_dim() == cfg_.head_dim(),
             "kv cache does not match model config");
 
-  // Token + positional embedding at each slot's next position.
-  TensorT<T> x(Shape{n, h});
-  ops::embedding_forward(embedding_, tokens, x);
-  for (index_t i = 0; i < n; ++i) {
-    const index_t t = cache.len(i);
-    OPT_CHECK(t < cfg_.seq_len, "decode position " << t << " past seq_len " << cfg_.seq_len);
-    T* row = x.data() + i * h;
-    const T* pos = pos_embedding_.data() + t * h;
-    for (index_t j = 0; j < h; ++j) row[j] += pos[j];
-  }
-
-  // Same op sequence as forward(), restricted to one row per slot. Every op
-  // in the chain is row-decomposable (LN is per-row, the GEMMs accumulate k
-  // in a fixed order per output element, attention is per (slot, head)), so
-  // the result matches the full-prefix rows bitwise. Buffers are reused
-  // across layers; decode never feeds backward.
-  TensorT<T> ln_out(Shape{n, h}), xhat(Shape{n, h}), istd(Shape{n});
-  TensorT<T> qkv(Shape{n, 3 * h}), ctx(Shape{n, h}), x1(Shape{n, h});
-  TensorT<T> fc1_out(Shape{n, f}), gelu_out(Shape{n, f});
+  // forward()'s embedding and layer bodies on one row per slot. Every op is
+  // row-decomposable (LN is per-row, each GEMM output element is one k-order
+  // fold, attention is per (slot, head)), so the result matches the
+  // full-prefix rows bitwise. Decode never feeds backward: nothing is kept.
+  TensorT<T> x = embed(tokens, &cache);
   for (index_t l = 0; l < cfg_.layers; ++l) {
-    LayerParams<T>& p = layers_[l];
-    ops::layernorm_forward(x, p.ln1_g, p.ln1_b, eps, ln_out, xhat, istd);
-    ops::gemm_bias(qkv, ln_out, p.qkv_w, p.qkv_b);
-    attention_decode(qkv, n, cfg_.heads, cfg_.head_dim(), cache, l, ctx);
-    ops::gemm_bias_residual(x1, ctx, p.proj_w, p.proj_b, x);
-    ops::layernorm_forward(x1, p.ln2_g, p.ln2_b, eps, ln_out, xhat, istd);
-    ops::gemm_bias_gelu(gelu_out, fc1_out, ln_out, p.fc1_w, p.fc1_b);
-    ops::gemm_bias_residual(x, gelu_out, p.fc2_w, p.fc2_b, x1);
+    LayerActs a;
+    a.input = x;
+    x = layer_forward(l, a, &cache);
   }
   decode_hidden_ = TensorT<T>(Shape{n, h});
-  ops::layernorm_forward(x, final_ln_g_, final_ln_b_, eps, decode_hidden_, xhat, istd);
+  TensorT<T> xhat(Shape{n, h}), istd(Shape{n});
+  ops::layernorm_forward(x, final_ln_g_, final_ln_b_, static_cast<T>(cfg_.layernorm_eps),
+                         decode_hidden_, xhat, istd);
   cache.advance(active);
   return decode_hidden_;
 }
@@ -229,6 +227,7 @@ tensor::TensorT<T> SerialTransformer<T>::lm_logits_decode() {
 template <typename T>
 T SerialTransformer<T>::lm_loss(const ITensor& labels) {
   OPT_CHECK(labels.numel() == cfg_.tokens_per_batch(), "labels must be [b, s]");
+  cfg_.check_vocab_ids(labels, /*labels=*/true, "lm_loss");
   lm_labels_ = labels.clone();
   TensorT<T> logits = lm_logits();
   lm_probs_ = TensorT<T>(logits.shape());

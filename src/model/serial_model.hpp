@@ -129,6 +129,13 @@ class SerialTransformer {
   };
 
   void init_parameters();
+  /// Token + positional embedding of `tokens`, one row each. Row r sits at
+  /// position r mod s in prefill, or at cache->len(r) in decode.
+  tensor::TensorT<T> embed(const tensor::ITensor& tokens, const KvCacheT<T>* cache) const;
+  /// Layer l on a.input [rows, h]: fills `a` and returns the layer output.
+  /// With a cache, attention runs KV-cached decode and no probs are kept.
+  tensor::TensorT<T> layer_forward(tensor::index_t l, LayerActs& a,
+                                   KvCacheT<T>* cache = nullptr);
   /// Stem backward from d(final hidden) [bs, h]; accumulates all gradients
   /// and leaves d_x0_ (grad at embedding output), then scatters into the
   /// embedding tables.

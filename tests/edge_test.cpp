@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "comm/cluster.hpp"
 #include "core/optimus_model.hpp"
@@ -269,3 +271,127 @@ TEST(OddShape, SingleDeviceOptimusIsExactlySerial) {
     ASSERT_NEAR(engine.lm_loss(labels), loss_ref, 1e-12);
   });
 }
+
+// ---------------------------------------------------------------------------
+// Out-of-vocabulary ids fail loudly
+// ---------------------------------------------------------------------------
+//
+// A token id outside [0, vocab), or a label >= vocab (negative labels mask),
+// must throw a CheckError naming the op, the id, its index and the vocab. The
+// ids are global and identical on every rank, so every rank throws before
+// its first collective: no rank is left parked.
+
+namespace {
+
+enum class IdOp { kForward, kDecode, kLoss };
+
+struct OovCase {
+  const char* engine;
+  IdOp op;
+};
+
+om::TransformerConfig oov_cfg() {
+  om::TransformerConfig cfg;
+  cfg.batch = 4;
+  cfg.seq_len = 4;
+  cfg.hidden = 8;
+  cfg.heads = 2;
+  cfg.vocab = 8;
+  cfg.layers = 1;
+  cfg.seed = 21;
+  return cfg;
+}
+
+/// Runs `op` with the out-of-vocabulary id `cfg.vocab` planted at index 3 and
+/// returns the CheckError message ("" if nothing threw).
+template <typename Engine>
+std::string oov_error(Engine& eng, const om::TransformerConfig& cfg, IdOp op) {
+  ITensor tokens(Shape{cfg.batch, cfg.seq_len});
+  for (ot::index_t i = 0; i < tokens.numel(); ++i) {
+    tokens[i] = static_cast<std::int32_t>(i % cfg.vocab);
+  }
+  const auto bad = static_cast<std::int32_t>(cfg.vocab);
+  try {
+    switch (op) {
+      case IdOp::kForward:
+        tokens[3] = bad;
+        eng.forward(tokens);
+        break;
+      case IdOp::kDecode: {
+        auto cache = eng.make_kv_cache(cfg.batch);
+        ITensor step(Shape{cfg.batch});
+        step.fill(1);
+        step[3] = bad;
+        eng.forward_decode(step, cache);
+        break;
+      }
+      case IdOp::kLoss: {
+        eng.forward(tokens);
+        ITensor labels = tokens.clone();
+        labels[0] = -1;  // masked: allowed
+        labels[3] = bad;
+        eng.lm_loss(labels);
+        break;
+      }
+    }
+  } catch (const optimus::util::CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+const char* op_name(IdOp op) {
+  return op == IdOp::kForward ? "forward" : op == IdOp::kDecode ? "forward_decode" : "lm_loss";
+}
+
+void PrintTo(const OovCase& c, std::ostream* os) { *os << c.engine << " " << op_name(c.op); }
+
+class OutOfVocab : public ::testing::TestWithParam<OovCase> {};
+
+}  // namespace
+
+TEST_P(OutOfVocab, IdsFailLoudlyOnEveryRank) {
+  const om::TransformerConfig cfg = oov_cfg();
+  const OovCase c = GetParam();
+  std::vector<std::string> errors;
+  std::mutex mu;
+  const std::string engine = c.engine;
+  if (engine == "serial") {
+    om::SerialTransformer<float> eng(cfg);
+    errors.push_back(oov_error(eng, cfg, c.op));
+  } else {
+    // Optimus on a 2x2 mesh, Megatron at p = 2.
+    const int ranks = engine == "optimus" ? 4 : 2;
+    oc::run_cluster(ranks, [&](oc::Context& ctx) {
+      std::string msg;
+      if (engine == "optimus") {
+        optimus::mesh::Mesh2D mesh(ctx.world);
+        optimus::core::OptimusTransformer<float> eng(cfg, mesh);
+        msg = oov_error(eng, cfg, c.op);
+      } else {
+        optimus::megatron::MegatronTransformer<float> eng(cfg, ctx.world);
+        msg = oov_error(eng, cfg, c.op);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      errors.push_back(msg);
+    });
+  }
+  const std::string what = c.op == IdOp::kLoss ? "lm_loss: label 8" : "embedding: token id 8";
+  for (const std::string& e : errors) {
+    EXPECT_NE(e.find(what), std::string::npos) << e;
+    EXPECT_NE(e.find("at index 3"), std::string::npos) << e;
+    EXPECT_NE(e.find("outside vocab [0, 8)"), std::string::npos) << e;
+  }
+  EXPECT_EQ(errors.size(), engine == "serial" ? 1u : engine == "optimus" ? 4u : 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, OutOfVocab,
+    ::testing::Values(OovCase{"serial", IdOp::kForward}, OovCase{"serial", IdOp::kDecode},
+                      OovCase{"serial", IdOp::kLoss}, OovCase{"megatron", IdOp::kForward},
+                      OovCase{"megatron", IdOp::kDecode}, OovCase{"megatron", IdOp::kLoss},
+                      OovCase{"optimus", IdOp::kForward}, OovCase{"optimus", IdOp::kDecode},
+                      OovCase{"optimus", IdOp::kLoss}),
+    [](const ::testing::TestParamInfo<OovCase>& info) {
+      return std::string(info.param.engine) + "_" + op_name(info.param.op);
+    });

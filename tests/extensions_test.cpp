@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <sstream>
 
@@ -15,6 +17,7 @@
 #include "core/optimus_model.hpp"
 #include "mesh/mesh.hpp"
 #include "model/attention.hpp"
+#include "model/kv_cache.hpp"
 #include "model/serial_model.hpp"
 #include "runtime/checkpoint_io.hpp"
 #include "runtime/data.hpp"
@@ -109,6 +112,44 @@ TEST(FusedAttention, NonCausalVariantAlsoMatches) {
   DTensor scratch(Shape{om::attention_fused_scratch_elems(s)});
   om::attention_forward_fused(qkv, b, s, heads, d, false, ctx_fused, scratch);
   EXPECT_EQ(ops::max_abs_diff(ctx_ref, ctx_fused), 0.0);
+}
+
+TEST(FusedAttention, DecodeRowsMatchPrefillRowsBitwise) {
+  // KV-cached decode runs the prefill head body on one query row. Slot i
+  // joins at step i, so the slots' cache lengths differ at every step; each
+  // decoded row must equal attention_forward's causal row bit for bit.
+  const ot::index_t b = 3, s = 5, heads = 2, d = 3;
+  const ot::index_t qkv_cols = heads * 3 * d, ctx_cols = heads * d;
+  optimus::util::Rng rng(5);
+  const ot::Tensor qkv = optimus::testing::random_tensor(Shape{b * s, qkv_cols}, rng);
+  ot::Tensor ctx_ref(Shape{b * s, ctx_cols}), probs(Shape{b * heads, s, s});
+  om::attention_forward(qkv, b, s, heads, d, true, ctx_ref, probs);
+
+  // Spare capacity: slots that have not joined yet, or are done, still
+  // append (masked out of advance) at their current length.
+  om::KvCacheT<float> cache(1, b, s + b, heads, d);
+  int checked = 0, bad = 0;
+  for (ot::index_t step = 0; step < s + b - 1; ++step) {
+    ot::Tensor qkv_step(Shape{b, qkv_cols}), ctx(Shape{b, ctx_cols});
+    std::vector<std::uint8_t> active(static_cast<std::size_t>(b));
+    for (ot::index_t i = 0; i < b; ++i) {
+      const ot::index_t t = std::min(cache.len(i), s - 1);
+      active[static_cast<std::size_t>(i)] = step >= i && cache.len(i) < s;
+      std::memcpy(qkv_step.data() + i * qkv_cols, qkv.data() + (i * s + t) * qkv_cols,
+                  sizeof(float) * static_cast<std::size_t>(qkv_cols));
+    }
+    om::attention_decode(qkv_step, b, heads, d, cache, 0, ctx);
+    for (ot::index_t i = 0; i < b; ++i) {
+      if (!active[static_cast<std::size_t>(i)]) continue;
+      ++checked;
+      bad += std::memcmp(ctx.data() + i * ctx_cols,
+                         ctx_ref.data() + (i * s + cache.len(i)) * ctx_cols,
+                         sizeof(float) * static_cast<std::size_t>(ctx_cols)) != 0;
+    }
+    cache.advance(&active);
+  }
+  EXPECT_EQ(checked, b * s);
+  EXPECT_EQ(bad, 0);
 }
 
 TEST(FusedAttention, EngineEquivalenceAndMemorySaving) {

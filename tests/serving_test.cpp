@@ -3,10 +3,10 @@
 //
 // The load-bearing claims, each tested directly:
 //   * decode ≡ prefill *bitwise* (0 ULPs) for every engine — serial, Optimus
-//     2D at q ∈ {1,2,3}, Megatron 1D at p ∈ {1,2,3} — at tiny shapes and at
-//     the host benchmark's serving shape: every GEMM folds each output
-//     element in k-order whatever its m, so decode's m = b rows reproduce
-//     prefill's m = b·s rows;
+//     2D at q ∈ {1,2,3} (also built with fused attention), Megatron 1D at
+//     p ∈ {1,2,3} — at tiny shapes and at the host benchmark's serving
+//     shape: every GEMM folds each output element in k-order whatever its
+//     m, so decode's m = b rows reproduce prefill's m = b·s rows;
 //   * eviction + replay is invisible: a request evicted mid-generation and
 //     re-admitted produces the identical token sequence;
 //   * a decode step's simulated cost equals the closed-form predictor exactly;
@@ -249,18 +249,31 @@ TEST(Serving, DecodeMatchesPrefillBitwiseSerial) {
 
 TEST(Serving, DecodeMatchesPrefillBitwiseOptimus) {
   ots::Watchdog wd("optimus decode equivalence", std::chrono::seconds(240));
-  const std::pair<int, om::TransformerConfig> cases[] = {
-      {1, tiny_cfg(1)}, {2, tiny_cfg(2)}, {3, tiny_cfg(3)}, {2, serve_cfg()}};
+  // The last case builds the engine with fused attention: its decode rows
+  // must equal its fused-prefill rows.
+  struct Case {
+    int q;
+    om::TransformerConfig cfg;
+    bool fused;
+  };
+  const Case cases[] = {{1, tiny_cfg(1), false},
+                        {2, tiny_cfg(2), false},
+                        {3, tiny_cfg(3), false},
+                        {2, serve_cfg(), false},
+                        {2, tiny_cfg(2), true}};
   for (const auto& c : cases) {
-    const int q = c.first;
-    const om::TransformerConfig& cfg = c.second;
-    SCOPED_TRACE(::testing::Message() << "q=" << q << " hidden=" << cfg.hidden);
+    const int q = c.q;
+    const om::TransformerConfig& cfg = c.cfg;
+    SCOPED_TRACE(::testing::Message() << "q=" << q << " hidden=" << cfg.hidden
+                                      << " fused=" << c.fused);
     const ITensor tokens = random_tokens(cfg, 9);
     int bad_hidden = 0, bad_logits = 0;
     std::mutex mu;
     oc::run_cluster(q * q, [&](oc::Context& ctx) {
       optimus::mesh::Mesh2D mesh(ctx.world);
-      optimus::core::OptimusTransformer<float> eng(cfg, mesh);
+      optimus::core::OptimusOptions opts;
+      opts.fuse_attention = c.fused;
+      optimus::core::OptimusTransformer<float> eng(cfg, mesh, opts);
       const auto hidden = eng.forward(tokens).clone();  // [b*s/q, h/q]
       const auto logits = eng.lm_logits_block();        // [b*s/q, v/q]
       auto cache = eng.make_kv_cache(cfg.batch);
