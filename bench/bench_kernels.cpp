@@ -16,6 +16,9 @@
 //   * shared_pack  — explicit alias row for the cooperative path at the max
 //                    thread count, so the schedule named in DESIGN.md §3 has
 //                    a greppable record.
+//   * per-rank shapes — threads1 f32 rows at the small products the
+//                    hostbench workloads issue per simulated rank (SUMMA
+//                    k-steps, decode projections, decode attention heads).
 //   * fused/unfused bias_gelu — gemm_ex with the BiasGelu epilogue applied
 //                    tile-hot vs the same GEMM followed by separate
 //                    full-tensor bias and GELU passes (the pre-fusion MLP
@@ -84,14 +87,16 @@ void naive_gemm(T* C, const T* A, const T* B, index_t m, index_t n, index_t k) {
 }
 
 // Times `fn` adaptively: one warm-up/calibration rep, then enough reps to
-// cover ~0.3 s of wall time (min 1, max 50). Returns ms per rep.
+// cover ~0.3 s of wall time (at most 10^6, so a sub-microsecond product is
+// timed over many calls). A warm-up that alone exceeds the budget is the
+// measurement. Returns ms per rep.
 double time_ms(const std::function<void()>& fn) {
+  constexpr double kBudgetS = 0.3;
   optimus::util::Stopwatch sw;
   fn();
   const double first_s = sw.elapsed_s();
-  int reps = 1;
-  if (first_s < 0.3) reps = static_cast<int>(0.3 / (first_s + 1e-9)) + 1;
-  if (reps > 50) reps = 50;
+  if (first_s >= kBudgetS) return first_s * 1000.0;
+  const int reps = static_cast<int>(std::min(1e6, kBudgetS / (first_s + 1e-9))) + 1;
   optimus::util::Stopwatch sw2;
   for (int i = 0; i < reps; ++i) fn();
   return sw2.elapsed_s() * 1000.0 / reps;
@@ -176,6 +181,32 @@ void run_gemm_suite(const char* dtype, const std::vector<Problem<T>>& problems,
   std::printf("\n");
 }
 
+// The per-rank products hostbench's workloads call, one thread each: the
+// SUMMA k-steps of train_2d, the decode projections (8 slots and h = 128
+// split over q = 2) and decode attention's per-head Q·Kᵀ (1×L×16) and P·V
+// (1×16×L) at L = 64. Every tile of the decode rows is an edge tile.
+void run_rank_shape_suite(JsonWriter& json) {
+  const std::vector<Problem<float>> shapes = {
+      {"128x128x128", 128, 128, 128}, {"128x512x128", 128, 512, 128},
+      {"4x64x64", 4, 64, 64},         {"1x64x16", 1, 64, 16},
+      {"1x16x64", 1, 16, 64},
+  };
+  std::printf("%-26s %-18s %12s %12s\n", "name", "shape", "wall_ms", "GFLOP/s");
+  ok::set_threads(1);
+  for (const auto& p : shapes) {
+    auto A = random_buffer<float>(p.m * p.k, 1);
+    auto B = random_buffer<float>(p.k * p.n, 2);
+    std::vector<float> C(static_cast<std::size_t>(p.m * p.n), 0.0f);
+    const Recorder record{json, p.tag, 2.0 * static_cast<double>(p.m) * p.n * p.k};
+    record("gemm_threads1_f32", [&] {
+      ok::gemm(C.data(), A.data(), B.data(), p.m, p.n, p.k, p.k, p.n, p.n, ok::Trans::No,
+               ok::Trans::No, 1.0f, 0.0f);
+    });
+  }
+  ok::set_threads(0);
+  std::printf("\n");
+}
+
 // The cooperative shared-pack schedule under its DESIGN.md name, plus the
 // fused-epilogue rows: gemm_ex(BiasGelu) applied while each C tile is
 // register/L1-hot vs the pre-fusion sequence (GEMM, then a full-tensor bias
@@ -250,6 +281,7 @@ static int run_main() {
       {"512x8192x512", 512, 8192, 512},
   };
   run_gemm_suite<float>("f32", f32, threads, json);
+  run_rank_shape_suite(json);
 
   // f64 spot checks: half the SIMD width, same blocking.
   std::vector<Problem<double>> f64 = {

@@ -16,8 +16,10 @@
 #   4. Serving smoke: bench_serving (fixed seeds, simulated clock) run twice
 #      with byte-diffed stdout + BENCH_serving.json, then gated against the
 #      checked-in baseline with tools/bench_gate.
-#   5. Fabric smoke: bench_fabric (host cost per collective) runs end to
-#      end; its wall rows are informational, not gated.
+#   5. Fabric and kernel smokes: bench_fabric (host cost per collective)
+#      and bench_kernels (GEMM GFLOP/s, including the per-rank shapes the
+#      hostbench workloads call) run end to end; their wall rows are
+#      informational, not gated.
 #   6. Host-cost benchmark: hostbench/ is its own CMake project over src/,
 #      so step 1 never compiles it. Build it standalone into build-hostbench/
 #      and run host_bench_selftest.
@@ -112,6 +114,23 @@ echo "==> fabric smoke: bench_fabric runs and writes one row per (op, p, payload
 ./build/bench/bench_fabric --ops 50 --repeats 1 --out "$OBS_TMP/fabric.json" > /dev/null
 python3 -c 'import json, sys; rows = json.load(open(sys.argv[1])); assert len(rows) == 15, len(rows)' \
     "$OBS_TMP/fabric.json"
+
+echo "==> kernel smoke: bench_kernels runs and writes the per-rank shape rows"
+# GFLOP/s depend on the host, so BENCH_kernels.json is informational and not
+# gated: this checks that the whole sweep (~40 s) runs end to end and that
+# each per-rank shape the hostbench workloads call has one well-formed
+# threads1 f32 row.
+(cd "$OBS_TMP" && "$ROOT/build/bench/bench_kernels" > /dev/null)
+python3 - "$OBS_TMP/BENCH_kernels.json" <<'PY'
+import json, math, sys
+rows = json.load(open(sys.argv[1]))
+for shape in ("128x128x128", "128x512x128", "4x64x64", "1x64x16", "1x16x64"):
+    hits = [r for r in rows if r["name"] == "gemm_threads1_f32" and r["shape"] == shape]
+    assert len(hits) == 1, (shape, len(hits))
+    for key in ("gflops", "wall_ms"):
+        value = hits[0][key]
+        assert isinstance(value, (int, float)) and math.isfinite(value) and value > 0, (shape, key, value)
+PY
 
 echo "==> hostbench: standalone build + host_bench_selftest"
 # run.py builds the same project into .bench_build/; a separate tree here

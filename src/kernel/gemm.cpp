@@ -1,9 +1,15 @@
 #include "kernel/gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
-#include <vector>
+#include <new>
+#include <utility>
+
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "kernel/thread_pool.hpp"
 
@@ -11,47 +17,123 @@ namespace optimus::kernel {
 
 namespace {
 
-// Register tile: MR×NR accumulators. NR spans one 64-byte cache line so the
-// inner loop is a whole-line FMA; 4×NR accumulators fit the vector register
-// file for both AVX2 and AVX-512 without spilling.
+// SIMD lanes. The microkernel is written once against Vec<T>, a vector of W
+// elements, using plain operators: the compiler forms a fused multiply-add for
+// `acc += a * b` exactly where it would for the scalar expression, so every
+// ISA below runs the same fold as its scalar reference (one multiply-add per
+// k). Only the vector width, the tile height kMR and the partial (first n
+// lanes) loads and stores differ per ISA; the ISA is the one the compiler
+// targets (-march), chosen by its predefined macros. The tile is kMR rows of
+// two vectors: its 2·kMR accumulators, the two B vectors of a k step and the
+// broadcast A element fit the register file without spilling.
+#if defined(__GNUC__) || defined(__clang__)
+#if defined(__AVX512F__)
+constexpr int kVecBytes = 64;  // zmm: 24 of the 32 registers accumulate
+constexpr index_t kMR = 12;
+#elif defined(__AVX__)
+constexpr int kVecBytes = 32;  // ymm: 12 of the 16 registers accumulate
+constexpr index_t kMR = 6;
+#else
+constexpr int kVecBytes = 16;  // xmm / NEON q
+constexpr index_t kMR = 6;
+#endif
 template <typename T>
-struct Tile;
-template <>
-struct Tile<float> {
-  static constexpr index_t MR = 4;
-  static constexpr index_t NR = 16;
+struct VecOf {
+  typedef T type __attribute__((vector_size(kVecBytes)));
+  // The same vector as an lvalue over plain, element-aligned T arrays.
+  typedef T memory __attribute__((vector_size(kVecBytes), aligned(alignof(T)), may_alias));
 };
-template <>
-struct Tile<double> {
-  static constexpr index_t MR = 4;
-  static constexpr index_t NR = 8;
+#else
+// Portable scalar fallback: one-lane "vectors".
+constexpr index_t kMR = 4;
+template <typename T>
+struct VecOf {
+  using type = T;
+  using memory = T;
+};
+#endif
+
+template <typename T>
+using Vec = typename VecOf<T>::type;
+template <typename T>
+constexpr int kLanes = static_cast<int>(sizeof(Vec<T>) / sizeof(T));
+
+// Whole-vector loads and stores; C rows and packed panels are only
+// element-aligned.
+template <typename T>
+inline Vec<T> load(const T* p) {
+  return *reinterpret_cast<const typename VecOf<T>::memory*>(p);
+}
+template <typename T>
+inline void store(T* p, Vec<T> v) {
+  *reinterpret_cast<typename VecOf<T>::memory*>(p) = v;
+}
+
+// The first n lanes (1 <= n <= W); a partial load zero-fills the rest, a
+// partial store leaves the memory past p[n-1] untouched.
+#if defined(__AVX512F__)
+inline Vec<float> load_n(const float* p, int n) {
+  return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1u), p);
+}
+inline Vec<double> load_n(const double* p, int n) {
+  return _mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << n) - 1u), p);
+}
+inline void store_n(float* p, Vec<float> v, int n) {
+  _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << n) - 1u), v);
+}
+inline void store_n(double* p, Vec<double> v, int n) {
+  _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << n) - 1u), v);
+}
+#else
+template <typename T>
+inline Vec<T> load_n(const T* p, int n) {
+  if (n == kLanes<T>) return load(p);
+  T lanes[kLanes<T>] = {};
+  std::copy_n(p, n, lanes);
+  return load(lanes);
+}
+template <typename T>
+inline void store_n(T* p, Vec<T> v, int n) {
+  if (n == kLanes<T>) return store(p, v);
+  T lanes[kLanes<T>];
+  store(lanes, v);
+  std::copy_n(lanes, n, p);
+}
+#endif
+
+// The microkernel's tile loops have compile-time trip counts; unrolling them
+// fully lets the compiler keep every accumulator in a register.
+#if defined(__GNUC__) || defined(__clang__)
+#define OPTIMUS_UNROLL _Pragma("GCC unroll 16")
+#else
+#define OPTIMUS_UNROLL
+#endif
+
+// Register tile: MR rows × NV vectors of accumulators, NR = NV·W columns —
+// f32 12×32 and f64 12×16 under AVX-512, f32 6×16 and f64 6×8 under AVX2.
+template <typename T>
+struct Tile {
+  static constexpr int NV = 2;
+  static constexpr index_t MR = kMR;
+  static constexpr index_t NR = NV * kLanes<T>;
 };
 
 // Cache blocking: the packed A panel (MC×KC) targets L2, the packed B panel
 // (KC×NC) L3, and one B strip (KC×NR) stays L1-resident across an MC sweep.
-constexpr index_t kMC = 64;
+constexpr index_t kMC = 96;
 constexpr index_t kKC = 256;
 constexpr index_t kNC = 1024;
+static_assert(kMC % kMR == 0 && kNC % Tile<float>::NR == 0);
 
 // Cap on the M extent packed per cooperative stage, so the shared packed-A
 // buffer stays bounded (kMOuter×KC elements) for arbitrarily tall inputs.
 // Must be a multiple of kMC.
-constexpr index_t kMOuter = 2048;
-static_assert(kMOuter % kMC == 0);
-
-template <typename T>
-inline T load_a(const T* A, index_t lda, Trans ta, index_t i, index_t kk) {
-  return ta == Trans::No ? A[i * lda + kk] : A[kk * lda + i];
-}
-
-template <typename T>
-inline T load_b(const T* B, index_t ldb, Trans tb, index_t kk, index_t j) {
-  return tb == Trans::No ? B[kk * ldb + j] : B[j * ldb + kk];
-}
+constexpr index_t kMOuter = 24 * kMC;
 
 // Packs op(A)[i0:i0+mc, k0:k0+kc], scaled by alpha, into MR-row strips:
-// strip s holds columns k in order, MR consecutive rows per column, rows past
-// mc zero-padded so the microkernel never branches on the edge.
+// strip s holds columns k in order, its rows consecutive per column. The last
+// strip keeps only its live rows (mc − s·MR < MR), which is the row count its
+// microkernel is specialised on, so no row is ever padded.
 template <typename T>
 void pack_a(const T* A, index_t lda, Trans ta, index_t i0, index_t k0, index_t mc, index_t kc,
             T alpha, T* Ap) {
@@ -63,142 +145,120 @@ void pack_a(const T* A, index_t lda, Trans ta, index_t i0, index_t k0, index_t m
       for (index_t l = 0; l < kc; ++l) {
         const T* src = A + (k0 + l) * lda + i0 + is;
         for (index_t i = 0; i < mr; ++i) Ap[i] = alpha * src[i];
-        for (index_t i = mr; i < MR; ++i) Ap[i] = T{0};
-        Ap += MR;
+        Ap += mr;
       }
     } else {
       for (index_t l = 0; l < kc; ++l) {
         const T* src = A + (i0 + is) * lda + k0 + l;
-        for (index_t i = 0; i < mr; ++i) Ap[i] = src[i * lda];
-        for (index_t i = 0; i < mr; ++i) Ap[i] *= alpha;
-        for (index_t i = mr; i < MR; ++i) Ap[i] = T{0};
-        Ap += MR;
+        for (index_t i = 0; i < mr; ++i) Ap[i] = alpha * src[i * lda];
+        Ap += mr;
       }
     }
   }
 }
 
 // Packs op(B)[k0:k0+kc, j0:j0+nc] into NR-column strips: strip s holds rows k
-// in order, NR consecutive columns per row, columns past nc zero-padded.
+// in order, its columns consecutive per row. The last strip is only as wide as
+// the whole vectors its live columns need (nv·W), zero-filled past nc.
 template <typename T>
 void pack_b(const T* B, index_t ldb, Trans tb, index_t k0, index_t j0, index_t kc, index_t nc,
             T* Bp) {
   constexpr index_t NR = Tile<T>::NR;
+  constexpr index_t W = kLanes<T>;
   for (index_t js = 0; js < nc; js += NR) {
     const index_t nr = std::min(NR, nc - js);
+    const index_t nv = (nr + W - 1) / W;
+    const index_t width = nv * W;
     if (tb == Trans::No) {
+      // Whole vectors per row; lanes past nr load as zeros.
       for (index_t l = 0; l < kc; ++l) {
         const T* src = B + (k0 + l) * ldb + j0 + js;
-        for (index_t j = 0; j < nr; ++j) Bp[j] = src[j];
-        for (index_t j = nr; j < NR; ++j) Bp[j] = T{0};
-        Bp += NR;
+        for (index_t v = 0; v < nv; ++v) {
+          store(Bp + v * W, load_n(src + v * W, static_cast<int>(std::min(W, nr - v * W))));
+        }
+        Bp += width;
       }
     } else {
       // op(B)(k, j) = B[j, k]: gather one stored row per packed column.
       for (index_t l = 0; l < kc; ++l) {
         const T* src = B + (j0 + js) * ldb + k0 + l;
         for (index_t j = 0; j < nr; ++j) Bp[j] = src[j * ldb];
-        for (index_t j = nr; j < NR; ++j) Bp[j] = T{0};
-        Bp += NR;
+        for (index_t j = nr; j < width; ++j) Bp[j] = T{0};
+        Bp += width;
       }
     }
   }
 }
 
-// The register-tiled core on one MR×NR tile of C (row stride ldc): the
-// accumulators start from beta·C (zeros when beta == 0, never scaled —
-// NaN/Inf in C must not survive), then take one multiply-add
-// acc[i][j] += Ap[l][i]·Bp[l][j] per l in order, and are stored back.
-//
-// Written with GNU vector extensions (GCC/Clang): one NR-wide accumulator row
-// is exactly 64 bytes for both element types, so each row is a single vector
-// the compiler maps onto whatever the target has (1 zmm, 2 ymm, 4 xmm, or
-// plain scalars elsewhere). Auto-vectorization of the equivalent scalar loop
-// is not reliable across types — GCC 12 vectorizes the f64 instantiation but
-// leaves f32 scalar — so the vector form is spelled out, with a scalar
-// fallback for other compilers.
-#if defined(__GNUC__) || defined(__clang__)
-#define OPTIMUS_KERNEL_VECTOR_EXT 1
-#endif
-
-#ifdef OPTIMUS_KERNEL_VECTOR_EXT
-// aligned(alignof(T)): the packed buffers and C rows are only
-// element-aligned; may_alias because these lvalues access plain T arrays.
-typedef float vec_f32 __attribute__((vector_size(64), aligned(4), may_alias));
-typedef double vec_f64 __attribute__((vector_size(64), aligned(8), may_alias));
-template <typename T>
-struct VecOf;
-template <>
-struct VecOf<float> {
-  using type = vec_f32;
-};
-template <>
-struct VecOf<double> {
-  using type = vec_f64;
-};
-
-template <typename T>
-inline void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict Bp,
-                         T* __restrict c, index_t ldc, T beta) {
-  constexpr index_t MR = Tile<T>::MR;
-  constexpr index_t NR = Tile<T>::NR;
-  using vec = typename VecOf<T>::type;
-  static_assert(sizeof(vec) == NR * sizeof(T));
-  vec vacc[MR];
-  for (index_t i = 0; i < MR; ++i) {
-    vacc[i] = beta == T{0} ? vec{} : *reinterpret_cast<const vec*>(c + i * ldc);
+// The register-tiled core on an R×nr tile of C (row stride ldc), read and
+// written in place: R (1 ≤ R ≤ MR) is the live row count and NV the live
+// vector count, both compile-time, so an edge tile is just a smaller kernel;
+// the last vector's first nr − (NV−1)·W lanes are live and move through
+// partial loads and stores. The accumulators start from beta·C (zeros when
+// beta == 0, never scaled — NaN/Inf in C must not survive), then take one
+// multiply-add acc[i][v] += Ap[l][i]·Bp[l][v] per l in order, and are stored
+// back.
+template <typename T, int R, int NV>
+void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict Bp, T* __restrict c,
+                  index_t ldc, index_t nr, T beta) {
+  constexpr int W = kLanes<T>;
+  const int tail = static_cast<int>(nr) - (NV - 1) * W;
+  Vec<T> acc[R][NV];
+  OPTIMUS_UNROLL for (int i = 0; i < R; ++i) {
+    OPTIMUS_UNROLL for (int v = 0; v < NV; ++v) acc[i][v] = Vec<T>{};
   }
-  if (beta != T{0} && beta != T{1}) {
-    for (index_t i = 0; i < MR; ++i) vacc[i] *= beta;
-  }
-  for (index_t l = 0; l < kc; ++l) {
-    const vec b = *reinterpret_cast<const vec*>(Bp + l * NR);
-    const T* a = Ap + l * MR;
-    for (index_t i = 0; i < MR; ++i) vacc[i] += a[i] * b;
-  }
-  for (index_t i = 0; i < MR; ++i) *reinterpret_cast<vec*>(c + i * ldc) = vacc[i];
-}
-#else
-template <typename T>
-inline void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict Bp,
-                         T* __restrict c, index_t ldc, T beta) {
-  constexpr index_t MR = Tile<T>::MR;
-  constexpr index_t NR = Tile<T>::NR;
-  T acc[MR * NR];
-  for (index_t i = 0; i < MR; ++i) {
-    for (index_t j = 0; j < NR; ++j) {
-      acc[i * NR + j] = beta == T{0} ? T{0} : c[i * ldc + j];
-      if (beta != T{0} && beta != T{1}) acc[i * NR + j] *= beta;
-    }
-  }
-  for (index_t l = 0; l < kc; ++l) {
-    const T* a = Ap + l * MR;
-    const T* b = Bp + l * NR;
-    for (index_t i = 0; i < MR; ++i) {
-      const T ai = a[i];
-      for (index_t j = 0; j < NR; ++j) acc[i * NR + j] += ai * b[j];
-    }
-  }
-  for (index_t i = 0; i < MR; ++i) {
-    for (index_t j = 0; j < NR; ++j) c[i * ldc + j] = acc[i * NR + j];
-  }
-}
-#endif
-
-// An edge tile (mr < MR or nr < NR) runs the same microkernel on a
-// zero-padded copy of its mr×nr corner of C, so edge elements round exactly
-// like interior ones.
-template <typename T>
-void edge_tile(index_t kc, const T* Ap, const T* Bp, T* C, index_t ldc, index_t mr, index_t nr,
-               T beta) {
-  constexpr index_t MR = Tile<T>::MR;
-  constexpr index_t NR = Tile<T>::NR;
-  alignas(64) T acc[MR * NR] = {};
   if (beta != T{0}) {
-    for (index_t i = 0; i < mr; ++i) std::copy_n(C + i * ldc, nr, acc + i * NR);
+    OPTIMUS_UNROLL for (int i = 0; i < R; ++i) {
+      OPTIMUS_UNROLL for (int v = 0; v < NV - 1; ++v) acc[i][v] = load(c + i * ldc + v * W);
+      acc[i][NV - 1] = load_n(c + i * ldc + (NV - 1) * W, tail);
+    }
+    if (beta != T{1}) {
+      OPTIMUS_UNROLL for (int i = 0; i < R; ++i) {
+        OPTIMUS_UNROLL for (int v = 0; v < NV; ++v) acc[i][v] *= beta;
+      }
+    }
   }
-  micro_kernel<T>(kc, Ap, Bp, acc, NR, beta);
-  for (index_t i = 0; i < mr; ++i) std::copy_n(acc + i * NR, nr, C + i * ldc);
+  for (index_t l = 0; l < kc; ++l) {
+    Vec<T> b[NV];
+    OPTIMUS_UNROLL for (int v = 0; v < NV; ++v) b[v] = load(Bp + v * W);
+    OPTIMUS_UNROLL for (int i = 0; i < R; ++i) {
+      OPTIMUS_UNROLL for (int v = 0; v < NV; ++v) acc[i][v] += Ap[i] * b[v];
+    }
+    Ap += R;
+    Bp += NV * W;
+  }
+  OPTIMUS_UNROLL for (int i = 0; i < R; ++i) {
+    T* ci = c + i * ldc;
+    OPTIMUS_UNROLL for (int v = 0; v < NV - 1; ++v) store(ci + v * W, acc[i][v]);
+    store_n(ci + (NV - 1) * W, acc[i][NV - 1], tail);
+  }
+}
+
+// Every (R, NV) specialisation, so any mr×nr tile — interior or edge — runs a
+// kernel of exactly its live extent.
+template <typename T>
+using MicroKernel = void (*)(index_t, const T*, const T*, T*, index_t, index_t, T);
+
+template <typename T, int R, std::size_t... Vs>
+constexpr std::array<MicroKernel<T>, sizeof...(Vs)> kernel_row(std::index_sequence<Vs...>) {
+  return {&micro_kernel<T, R, static_cast<int>(Vs) + 1>...};
+}
+
+template <typename T, std::size_t... Rs>
+constexpr auto kernel_table(std::index_sequence<Rs...>) {
+  return std::array{
+      kernel_row<T, static_cast<int>(Rs) + 1>(std::make_index_sequence<Tile<T>::NV>{})...};
+}
+
+template <typename T>
+constexpr auto kKernels = kernel_table<T>(std::make_index_sequence<Tile<T>::MR>{});
+
+// Runs the kernel for the mr×nr tile at c (1 ≤ mr ≤ MR, 1 ≤ nr ≤ NR).
+template <typename T>
+inline void run_tile(index_t kc, const T* Ap, const T* Bp, T* c, index_t ldc, index_t mr,
+                     index_t nr, T beta) {
+  const index_t nv = (nr + kLanes<T> - 1) / kLanes<T>;
+  kKernels<T>[mr - 1][nv - 1](kc, Ap, Bp, c, ldc, nr, beta);
 }
 
 // C = beta·C (beta == 0 stores zeros) — the k == 0 / alpha == 0 degenerate.
@@ -261,17 +321,35 @@ void apply_epilogue_block(const EpilogueArgs<T>& ep, T* C, index_t ldc, index_t 
   }
 }
 
+// One thread's packing workspace: two 64-byte-aligned buffers reserved once
+// at their largest size (packed A: kMOuter×KC, packed B: KC×NC), so a call
+// derives no sizes and never reallocates. They are left uninitialised —
+// packing writes every element a kernel later reads — so only the pages a
+// GEMM actually packs into are ever touched.
 template <typename T>
-std::vector<T>& pack_buffer_a() {
-  thread_local std::vector<T> buf;
-  return buf;
-}
+class Workspace {
+ public:
+  Workspace() : a_(allocate(kMOuter * kKC)), b_(allocate(kKC * kNC)) {}
+  T* a() const { return a_.get(); }
+  T* b() const { return b_.get(); }
 
-template <typename T>
-std::vector<T>& pack_buffer_b() {
-  thread_local std::vector<T> buf;
-  return buf;
-}
+  static Workspace& local() {
+    thread_local Workspace ws;
+    return ws;
+  }
+
+ private:
+  struct Free {
+    void operator()(T* p) const { ::operator delete(p, std::align_val_t{64}); }
+  };
+  using Buffer = std::unique_ptr<T, Free>;
+  static Buffer allocate(index_t n) {
+    return Buffer(static_cast<T*>(
+        ::operator new(static_cast<std::size_t>(n) * sizeof(T), std::align_val_t{64})));
+  }
+  Buffer a_;
+  Buffer b_;
+};
 
 // One cache line per claim counter so concurrent fetch_adds on different
 // stages never false-share.
@@ -298,10 +376,25 @@ ClaimCells& claim_cells() {
   return cells;
 }
 
-// Everything a cooperative GEMM region needs, owned by the submitting thread.
-// `apack`/`bpack` are shared across the whole team; `counters` holds two
-// fresh claim counters per (jc, pc, mo) stage (pack tasks, then C tiles), so
-// no counter is ever reset mid-flight.
+// Hands out the task indices 0, 1, 2, … of one stage: from the team's shared
+// atomic counter, or — when a single thread runs the whole GEMM and there are
+// no counters — from a plain local count, with no atomics or resets.
+class Claim {
+ public:
+  explicit Claim(ClaimCell* cell) : shared_(cell != nullptr ? &cell->v : nullptr) {}
+  index_t next() {
+    return shared_ != nullptr ? shared_->fetch_add(1, std::memory_order_relaxed) : local_++;
+  }
+
+ private:
+  std::atomic<index_t>* shared_;
+  index_t local_ = 0;
+};
+
+// Everything a GEMM region needs, owned by the submitting thread. `apack`/
+// `bpack` are shared across the whole team; `counters` holds two fresh claim
+// counters per (jc, pc, mo) stage (pack tasks, then C tiles), so no counter is
+// ever reset mid-flight, and is null on the single-thread path.
 template <typename T>
 struct CoopCtx {
   T* C;
@@ -332,8 +425,8 @@ struct CoopCtx {
 //
 // Every C element is produced by exactly one claimed unit as one running
 // fold — beta·C, then one multiply-add per k in ascending order — so its
-// value depends on neither the thread count nor m, n or the blocking
-// constants.
+// value depends on neither the thread count nor m, n, the register tile or
+// the blocking constants.
 template <typename T>
 void coop_body(Region& r, const CoopCtx<T>& cx) {
   constexpr index_t MR = Tile<T>::MR;
@@ -347,22 +440,22 @@ void coop_body(Region& r, const CoopCtx<T>& cx) {
       const index_t kc = std::min(kKC, k - pc);
       const bool first_panel = pc == 0;
       const bool last_panel = pc + kc >= k;
+      // Later K panels continue C's running value.
+      const T beta = first_panel ? cx.beta : T{1};
       for (index_t mo = 0; mo < m; mo += kMOuter, ++stage) {
         const index_t mlen = std::min(kMOuter, m - mo);
         const index_t a_blocks = (mlen + kMC - 1) / kMC;
         // B belongs to the whole (jc, pc) panel: packed on the first M chunk.
         const index_t pack_tasks = a_blocks + (mo == 0 ? n_strips : 0);
-        std::atomic<index_t>& pack_ctr = cx.counters[2 * stage].v;
-        std::atomic<index_t>& tile_ctr = cx.counters[2 * stage + 1].v;
+        const bool shared = cx.counters != nullptr;
+        Claim pack(shared ? &cx.counters[2 * stage] : nullptr);
+        Claim tile(shared ? &cx.counters[2 * stage + 1] : nullptr);
 
-        for (;;) {
-          const index_t t = pack_ctr.fetch_add(1, std::memory_order_relaxed);
-          if (t >= pack_tasks) break;
+        for (index_t t = pack.next(); t < pack_tasks; t = pack.next()) {
           if (t < a_blocks) {
             const index_t ic = mo + t * kMC;
-            const index_t mc = std::min(kMC, m - ic);
-            pack_a(cx.A, cx.lda, cx.ta, ic, pc, mc, kc, cx.alpha,
-                   cx.apack + (t * kMC / MR) * kc * MR);
+            pack_a(cx.A, cx.lda, cx.ta, ic, pc, std::min(kMC, m - ic), kc, cx.alpha,
+                   cx.apack + t * kMC * kc);
           } else {
             const index_t js = t - a_blocks;
             const index_t jr = js * NR;
@@ -373,27 +466,18 @@ void coop_body(Region& r, const CoopCtx<T>& cx) {
         r.barrier();
 
         const index_t units = a_blocks * n_strips;
-        for (;;) {
-          const index_t t = tile_ctr.fetch_add(1, std::memory_order_relaxed);
-          if (t >= units) break;
+        for (index_t t = tile.next(); t < units; t = tile.next()) {
           const index_t ic = mo + (t / n_strips) * kMC;
           const index_t mc = std::min(kMC, m - ic);
           const index_t js = t % n_strips;
           const index_t jr = js * NR;
           const index_t nr = std::min(NR, nc - jr);
           const T* bp = cx.bpack + js * kc * NR;
-          const T* ablock = cx.apack + ((t / n_strips) * kMC / MR) * kc * MR;
+          const T* ablock = cx.apack + (t / n_strips) * kMC * kc;
           for (index_t ir = 0; ir < mc; ir += MR) {
             const index_t mr = std::min(MR, mc - ir);
-            const T* ap = ablock + (ir / MR) * kc * MR;
             T* ct = cx.C + (ic + ir) * cx.ldc + jc + jr;
-            // Later K panels continue C's running value.
-            const T beta = first_panel ? cx.beta : T{1};
-            if (mr == MR && nr == NR) {
-              micro_kernel<T>(kc, ap, bp, ct, cx.ldc, beta);
-            } else {
-              edge_tile<T>(kc, ap, bp, ct, cx.ldc, mr, nr, beta);
-            }
+            run_tile<T>(kc, ablock + ir * kc, bp, ct, cx.ldc, mr, nr, beta);
             if (last_panel) apply_epilogue_block(cx.ep, ct, cx.ldc, ic + ir, jc + jr, mr, nr);
           }
         }
@@ -405,16 +489,14 @@ void coop_body(Region& r, const CoopCtx<T>& cx) {
   }
 }
 
-// Builds the shared workspace + per-stage counters and runs the body with
-// `threads` cooperating threads. The buffers live in the submitting thread's
+// Runs the body on the submitting thread's workspace, with `threads`
+// cooperating threads. The buffers live in the submitting thread's
 // thread_locals (workers only see raw pointers), so concurrent device
 // threads never share workspace.
 template <typename T>
 void gemm_ex_impl(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t lda,
                   index_t ldb, index_t ldc, Trans ta, Trans tb, T alpha, T beta,
                   const EpilogueArgs<T>& ep, int threads) {
-  constexpr index_t MR = Tile<T>::MR;
-  constexpr index_t NR = Tile<T>::NR;
   if (m <= 0 || n <= 0) return;
   if (k <= 0 || alpha == T{0}) {
     scale_c(C, ldc, m, n, beta);
@@ -422,33 +504,17 @@ void gemm_ex_impl(T* C, const T* A, const T* B, index_t m, index_t n, index_t k,
     return;
   }
 
-  const index_t n_jc = (n + kNC - 1) / kNC;
-  const index_t n_pc = (k + kKC - 1) / kKC;
-  const index_t n_mo = (m + kMOuter - 1) / kMOuter;
-  const index_t n_stages = n_jc * n_pc * n_mo;
-
-  // Workspace sized to this problem and only ever grown: growing a vector
-  // zero-fills the new tail, which a shrink-then-grow would pay again on
-  // every small GEMM that follows a large one.
-  const auto grow = [](std::vector<T>& buf, index_t size) {
-    if (buf.size() < static_cast<std::size_t>(size)) buf.resize(static_cast<std::size_t>(size));
-  };
-  const index_t kc_max = std::min(k, kKC);
-  const index_t a_rows = ((std::min(m, kMOuter) + MR - 1) / MR) * MR;
-  const index_t b_cols = ((std::min(n, kNC) + NR - 1) / NR) * NR;
-  std::vector<T>& abuf = pack_buffer_a<T>();
-  std::vector<T>& bbuf = pack_buffer_b<T>();
-  grow(abuf, a_rows * kc_max);
-  grow(bbuf, kc_max * b_cols);
-
-  CoopCtx<T> cx{C,  A,  B,     m,     n,  k,           lda,         ldb, ldc, ta, tb,
-                alpha, beta, ep, abuf.data(), bbuf.data(), claim_cells().get(2 * n_stages)};
-
+  const Workspace<T>& ws = Workspace<T>::local();
+  CoopCtx<T> cx{C, A, B, m, n, k, lda, ldb, ldc, ta, tb, alpha, beta, ep, ws.a(), ws.b(),
+                nullptr};
   if (threads <= 1 || ThreadPool::on_worker_thread()) {
     Region r = Region::serial();
     coop_body(r, cx);
     return;
   }
+  const index_t n_stages = ((n + kNC - 1) / kNC) * ((k + kKC - 1) / kKC) *
+                           ((m + kMOuter - 1) / kMOuter);
+  cx.counters = claim_cells().get(2 * n_stages);
   ThreadPool::global().parallel_region(threads, [&](Region& r) { coop_body(r, cx); });
 }
 
@@ -483,6 +549,16 @@ void gemm(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t
   gemm_ex(C, A, B, m, n, k, lda, ldb, ldc, trans_a, trans_b, alpha, beta, EpilogueArgs<T>{});
 }
 
+template <typename T>
+index_t gemm_tile_rows() {
+  return Tile<T>::MR;
+}
+
+template <typename T>
+index_t gemm_tile_cols() {
+  return Tile<T>::NR;
+}
+
 // Single non-inlinable definition of the GELU scalar (see gemm.hpp): keeps
 // every caller — this TU's fused epilogue included — on one bit pattern even
 // though this TU is built with -march=native FP contraction.
@@ -507,7 +583,9 @@ double gelu_scalar(double x) { return gelu_scalar_impl(x); }
   template void gemm_ex<T>(T*, const T*, const T*, index_t, index_t, index_t, index_t,       \
                            index_t, index_t, Trans, Trans, T, T, const EpilogueArgs<T>&);    \
   template void gemm_packed<T>(T*, const T*, const T*, index_t, index_t, index_t, index_t,   \
-                               index_t, index_t, Trans, Trans, T, T);
+                               index_t, index_t, Trans, Trans, T, T);                     \
+  template index_t gemm_tile_rows<T>();                                                      \
+  template index_t gemm_tile_cols<T>();
 
 OPTIMUS_INSTANTIATE_KERNEL_GEMM(float)
 OPTIMUS_INSTANTIATE_KERNEL_GEMM(double)

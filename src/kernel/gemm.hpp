@@ -3,10 +3,12 @@
 // Cache-blocked, panel-packed GEMM with a register-tiled microkernel.
 //
 // This is the dense-compute floor under every engine in the repo: the BLIS
-// decomposition (NC → KC → MC panels, packed A/B, an MR×NR register tile)
-// written in portable C++ so the compiler auto-vectorizes the microkernel.
-// All four transpose forms are handled in the packing routines, so one
-// microkernel serves NN/NT/TN/TT.
+// decomposition (NC → KC → MC panels, packed A/B, an MR×NR register tile).
+// The microkernel is written once against a SIMD vector type sized to the
+// ISA the compiler targets (12×32 f32 tiles under AVX-512, 6×16 under AVX2),
+// and instantiated for every live edge extent so edge tiles read and write C
+// in place. All four transpose forms are handled in the packing routines, so
+// one microkernel serves NN/NT/TN/TT.
 //
 // Threading (gemm / gemm_ex): one GEMM is computed *cooperatively* by a
 // single parallel region. For each (jc, pc) panel the packed A blocks and
@@ -19,9 +21,9 @@
 // accumulator tile starts from beta·C (zeros when beta == 0) and adds
 // (alpha·op(A)(i,k))·op(B)(k,j) for k = 0, 1, …, K−1, one multiply-add
 // each; between K panels the running value lives in C. Its value therefore
-// depends on neither m, n, the blocking constants nor the thread count: row
-// i of an m×n product equals the 1×n product of row i, and splitting K into
-// beta = 1 calls equals one call, bit for bit.
+// depends on neither m, n, the register tile, the blocking constants nor the
+// thread count: row i of an m×n product equals the 1×n product of row i, and
+// splitting K into beta = 1 calls equals one call, bit for bit.
 //
 // Semantics: C = alpha·op(A)·op(B) + beta·C on row-major buffers with row
 // strides lda/ldb/ldc (of the *stored* matrices, pre-transpose). beta == 0
@@ -96,5 +98,13 @@ void gemm_ex(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, inde
 template <typename T>
 void gemm_packed(T* C, const T* A, const T* B, index_t m, index_t n, index_t k, index_t lda,
                  index_t ldb, index_t ldc, Trans trans_a, Trans trans_b, T alpha, T beta);
+
+/// The packed kernel's register tile for T on the ISA this library was built
+/// for: MR rows × NR columns of C. No result depends on it; tests use it to
+/// sweep every edge-tile shape.
+template <typename T>
+index_t gemm_tile_rows();
+template <typename T>
+index_t gemm_tile_cols();
 
 }  // namespace optimus::kernel

@@ -245,7 +245,7 @@ const TensorT<T>& MegatronTransformer<T>::forward(const ITensor& tokens) {
   acts_.resize(cfg_.layers);
   TensorT<T> x = x0_;
   for (index_t l = 0; l < cfg_.layers; ++l) {
-    acts_[l].input = x.clone();
+    acts_[l].input = x;
     x = layer_forward(l, acts_[l]);
     if (checkpoint_) {
       // Keep only the checkpointed input; drop intermediate activations.

@@ -184,8 +184,8 @@ TEST(KernelGemm, CooperativeBitwiseForThreads1Through4EdgeShapes) {
   // The cooperative scheduler claims pack work and MC×NR tiles dynamically;
   // the contract is that ownership never changes arithmetic. Every thread
   // count must reproduce the 1-thread result bit for bit, including shapes
-  // that are not multiples of MR=4, NR (16 f32 / 8 f64) or kKC=256 — the
-  // microkernel edge paths and partial K panels.
+  // that are not multiples of the register tile (gemm_tile_rows/cols) or
+  // kKC=256 — the microkernel edge paths and partial K panels.
   struct Shape3 {
     index_t m, n, k;
   };
@@ -286,6 +286,119 @@ TEST(KernelGemm, EachElementIsOneFoldInKOrder) {
   }
 }
 
+// Whether the kernel's build fuses `acc + a·b` into one rounding (an FMA
+// unit under -march=native) or rounds the product first. Probed on a case
+// that tells them apart: with a = b = 1 + ε and c = −(1 + 2ε), where ε² is
+// below half an ulp of 1, a fused step keeps the ε² that a rounded product
+// drops.
+template <typename T>
+bool kernel_fuses_multiply_add() {
+  const T eps = std::ldexp(T{1}, -(std::numeric_limits<T>::digits + 1) / 2);
+  const T a = T{1} + eps;
+  T c = -(T{1} + T{2} * eps);
+  ok::gemm_packed(&c, &a, &a, 1, 1, 1, 1, 1, 1, ok::Trans::No, ok::Trans::No, T{1}, T{1});
+  return c != T{0};
+}
+
+// The rounding contract's fold for C(i, j), computed without the kernel: the
+// accumulator starts from beta·C (zero when beta == 0), then takes one
+// multiply-add of (alpha·op(A)(i, l))·op(B)(l, j) per l in ascending order.
+template <typename T>
+T reference_fold(const T* A, const T* B, index_t i, index_t j, index_t k, index_t lda,
+                 index_t ldb, ok::Trans ta, ok::Trans tb, T alpha, T beta, T c, bool fused) {
+  T acc = beta == T{0} ? T{0} : beta == T{1} ? c : c * beta;
+  for (index_t l = 0; l < k; ++l) {
+    const T a = alpha * (ta == ok::Trans::No ? A[i * lda + l] : A[l * lda + i]);
+    const T b = tb == ok::Trans::No ? B[l * ldb + j] : B[j * ldb + l];
+    if (fused) {
+      acc = std::fma(a, b, acc);
+    } else {
+      const volatile T p = a * b;  // rounded on its own, never contracted
+      acc = acc + p;
+    }
+  }
+  return acc;
+}
+
+// Every edge tile: m and n on both sides of one and two register tiles, K
+// within one panel and across a panel boundary, each beta form. C's live
+// region starts as NaN when beta == 0 and its ldc padding holds sentinel
+// bytes. Each element must be the reference fold bit for bit, each row must
+// equal its own 1×n product, and the padding must come back untouched.
+template <typename T>
+void check_edge_tiles() {
+  const index_t MR = ok::gemm_tile_rows<T>();
+  const index_t NR = ok::gemm_tile_cols<T>();
+  std::vector<index_t> ms, ns;
+  for (index_t m = 1; m <= MR + 1; ++m) ms.push_back(m);
+  ms.insert(ms.end(), {2 * MR - 1, 2 * MR + 1});
+  for (index_t n = 1; n <= NR + 1; ++n) ns.push_back(n);
+  ns.push_back(2 * NR - 1);
+  const bool fused = kernel_fuses_multiply_add<T>();
+  const index_t pad = 3;
+  const unsigned char sentinel = 0xA5;
+  int case_idx = 0;
+  for (const index_t k : {index_t{1}, index_t{17}, index_t{257}}) {
+    for (const index_t m : ms) {
+      for (const index_t n : ns) {
+        for (const T beta : {T{0}, T{1}, T{0.5}}) {
+          // Rotate the transpose forms and alpha so every packing path meets
+          // every edge shape somewhere in the sweep.
+          const ok::Trans ta = case_idx % 2 == 0 ? ok::Trans::No : ok::Trans::Yes;
+          const ok::Trans tb = case_idx % 4 < 2 ? ok::Trans::No : ok::Trans::Yes;
+          const T alpha = case_idx % 3 == 0 ? T{-0.5} : T{1};
+          ++case_idx;
+          const index_t lda = ta == ok::Trans::No ? k : m;
+          const index_t ldb = tb == ok::Trans::No ? n : k;
+          const index_t ldc = n + pad;
+          const auto A = random_buffer<T>(m * k, 101 + case_idx);
+          const auto B = random_buffer<T>(k * n, 202 + case_idx);
+          std::vector<T> c0 = random_buffer<T>(m * ldc, 303 + case_idx);
+          for (index_t i = 0; i < m; ++i) {
+            if (beta == T{0}) {
+              std::fill_n(c0.data() + i * ldc, n, std::numeric_limits<T>::quiet_NaN());
+            }
+            std::memset(c0.data() + i * ldc + n, sentinel, pad * sizeof(T));
+          }
+          SCOPED_TRACE(::testing::Message()
+                       << "bytes=" << sizeof(T) << " m=" << m << " n=" << n << " k=" << k
+                       << " beta=" << beta << " alpha=" << alpha << " ta=" << int(ta)
+                       << " tb=" << int(tb));
+
+          std::vector<T> full = c0;
+          ok::gemm_packed(full.data(), A.data(), B.data(), m, n, k, lda, ldb, ldc, ta, tb,
+                          alpha, beta);
+          std::vector<T> rows = c0;
+          for (index_t i = 0; i < m; ++i) {
+            const T* a_row = ta == ok::Trans::No ? A.data() + i * lda : A.data() + i;
+            ok::gemm_packed(rows.data() + i * ldc, a_row, B.data(), 1, n, k, lda, ldb, ldc, ta,
+                            tb, alpha, beta);
+          }
+          ASSERT_EQ(0, std::memcmp(rows.data(), full.data(), full.size() * sizeof(T)))
+              << "a row differs from its own 1×n product";
+          for (index_t i = 0; i < m; ++i) {
+            for (index_t j = 0; j < n; ++j) {
+              const T want = reference_fold(A.data(), B.data(), i, j, k, lda, ldb, ta, tb,
+                                            alpha, beta, c0[i * ldc + j], fused);
+              const T got = full[i * ldc + j];
+              ASSERT_EQ(0, std::memcmp(&want, &got, sizeof(T)))
+                  << "at " << i << "," << j << ": " << got << " vs fold " << want;
+            }
+            ASSERT_EQ(0, std::memcmp(full.data() + i * ldc + n, c0.data() + i * ldc + n,
+                                     pad * sizeof(T)))
+                << "ldc padding of row " << i << " written";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelGemm, EdgeTilesMatchTheFoldInPlace) {
+  check_edge_tiles<float>();
+  check_edge_tiles<double>();
+}
+
 // Unfused two-pass reference for each epilogue: gemm, then the elementwise op
 // over the full C — exactly the pre-fusion model-layer sequence. The fused
 // path must match it bitwise (same scalar ops, same order, just tile-hot).
@@ -368,6 +481,9 @@ TEST(KernelGemmEpilogue, FusedBitwiseVsUnfusedReference) {
     check_epilogue_bitwise<float>(op, 130, 517, 260);
     check_epilogue_bitwise<double>(op, 67, 45, 300);
   }
+  // The decode shape: a few slot rows, one tile edge in each dimension.
+  check_epilogue_bitwise<float>(ok::Epilogue::BiasGelu, 4, 16, 64);
+  check_epilogue_bitwise<double>(ok::Epilogue::BiasGelu, 4, 16, 64);
 }
 
 TEST(KernelGemmEpilogue, DegenerateKStillAppliesEpilogue) {
