@@ -68,7 +68,7 @@ Cluster::Report Cluster::run(const std::function<void(Context&)>& body) {
   // OPTIMUS_KERNEL_THREADS / world_size workers.
   kernel::ActiveDevicesGuard devices_guard(world_size_);
   Fabric fabric(world_size_);
-  if (fault_plan_.active()) fabric.set_fault_plan(fault_plan_);
+  fabric.set_fault_plan(fault_plan_);
   const std::uint64_t world_comm_id = fabric.world_comm_id();
   std::vector<int> world_group(world_size_);
   for (int i = 0; i < world_size_; ++i) world_group[i] = i;
@@ -135,7 +135,7 @@ Cluster::Report Cluster::run(const std::function<void(Context&)>& body) {
     deadlock = os.str();
     fabric.abort(deadlock);
   };
-  Executor(world_size_).run(rank_body, on_deadlock);
+  Executor(world_size_, fault_plan_.seed).run(rank_body, on_deadlock);
   if (!deadlock.empty()) throw util::CheckError(deadlock);
 
   // Prefer the root cause: when one rank hits a fault and aborts the fabric,

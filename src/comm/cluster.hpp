@@ -9,16 +9,16 @@
 //     ... ctx.world.all_reduce(...) ...
 //   });
 //
-// The body runs on every rank. Ranks interleave only where they wait in the
-// fabric, in an order fixed by the rank numbers and the program, so a run
-// replays identically. An exception on any rank is fail-stop: the rank aborts
-// the shared fabric, so peers parked in (or later entering) a collective or
-// receive unwind with FabricAborted instead of hanging. After every rank has
-// finished, run() rethrows the root error — the first rank's exception that
-// is not a FabricAborted unwind. When every unfinished rank is parked (a rank
-// returned or skipped a collective its peers entered), run() aborts the
-// fabric and throws a CheckError naming the op, communicator and seq each
-// parked rank waits in.
+// The body runs on every rank. Ranks interleave only in the fabric, in an
+// order fixed by the rank numbers, the program and the fault plan's schedule
+// seed, so a run replays identically. An exception on any rank is fail-stop:
+// the rank aborts the shared fabric, so peers parked in (or later entering) a
+// collective or receive unwind with FabricAborted instead of hanging. After
+// every rank has finished, run() rethrows the root error — the first rank's
+// exception that is not a FabricAborted unwind. When every unfinished rank is
+// parked (a rank returned or skipped a collective its peers entered), run()
+// aborts the fabric and throws a CheckError naming the op, communicator and
+// seq each parked rank waits in.
 
 #include <functional>
 #include <memory>
@@ -68,7 +68,8 @@ class Cluster {
   int world_size() const { return world_size_; }
   const CostModel& cost_model() const { return cost_; }
 
-  /// Arms deterministic fault injection (fabric.hpp) for subsequent run()s.
+  /// Arms a fault plan for subsequent run()s: its seed picks the
+  /// interleaving (executor.hpp), its poison mode corrupts payloads.
   void set_fault_plan(const FaultPlan& plan) { fault_plan_ = plan; }
 
   /// Runs `body` on every rank and gathers per-rank reports. If any rank

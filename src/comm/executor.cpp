@@ -14,6 +14,7 @@
 #include "tensor/device_context.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 // Every switch is announced to the sanitizers (GCC defines these macros
 // under -fsanitize=address / -fsanitize=thread).
@@ -116,7 +117,8 @@ struct Executor::Runner {
   void* tsan_fiber = nullptr;  // TSan: the runner thread's own fiber
 };
 
-Executor::Executor(int fibers) : runner_(std::make_unique<Runner>()) {
+Executor::Executor(int fibers, std::uint64_t schedule_seed)
+    : runner_(std::make_unique<Runner>()), seed_(schedule_seed) {
   OPT_CHECK(fibers >= 1, "executor with " << fibers << " fibers");
   fibers_.reserve(static_cast<std::size_t>(fibers));
   for (int i = 0; i < fibers; ++i) fibers_.push_back(std::make_unique<Fiber>());
@@ -140,14 +142,16 @@ void Executor::run(const std::function<void(int)>& body,
   runner_->tsan_fiber = __tsan_get_current_fiber();
 #endif
   for (int i = 0; i < live_; ++i) ready_.push_back(i);
-  while (live_ > 0) {
+  for (std::uint64_t picks = 0; live_ > 0; ++picks) {
     if (ready_.empty()) {
       on_deadlock();
       OPT_CHECK(!ready_.empty(),
                 live_ << " fibers are parked and the deadlock hook woke none of them");
     }
-    const int next = ready_.front();
-    ready_.pop_front();
+    const auto pick = static_cast<std::ptrdiff_t>(
+        seed_ == 0 ? 0 : util::mix3(seed_, picks, 0) % ready_.size());
+    const int next = ready_[static_cast<std::size_t>(pick)];
+    ready_.erase(ready_.begin() + pick);
     resume(next);
   }
   if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
@@ -235,6 +239,11 @@ void Executor::yield() {
   if (ex == nullptr || ex->current_ < 0) return;
   ex->ready_.push_back(ex->current_);
   ex->suspend();
+}
+
+void Executor::switch_point() {
+  const Executor* const ex = t_executor;
+  if (ex != nullptr && ex->seed_ != 0) yield();
 }
 
 }  // namespace optimus::comm

@@ -4,12 +4,16 @@
 //
 // The thread that calls Executor::run becomes the runner, the only thread
 // that runs rank code. Each rank body runs as a fiber with its own stack and
-// an unmapped guard region below it. The runner resumes fibers from a FIFO
-// ready queue: first in rank order, then in the order they are woken or
-// yield. A fiber runs until it returns, parks or yields, and nothing
-// preempts it, so the interleaving is the same on every run, and state that
-// ranks share needs no lock as long as no fiber switches while it holds that
-// state inconsistent.
+// an unmapped guard region below it. The runner resumes fibers from a ready
+// queue. By default it takes the queue's front (FIFO): first in rank order,
+// then in the order they are woken or yield. An executor with a nonzero
+// schedule seed instead resumes the fiber at a seeded draw over the queue,
+// and every switch_point() (each Fabric send and receive) yields, so each
+// message is a point where the ranks may reorder. A fiber runs until it
+// returns, parks or yields, and nothing preempts it, so a seed (or FIFO)
+// gives the same interleaving on every run, and state that ranks share needs
+// no lock as long as no fiber switches while it holds that state
+// inconsistent.
 //
 // Parking is how a rank waits. The Fabric parks a receive on its channel's
 // WaitList and a rendezvous on its slot's, and wakes them when a message
@@ -25,6 +29,7 @@
 // std::uncaught_exceptions()). Per-thread caches (GEMM pack buffers, thread
 // pool flags) stay with the runner thread.
 
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -42,8 +47,10 @@ class WaitList {
 
 class Executor {
  public:
-  /// Creates `fibers` fibers, each with its own stack.
-  explicit Executor(int fibers);
+  /// Creates `fibers` fibers, each with its own stack. A nonzero
+  /// `schedule_seed` makes the runner pick each next fiber by a seeded draw
+  /// over the ready queue; 0 keeps FIFO order.
+  explicit Executor(int fibers, std::uint64_t schedule_seed = 0);
   ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -67,6 +74,10 @@ class Executor {
   /// a fiber.
   static void yield();
 
+  /// Yields if the running executor has a schedule seed; a no-op under FIFO
+  /// order and outside a fiber.
+  static void switch_point();
+
  private:
   struct Fiber;
   struct Runner;  // the runner's saved context and sanitizer bookkeeping
@@ -78,6 +89,7 @@ class Executor {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::unique_ptr<Runner> runner_;
   std::deque<int> ready_;
+  const std::uint64_t seed_;  // 0: FIFO
   int current_ = -1;  // the running fiber; -1 on the runner
   int live_ = 0;      // fibers that have not returned
   const std::function<void(int)>* body_ = nullptr;

@@ -172,14 +172,14 @@ std::string Fabric::describe_parked() const {
   return os.str();
 }
 
-std::uint64_t Fabric::fault_draw(int src, int dst, std::uint64_t tag, std::uint64_t salt) {
-  // Channel identity: (src, dst, salt) mixed with the tag. Per-channel
-  // occurrence counters make the n-th message of a channel a stable logical
-  // coordinate.
-  const std::uint64_t channel =
-      util::mix3(tag ^ salt, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-                                 static_cast<std::uint32_t>(dst),
-                 0x0F);
+std::uint64_t Fabric::fault_draw(int src, int dst, std::uint64_t tag) {
+  // Channel identity: (src, dst) mixed with the tag. Per-channel occurrence
+  // counters make the n-th message of a channel a stable logical coordinate.
+  const std::uint64_t channel = util::mix3(
+      tag ^ 0x5E4D,
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
+          static_cast<std::uint32_t>(dst),
+      0x0F);
   return util::mix3(fault_plan_.seed, channel, fault_counts_[channel]++);
 }
 
@@ -187,6 +187,7 @@ void Fabric::send(int src, int dst, std::uint64_t tag, const void* data, std::si
                   double timestamp) {
   OPT_CHECK(src >= 0 && src < world_size_ && dst >= 0 && dst < world_size_,
             "send from rank " << src << " to rank " << dst);
+  Executor::switch_point();
   throw_if_aborted();
   Channel& ch = channel(dst, src);
   Message msg;
@@ -207,11 +208,9 @@ void Fabric::send(int src, int dst, std::uint64_t tag, const void* data, std::si
   const auto* first = static_cast<const std::byte*>(data);
   msg.payload.assign(first, first + bytes);
 
-  if (fault_plan_.active()) {
-    const std::uint64_t h = fault_draw(src, dst, tag, /*salt=*/0x5E4D);
+  if (fault_plan_.poison_prob > 0) {
+    const std::uint64_t h = fault_draw(src, dst, tag);
     msg.checksum = fnv1a(msg.payload.data(), msg.payload.size());
-    // A latency spike: every other runnable rank goes first.
-    if (draw_hits(util::mix3(h, 1, 1), fault_plan_.spike_prob)) Executor::yield();
     if (bytes > 0 && draw_hits(util::mix3(h, 2, 2), fault_plan_.poison_prob)) {
       // Flip bits of one deterministic byte after checksumming: the receiver's
       // integrity check must catch it.
@@ -223,13 +222,6 @@ void Fabric::send(int src, int dst, std::uint64_t tag, const void* data, std::si
   Executor::wake_all(ch.waiters);
 }
 
-void Fabric::maybe_stall(int dst, int src, std::uint64_t tag) {
-  if (fault_plan_.active() && dst == fault_plan_.stall_rank) {
-    const std::uint64_t h = fault_draw(src, dst, tag, /*salt=*/0x57A1);
-    if (draw_hits(util::mix3(h, 4, 4), fault_plan_.stall_prob)) Executor::yield();
-  }
-}
-
 bool Fabric::try_consume(Channel& ch, int dst, int src, std::uint64_t tag, void* out,
                          std::size_t bytes, double* ts) {
   const auto it = std::find_if(ch.queue.begin(), ch.queue.end(),
@@ -238,7 +230,8 @@ bool Fabric::try_consume(Channel& ch, int dst, int src, std::uint64_t tag, void*
   OPT_CHECK(it->payload.size() == bytes,
             "recv size mismatch: got " << it->payload.size() << " bytes, want " << bytes
                                        << " (src " << src << " tag " << tag << ")");
-  if (fault_plan_.active() && fnv1a(it->payload.data(), it->payload.size()) != it->checksum) {
+  if (fault_plan_.poison_prob > 0 &&
+      fnv1a(it->payload.data(), it->payload.size()) != it->checksum) {
     std::ostringstream why;
     why << "poisoned payload detected in op '" << current_op() << "' (src " << src << " -> dst "
         << dst << ", tag " << tag << ", " << bytes << " bytes)";
@@ -260,7 +253,7 @@ bool Fabric::try_consume(Channel& ch, int dst, int src, std::uint64_t tag, void*
 double Fabric::recv(int dst, int src, std::uint64_t tag, void* out, std::size_t bytes) {
   OPT_CHECK(src >= 0 && src < world_size_ && dst >= 0 && dst < world_size_,
             "recv at rank " << dst << " from rank " << src);
-  maybe_stall(dst, src, tag);
+  Executor::switch_point();
   Channel& ch = channel(dst, src);
   Parked& parked = parked_[static_cast<std::size_t>(dst)];
   for (;;) {

@@ -33,15 +33,17 @@
 // naming the communicator, the sequence number and both calls, instead of
 // letting mismatched collectives hang or exchange garbage.
 //
-// Deterministic fault injection: a FaultPlan arms seeded per-message send
-// spikes and receive stalls of one straggler rank (a hit moves the rank
-// behind every other runnable rank, so the plan reorders the interleaving
-// without touching payloads) and a poison mode (payload bits flipped in
-// flight). Poisoned payloads are caught by a per-message checksum at the
-// receiver, which aborts the whole fabric: every rank parked in recv/sync
+// The fabric schedules nothing itself: send and recv enter through
+// Executor::switch_point(), where an executor with a schedule seed may run
+// another rank first (executor.hpp); under FIFO order it is a no-op.
+//
+// Deterministic fault injection: a FaultPlan's poison mode flips payload
+// bits in flight. Poisoned payloads are caught by a per-message checksum at
+// the receiver, which aborts the whole fabric: every rank parked in recv/sync
 // wakes up and throws, so a corrupted run fails loudly with a diagnosable
-// error instead of deadlocking or silently diverging. All fault decisions
-// hash (seed, channel, occurrence), so a given plan replays identically.
+// error instead of deadlocking or silently diverging. Poison decisions hash
+// (seed, channel, occurrence), so a given plan replays identically whatever
+// the interleaving.
 
 #include <array>
 #include <cstddef>
@@ -74,18 +76,14 @@ class FabricAborted : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Seeded fault-injection plan. Probabilities are per message; decisions are
-/// pure functions of (seed, src, dst, tag, occurrence), so two runs with the
-/// same plan inject the same faults at the same logical points. A spike or
-/// stall yields: the rank goes to the back of the executor's ready queue.
+/// Seeded fault-injection plan. A nonzero seed makes the cluster's executor
+/// pick ranks by a seeded draw (executor.hpp): the plan reorders the
+/// interleaving without touching payloads. Poison decisions are pure
+/// functions of (seed, src, dst, tag, occurrence), so two runs with the same
+/// plan inject the same faults at the same logical points.
 struct FaultPlan {
-  std::uint64_t seed = 0;
-  double spike_prob = 0.0;  // chance a send yields before delivery
-  int stall_rank = -1;      // rank whose receives stall (straggler model)
-  double stall_prob = 0.0;  // chance such a receive yields first
-  double poison_prob = 0.0;  // chance a payload is corrupted in flight
-
-  bool active() const { return spike_prob > 0 || stall_prob > 0 || poison_prob > 0; }
+  std::uint64_t seed = 0;    // schedule seed; 0 keeps FIFO order
+  double poison_prob = 0.0;  // per-message chance a payload is corrupted in flight
 };
 
 /// Wire protocol of a collective. Members must agree on it; blocking and
@@ -216,7 +214,7 @@ class Fabric {
   struct Message {
     std::uint64_t tag;
     double timestamp;
-    std::uint64_t checksum = 0;  // FNV-1a of payload; validated when a plan is active
+    std::uint64_t checksum = 0;  // FNV-1a of payload; validated when the plan poisons
     std::vector<std::byte> payload;
   };
 
@@ -252,9 +250,6 @@ class Fabric {
                     const std::string& label, const std::array<int, 2>* split,
                     SplitResult* split_out);
 
-  /// Draws the straggler stall fault for a receive at `dst` and yields if hit.
-  void maybe_stall(int dst, int src, std::uint64_t tag);
-
   /// Tries to match-and-consume a message; copies the payload, returns false
   /// if nothing matches yet. Throws FaultError on a poisoned payload (after
   /// aborting the fabric).
@@ -270,8 +265,8 @@ class Fabric {
   void describe_wait(int rank, std::ostream& os) const;
 
   /// Deterministic per-message fault draw: the n-th message on the (src, dst,
-  /// tag, salt) channel gets a fresh 64-bit hash.
-  std::uint64_t fault_draw(int src, int dst, std::uint64_t tag, std::uint64_t salt);
+  /// tag) channel gets a fresh 64-bit hash.
+  std::uint64_t fault_draw(int src, int dst, std::uint64_t tag);
 
   int world_size_;
   std::unique_ptr<Channel[]> channels_;  // world_size² channels, [dst·p + src]

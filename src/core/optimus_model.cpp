@@ -159,7 +159,7 @@ void OptimusTransformer<T>::init_arenas() {
   const index_t probs_elems =
       model::attention_probs_elems(batch_local(), s, heads_local());
   const index_t attn_fwd_elems =
-      options_.fuse_attention ? model::attention_fused_scratch_elems(s) : probs_elems;
+      options_.fuse_attention ? model::attention_fused_forward_scratch_elems(s) : probs_elems;
   const auto bytes = [](index_t elems) {
     return align64(static_cast<std::uint64_t>(elems) * sizeof(T));
   };
@@ -230,7 +230,7 @@ void OptimusTransformer<T>::init_arenas() {
   bwd += bytes(rows * hq);  // din
   bwd += 2 * bytes(hq);     // ln1 γ/β partials
   if (options_.fuse_attention) {
-    bwd += bytes(model::attention_fused_scratch_elems(s));  // recompute scratch
+    bwd += bytes(model::attention_fused_backward_scratch_elems(s));  // recompute scratch
   }
   bwd_ = std::make_unique<Arena>("backward", bwd);
 }
@@ -342,7 +342,7 @@ TensorT<T> OptimusTransformer<T>::layer_forward(index_t l, LayerActs& a,
   if (cache != nullptr) {
     model::attention_decode(a.qkv, rows, heads_local(), cfg_.head_dim(), *cache, l, a.ctx);
   } else if (options_.fuse_attention) {
-    TensorT<T> scratch = alloc(Shape{model::attention_fused_scratch_elems(s)});
+    TensorT<T> scratch = alloc(Shape{model::attention_fused_forward_scratch_elems(s)});
     model::attention_forward_fused(a.qkv, batch_local(), s, heads_local(), cfg_.head_dim(),
                                    cfg_.causal, a.ctx, scratch);
   } else {
@@ -436,7 +436,7 @@ TensorT<T> OptimusTransformer<T>::layer_backward(index_t l, LayerActs& a,
   TensorT<T> dqkv = alloc_bwd(Shape{rows, tq});
   if (options_.fuse_attention) {
     TensorT<T> scratch =
-        alloc_bwd(Shape{model::attention_fused_scratch_elems(cfg_.seq_len)});
+        alloc_bwd(Shape{model::attention_fused_backward_scratch_elems(cfg_.seq_len)});
     model::attention_backward_fused(a.qkv, dctx, batch_local(), cfg_.seq_len, heads_local(),
                                     cfg_.head_dim(), cfg_.causal, dqkv, scratch);
   } else {

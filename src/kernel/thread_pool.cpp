@@ -380,19 +380,6 @@ int ThreadPool::parallel_region(int nthreads, const std::function<void(Region&)>
   return nthreads;
 }
 
-namespace {
-
-// Claim loop shared by parallel_for / parallel_ranges: chunk c covers
-// [begin(c), end(c)); every chunk is executed exactly once, the first body
-// exception is recorded and rethrown by the wrapper after the region ends.
-struct ClaimState {
-  std::atomic<index_t> next{0};
-  std::mutex err_m;
-  std::exception_ptr error;
-};
-
-}  // namespace
-
 void ThreadPool::parallel_for(index_t n, index_t grain,
                               const std::function<void(index_t, index_t)>& body) {
   if (n <= 0) return;
@@ -405,10 +392,14 @@ void ThreadPool::parallel_for(index_t n, index_t grain,
     body(0, n);
     return;
   }
-  ClaimState st;
+  // Claim loop: every chunk runs exactly once; the first body exception is
+  // rethrown after the region ends.
+  std::atomic<index_t> next{0};
+  std::mutex err_m;
+  std::exception_ptr error;
   parallel_region(threads, [&](Region& r) {
     for (;;) {
-      const index_t c = st.next.fetch_add(1, std::memory_order_relaxed);
+      const index_t c = next.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) break;
       g_stats.chunks.fetch_add(1, std::memory_order_relaxed);
       if (r.tid() != 0) g_stats.worker_chunks.fetch_add(1, std::memory_order_relaxed);
@@ -417,45 +408,12 @@ void ThreadPool::parallel_for(index_t n, index_t grain,
       try {
         body(begin, end);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(st.err_m);
-        if (!st.error) st.error = std::current_exception();
+        std::lock_guard<std::mutex> lock(err_m);
+        if (!error) error = std::current_exception();
       }
     }
   });
-  if (st.error) std::rethrow_exception(st.error);
-}
-
-void ThreadPool::parallel_ranges(index_t n, int parts,
-                                 const std::function<void(index_t, index_t)>& body) {
-  if (n <= 0) return;
-  const int threads = static_cast<int>(
-      std::min<index_t>(std::min(parts, effective_threads()), n));
-  if (threads <= 1 || tl_on_worker || tl_in_region) {
-    g_stats.inline_regions.fetch_add(1, std::memory_order_relaxed);
-    body(0, n);
-    return;
-  }
-  const index_t num_ranges = threads;
-  const index_t base = n / num_ranges;
-  const index_t rem = n % num_ranges;
-  ClaimState st;
-  parallel_region(threads, [&](Region& r) {
-    for (;;) {
-      const index_t c = st.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_ranges) break;
-      g_stats.chunks.fetch_add(1, std::memory_order_relaxed);
-      if (r.tid() != 0) g_stats.worker_chunks.fetch_add(1, std::memory_order_relaxed);
-      const index_t begin = c * base + std::min(c, rem);
-      const index_t end = begin + base + (c < rem ? 1 : 0);
-      try {
-        body(begin, end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(st.err_m);
-        if (!st.error) st.error = std::current_exception();
-      }
-    }
-  });
-  if (st.error) std::rethrow_exception(st.error);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace optimus::kernel

@@ -22,8 +22,7 @@
 // (a reusable arrival barrier) and through caller-owned atomic claim counters.
 // Workers spin briefly and then park between regions, so back-to-back GEMMs
 // inside a SUMMA k-loop do not pay thread wake/sleep latency on every call.
-// parallel_for / parallel_ranges are thin wrappers that run a claim loop
-// inside one region, so existing callers are unchanged.
+// parallel_for is a thin wrapper that runs a claim loop inside one region.
 //
 // Determinism: the pool never changes *what* is computed, only *where*.
 // Kernels partition work so every output element is produced by exactly one
@@ -62,7 +61,7 @@ int effective_threads();
 
 /// Cumulative process-wide pool statistics (relaxed counters; cheap enough to
 /// keep always-on). `regions` counts parallel regions that actually fanned
-/// out (parallel_region, and parallel_for/parallel_ranges when they go wide);
+/// out (parallel_region, and parallel_for when it goes wide);
 /// `inline_regions` the calls that ran serially (one thread, nested region,
 /// contended pool, or single chunk). `worker_chunks` is the subset of
 /// `chunks` claimed by pool workers rather than the submitting thread — the
@@ -180,11 +179,6 @@ class ThreadPool {
   /// after every chunk has executed.
   void parallel_for(index_t n, index_t grain,
                     const std::function<void(index_t, index_t)>& body);
-
-  /// Splits [0, n) into at most `parts` contiguous ranges of near-equal size
-  /// and runs body(begin, end) for each.
-  void parallel_ranges(index_t n, int parts,
-                       const std::function<void(index_t, index_t)>& body);
 
   ~ThreadPool();
 

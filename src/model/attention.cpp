@@ -145,7 +145,8 @@ void attention_backward(const TensorT<T>& qkv, const TensorT<T>& probs,
 template <typename T>
 void attention_forward_fused(const TensorT<T>& qkv, index_t b, index_t s, index_t heads,
                              index_t d, bool causal, TensorT<T>& ctx, TensorT<T>& scratch) {
-  OPT_CHECK(scratch.numel() >= s * s, "fused scratch needs >= s*s elements");
+  OPT_CHECK(scratch.numel() >= attention_fused_forward_scratch_elems(s),
+            "fused scratch needs >= s*s elements");
   forward_heads(qkv, b, s, heads, d, causal, ctx, scratch.data(), 0);
 }
 
@@ -153,7 +154,8 @@ template <typename T>
 void attention_backward_fused(const TensorT<T>& qkv, const TensorT<T>& dctx, index_t b,
                               index_t s, index_t heads, index_t d, bool causal,
                               TensorT<T>& dqkv, TensorT<T>& scratch) {
-  OPT_CHECK(scratch.numel() >= 2 * s * s, "fused scratch needs >= 2*s*s elements");
+  OPT_CHECK(scratch.numel() >= attention_fused_backward_scratch_elems(s),
+            "fused scratch needs >= 2*s*s elements");
   backward_heads(qkv, dctx, b, s, heads, d, causal, dqkv, scratch.data(), 0,
                  scratch.data() + s * s);
 }

@@ -88,7 +88,8 @@ inline std::uint64_t attention_decode_mults(const std::vector<tensor::index_t>& 
 // the probabilities per head (extra bs²h multiplies, exactly the paper's
 // "computationally cheap intermediate" trade).
 
-/// Forward without saving probabilities. `scratch` must hold ≥ s·s elements.
+/// Forward without saving probabilities. `scratch` must hold
+/// ≥ attention_fused_forward_scratch_elems(s) = s·s elements.
 template <typename T>
 void attention_forward_fused(const tensor::TensorT<T>& qkv, tensor::index_t b,
                              tensor::index_t s, tensor::index_t heads, tensor::index_t d,
@@ -96,14 +97,18 @@ void attention_forward_fused(const tensor::TensorT<T>& qkv, tensor::index_t b,
                              tensor::TensorT<T>& scratch);
 
 /// Backward that recomputes the probabilities per head. `scratch` must hold
-/// ≥ 2·s·s elements (probs + dscores).
+/// ≥ attention_fused_backward_scratch_elems(s) = 2·s·s elements (probs +
+/// dscores).
 template <typename T>
 void attention_backward_fused(const tensor::TensorT<T>& qkv, const tensor::TensorT<T>& dctx,
                               tensor::index_t b, tensor::index_t s, tensor::index_t heads,
                               tensor::index_t d, bool causal, tensor::TensorT<T>& dqkv,
                               tensor::TensorT<T>& scratch);
 
-/// Scratch elements the fused paths need (forward s², backward 2s²).
-inline tensor::index_t attention_fused_scratch_elems(tensor::index_t s) { return 2 * s * s; }
+/// Scratch elements the fused forward and the fused backward need.
+inline tensor::index_t attention_fused_forward_scratch_elems(tensor::index_t s) { return s * s; }
+inline tensor::index_t attention_fused_backward_scratch_elems(tensor::index_t s) {
+  return 2 * s * s;
+}
 
 }  // namespace optimus::model

@@ -241,8 +241,8 @@ void run_impl(const FuzzConfig& fc, const EquivalenceOptions& opts, EquivalenceR
     const std::string tag = tag_os.str();
 
     if (!baseline) {
-      // Replay under injected latency faults: delivery order, not timing,
-      // must determine the math — require bitwise-identical results.
+      // Replay under a seeded interleaving: delivery order, not the
+      // schedule, must determine the math — require bitwise-identical results.
       std::lock_guard<std::mutex> lock(mu);
       const bool same = bitwise_equal(hidden, base_hidden[ctx.rank]) &&
                         loss == base_loss[ctx.rank] &&
@@ -390,13 +390,10 @@ void run_impl(const FuzzConfig& fc, const EquivalenceOptions& opts, EquivalenceR
     res.failures.push_back(std::string("optimus run threw: ") + e.what());
   }
 
-  // ---- Fault replay: same math under latency spikes and a straggler. ----
+  // ---- Fault replay: same math under a seeded interleaving. ----
   if (opts.fault_replay && world_2d > 1 && res.failures.empty()) {
     comm::FaultPlan plan;
     plan.seed = fc.data_seed ^ 0xFA17FA17ull;
-    plan.spike_prob = 0.2;
-    plan.stall_rank = 1;
-    plan.stall_prob = 0.25;
     res.fault_replay_ran = true;
     try {
       comm::run_cluster(world_2d, plan, [&](comm::Context& ctx) { optimus_body(ctx, false); });

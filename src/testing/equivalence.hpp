@@ -19,9 +19,9 @@
 //
 // It also round-trips every engine's parameters through checkpoint_io
 // (save → load → bitwise-equal) and, when requested, replays the Optimus run
-// under a deterministic fault plan (latency spikes + a straggler rank) and
-// requires bitwise-identical results — the fabric's delivery semantics, not
-// timing, must determine the math.
+// under a seeded interleaving (a fault plan whose seed shuffles the order in
+// which ranks run) and requires bitwise-identical results — the fabric's
+// delivery semantics, not the schedule, must determine the math.
 //
 // The documented tolerance budgets live in equivalence.cpp (tolerance_for)
 // and DESIGN.md §Testing; the fuzzer reports observed worst-case ULPs so the
@@ -41,7 +41,7 @@ struct EngineDeviation {
 
 struct EquivalenceOptions {
   bool run_megatron = true;
-  bool fault_replay = false;   // re-run Optimus under a seeded fault plan
+  bool fault_replay = false;   // re-run Optimus under a seeded interleaving
   int gradcheck_coords = 0;    // finite-difference coords (f64 configs only)
   int max_recorded_failures = 8;
 };

@@ -690,12 +690,15 @@ std::vector<unsigned char> run_pinned_op(const std::string& op, oc::Context& ctx
 }
 
 template <typename T>
-void digest_pinned_op(const std::string& op, int g, index_t n, Fnv& out, Fnv& clock,
-                      Fnv& stats) {
+void digest_pinned_op(const std::string& op, int g, index_t n, std::uint64_t schedule_seed,
+                      Fnv& out, Fnv& clock, Fnv& stats) {
   // Two GPUs per node: groups of g >= 3 cross nodes, so the large payload
   // streams down the tree in chunks there.
   oc::Topology topo(g, /*gpus_per_node=*/2, oc::Arrangement::kNaive);
   oc::Cluster cluster(g, topo, oc::MachineParams{});
+  oc::FaultPlan plan;
+  plan.seed = schedule_seed;
+  cluster.set_fault_plan(plan);
   std::vector<std::vector<unsigned char>> outputs(static_cast<std::size_t>(g));
   const auto report = cluster.run(
       [&](oc::Context& ctx) { outputs[ctx.rank] = run_pinned_op<T>(op, ctx, n); });
@@ -717,11 +720,11 @@ void digest_pinned_op(const std::string& op, int g, index_t n, Fnv& out, Fnv& cl
   stats.value(s.p2p_time);
 }
 
-PinRow pinned_row(const std::string& op, int g) {
+PinRow pinned_row(const std::string& op, int g, std::uint64_t schedule_seed) {
   Fnv out, clock, stats;
   for (const index_t n : {index_t{37}, index_t{20000}}) {  // 20000 f32 = 80 KB > 64 KiB
-    digest_pinned_op<float>(op, g, n, out, clock, stats);
-    digest_pinned_op<double>(op, g, n, out, clock, stats);
+    digest_pinned_op<float>(op, g, n, schedule_seed, out, clock, stats);
+    digest_pinned_op<double>(op, g, n, schedule_seed, out, clock, stats);
   }
   return PinRow{nullptr, g, out.h, clock.h, stats.h};
 }
@@ -806,23 +809,28 @@ class CollectivePin : public ::testing::TestWithParam<const char*> {};
 }  // namespace
 
 TEST_P(CollectivePin, OutputClockAndStatsMatchPinnedBits) {
+  // FIFO order (seed 0) and two seeded interleavings must all give the
+  // pinned bits: no collective's result may depend on the schedule.
   const std::string op = GetParam();
-  for (const int g : {1, 2, 3, 4, 5, 7, 8}) {
-    const PinRow got = pinned_row(op, g);
-    const PinRow* want = nullptr;
-    for (const PinRow& row : kCollectivePins) {
-      if (op == row.op && g == row.g) want = &row;
+  for (const std::uint64_t seed : {0, 2, 424242}) {
+    SCOPED_TRACE("schedule seed " + std::to_string(seed));
+    for (const int g : {1, 2, 3, 4, 5, 7, 8}) {
+      const PinRow got = pinned_row(op, g, seed);
+      const PinRow* want = nullptr;
+      for (const PinRow& row : kCollectivePins) {
+        if (op == row.op && g == row.g) want = &row;
+      }
+      std::ostringstream actual;
+      actual << std::hex << "{\"" << op << "\", " << std::dec << g << std::hex << ", 0x"
+             << got.out << "ull, 0x" << got.clock << "ull, 0x" << got.stats << "ull},";
+      if (want == nullptr) {
+        ADD_FAILURE() << "no pinned row; actual: " << actual.str();
+        continue;
+      }
+      EXPECT_EQ(got.out, want->out) << "output bytes changed; actual: " << actual.str();
+      EXPECT_EQ(got.clock, want->clock) << "clock/utilization changed; actual: " << actual.str();
+      EXPECT_EQ(got.stats, want->stats) << "CommStats changed; actual: " << actual.str();
     }
-    std::ostringstream actual;
-    actual << std::hex << "{\"" << op << "\", " << std::dec << g << std::hex << ", 0x"
-           << got.out << "ull, 0x" << got.clock << "ull, 0x" << got.stats << "ull},";
-    if (want == nullptr) {
-      ADD_FAILURE() << "no pinned row; actual: " << actual.str();
-      continue;
-    }
-    EXPECT_EQ(got.out, want->out) << "output bytes changed; actual: " << actual.str();
-    EXPECT_EQ(got.clock, want->clock) << "clock/utilization changed; actual: " << actual.str();
-    EXPECT_EQ(got.stats, want->stats) << "CommStats changed; actual: " << actual.str();
   }
 }
 

@@ -82,7 +82,7 @@ TEST(FusedAttention, ForwardMatchesUnfused) {
   DTensor ctx_ref(Shape{b * s, heads * d}), probs(Shape{b * heads, s, s});
   om::attention_forward(qkv, b, s, heads, d, true, ctx_ref, probs);
   DTensor ctx_fused(ctx_ref.shape());
-  DTensor scratch(Shape{om::attention_fused_scratch_elems(s)});
+  DTensor scratch(Shape{om::attention_fused_forward_scratch_elems(s)});
   om::attention_forward_fused(qkv, b, s, heads, d, true, ctx_fused, scratch);
   EXPECT_EQ(ops::max_abs_diff(ctx_ref, ctx_fused), 0.0);  // identical math
 }
@@ -97,7 +97,7 @@ TEST(FusedAttention, BackwardMatchesUnfused) {
   DTensor dqkv_ref(qkv.shape());
   om::attention_backward(qkv, probs, dctx, b, s, heads, d, dqkv_ref);
   DTensor dqkv_fused(qkv.shape());
-  DTensor scratch(Shape{om::attention_fused_scratch_elems(s)});
+  DTensor scratch(Shape{om::attention_fused_backward_scratch_elems(s)});
   om::attention_backward_fused(qkv, dctx, b, s, heads, d, true, dqkv_fused, scratch);
   EXPECT_EQ(ops::max_abs_diff(dqkv_ref, dqkv_fused), 0.0);
 }
@@ -109,7 +109,7 @@ TEST(FusedAttention, NonCausalVariantAlsoMatches) {
   DTensor ctx_ref(Shape{b * s, heads * d}), probs(Shape{b * heads, s, s});
   om::attention_forward(qkv, b, s, heads, d, false, ctx_ref, probs);
   DTensor ctx_fused(ctx_ref.shape());
-  DTensor scratch(Shape{om::attention_fused_scratch_elems(s)});
+  DTensor scratch(Shape{om::attention_fused_forward_scratch_elems(s)});
   om::attention_forward_fused(qkv, b, s, heads, d, false, ctx_fused, scratch);
   EXPECT_EQ(ops::max_abs_diff(ctx_ref, ctx_fused), 0.0);
 }
@@ -183,9 +183,39 @@ TEST(FusedAttention, EngineEquivalenceAndMemorySaving) {
   }
   EXPECT_EQ(loss_plain, loss_fused);  // bitwise identical numerics
   EXPECT_EQ(ops::max_abs_diff(grad_plain, grad_fused), 0.0);
-  // probs would be (b/q)(n/q)s² = 4·2·256 = 2048 elems; fused scratch is
-  // 2s² = 512 — the peak must drop.
+  // probs would be (b/q)(n/q)s² = 4·2·256 = 2048 elems; the fused scratch
+  // is s² = 256 in forward and 2s² = 512 in backward — the peak must drop.
   EXPECT_LT(peak_fused, peak_plain);
+}
+
+TEST(FusedAttention, ForwardArenaHoldsOneScoreTile) {
+  // The fused forward streams every (batch, head) pair through one s × s
+  // score tile, so its forward arena holds s² elements where the unfused one
+  // holds the (b/q)(n/q)s² probabilities; only the backward recompute needs
+  // 2s² (probs + dscores). Peak device bytes count both arenas' capacities.
+  auto cfg = small_config();
+  cfg.batch = 8;
+  cfg.seq_len = 16;
+  const ITensor tokens = random_tokens(cfg, 4);
+  std::uint64_t fwd_high[2] = {0, 0}, peak[2] = {0, 0};
+  for (const bool fused : {false, true}) {
+    const auto report = oc::run_cluster(4, [&](oc::Context& ctx) {
+      optimus::mesh::Mesh2D mesh(ctx.world);
+      ocore::OptimusOptions opts;
+      opts.fuse_attention = fused;
+      ocore::OptimusTransformer<double> engine(cfg, mesh, opts);
+      engine.forward(tokens);
+      if (ctx.rank == 0) fwd_high[fused] = engine.forward_high_water();
+    });
+    peak[fused] = report.max_peak_bytes();
+  }
+  const auto bytes = [](ot::index_t elems) {
+    return (static_cast<std::uint64_t>(elems) * sizeof(double) + 63) / 64 * 64;
+  };
+  const ot::index_t s = cfg.seq_len;
+  const std::uint64_t probs = bytes(om::attention_probs_elems(cfg.batch / 2, s, cfg.heads / 2));
+  EXPECT_EQ(fwd_high[1] + probs, fwd_high[0] + bytes(s * s));
+  EXPECT_EQ(peak[1] + probs, peak[0] + bytes(s * s) + bytes(2 * s * s));
 }
 
 TEST(FusedAttention, ScratchTooSmallThrows) {

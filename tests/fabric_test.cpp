@@ -168,7 +168,9 @@ TEST(Fabric, ThrowWakesRanksParkedInSlotsAndChannels) {
   // Rank 5 throws while its peers are parked across the fabric: in the
   // rendezvous slots of two row and two column communicators and in
   // receives on four different channels. Every peer must unwind with
-  // FabricAborted and run() must rethrow rank 5's error.
+  // FabricAborted and run() must rethrow rank 5's error. The test pins FIFO
+  // order by running without a fault plan: under a seeded schedule a peer
+  // could still be runnable, not parked, when rank 5 throws.
   ots::Watchdog wd("fabric abort wakes every waiter", std::chrono::seconds(60));
   Outcomes outcomes(16);
   const auto start = std::chrono::steady_clock::now();

@@ -1,16 +1,20 @@
 // Deterministic fault injection through the simulated fabric.
 //
-// The contract under test (comm/fabric.hpp): injected faults must never
-// change the math and never hang. Latency spikes and a stalling rank perturb
-// thread interleavings only — collectives and whole training steps must stay
-// *bitwise* identical. Poisoned payloads must surface as a loud FaultError
-// naming the collective in flight, never as silent divergence or a deadlock.
-// Every test runs under a watchdog so a wedged collective aborts the suite
-// with a diagnosis instead of timing out CI.
+// The contract under test (comm/fabric.hpp, comm/executor.hpp): injected
+// faults must never change the math and never hang. Latency faults are a
+// seeded interleaving — at every send and receive the executor may run any
+// ready rank first, as if messages took arbitrary times — and collectives and
+// whole training steps must stay *bitwise* identical under them. Poisoned
+// payloads must surface as a loud FaultError naming the collective in flight,
+// never as silent divergence or a deadlock. Every test runs under a watchdog
+// so a wedged collective aborts the suite with a diagnosis instead of timing
+// out CI.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <mutex>
@@ -58,31 +62,64 @@ std::vector<std::vector<double>> allreduce_results(int world, const oc::FaultPla
   return out;
 }
 
+/// The order in which the ranks of a 4-rank run enter their bodies, then
+/// leave an all-reduce.
+std::vector<int> pass_order(std::uint64_t schedule_seed) {
+  oc::FaultPlan plan;
+  plan.seed = schedule_seed;
+  std::vector<int> order;
+  oc::run_cluster(4, plan, [&](oc::Context& ctx) {
+    order.push_back(ctx.rank);
+    double v = ctx.rank;
+    ctx.world.all_reduce(&v, 1);
+    order.push_back(ctx.rank);
+  });
+  return order;
+}
+
 }  // namespace
 
 TEST(Fault, LatencySpikesLeaveCollectivesBitwiseUnchanged) {
   ots::Watchdog wd("fault spike test", std::chrono::seconds(120));
-  const std::uint64_t seed = ots::test_seed(99);
-  OPTIMUS_SEED_TRACE(seed);
-
+  // A latency spike is a seeded interleaving: any ready rank may run first at
+  // every send and receive, as if that message took arbitrarily long.
   const auto base = allreduce_results(4, nullptr);
-  oc::FaultPlan plan;
-  plan.seed = seed;
-  plan.spike_prob = 0.5;
-  EXPECT_EQ(base, allreduce_results(4, &plan));
+  for (const std::uint64_t seed : {ots::test_seed(99), std::uint64_t{424242}}) {
+    OPTIMUS_SEED_TRACE(seed);
+    oc::FaultPlan plan;
+    plan.seed = seed;
+    EXPECT_EQ(base, allreduce_results(4, &plan));
+  }
 }
 
 TEST(Fault, StallingRankDoesNotDeadlockOrDiverge) {
   ots::Watchdog wd("fault stall test", std::chrono::seconds(120));
+  // A straggler is one of the interleavings a seeded pick draws: a rank left
+  // in the ready queue while its peers run on lags all of its receives.
   const std::uint64_t seed = ots::test_seed(100);
   OPTIMUS_SEED_TRACE(seed);
-
   const auto base = allreduce_results(4, nullptr);
   oc::FaultPlan plan;
   plan.seed = seed;
-  plan.stall_rank = 2;  // straggler model: one rank's receives lag
-  plan.stall_prob = 0.5;
   EXPECT_EQ(base, allreduce_results(4, &plan));
+}
+
+TEST(Fault, SeededScheduleReordersRanksAndReplays) {
+  ots::Watchdog wd("fault seeded order test", std::chrono::seconds(60));
+  // Without a seed the runner starts the ranks in rank order. A seeded pick
+  // must start them in another order for some seed of a small fixed set (a
+  // pick that quietly fell back to FIFO would not), and a seed must replay
+  // its order exactly.
+  const std::vector<int> fifo = pass_order(0);
+  ASSERT_EQ(fifo.size(), 8u);
+  EXPECT_EQ(std::vector<int>(fifo.begin(), fifo.begin() + 4), (std::vector<int>{0, 1, 2, 3}));
+  int reordered = 0;
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5}) {
+    const std::vector<int> order = pass_order(seed);
+    EXPECT_EQ(order, pass_order(seed)) << "seed " << seed << " did not replay its order";
+    reordered += !std::equal(fifo.begin(), fifo.begin() + 4, order.begin());
+  }
+  EXPECT_GT(reordered, 0) << "no seed changed the order in which the ranks start";
 }
 
 TEST(Fault, PoisonedPayloadFailsLoudlyNamingTheOp) {
@@ -227,7 +264,7 @@ TEST(Fault, OptimusTrainingStepBitwiseUnderLatencyFaults) {
   ots::Watchdog wd("fault training-step test", std::chrono::seconds(120));
   // A fixed q=2 config run through the full differential harness with the
   // fault-replay stage on: the replay requires bitwise-identical hidden
-  // states, losses and gradients under spikes + a straggler.
+  // states, losses and gradients under a seeded interleaving.
   const ots::FuzzConfig fc = ots::FuzzConfig::parse(
       "q=2,mp=1,b=2,s=3,heads=2,hd=3,v=12,layers=2,mlp=2,dtype=f64,threads=2,"
       "ckpt2d=1,ckpt1d=1,buf=pool,lr=0.05,pseed=2024,dseed=11");
@@ -363,10 +400,10 @@ TEST(Fault, PoisonedDepthReduceLeavesDeterministicPostmortems) {
 
 TEST(Fault, LatencyFaultsLeave25dSummaBitwise) {
   ots::Watchdog wd("fault 2.5d latency test", std::chrono::seconds(120));
-  // Spikes plus a straggler on a 2×2×2 mesh perturb arrival order of the
+  // Seeded interleavings on a 2×2×2 mesh perturb the arrival order of the
   // sub-panel broadcasts and the depth fold; FIFO matching per (src, tag)
   // must keep every rank's result — all depth replicas included — bitwise
-  // identical to the fault-free run, under both schedules.
+  // identical to the FIFO run, under both SUMMA schedules.
   const std::uint64_t seed = ots::test_seed(58);
   OPTIMUS_SEED_TRACE(seed);
   using DTensor = optimus::tensor::DTensor;
@@ -398,21 +435,20 @@ TEST(Fault, LatencyFaultsLeave25dSummaBitwise) {
     }
     return out;
   };
-  oc::FaultPlan plan;
-  plan.seed = seed;
-  plan.spike_prob = 0.5;
-  plan.stall_rank = 5;  // a straggler inside depth layer 1
-  plan.stall_prob = 0.5;
   for (const bool pipelined : {false, true}) {
     const auto base = run_faulted(nullptr, pipelined);
-    EXPECT_EQ(base, run_faulted(&plan, pipelined))
-        << (pipelined ? "pipelined" : "blocking") << " schedule diverged under faults";
+    for (const std::uint64_t s : {seed, std::uint64_t{424242}}) {
+      oc::FaultPlan plan;
+      plan.seed = s;
+      EXPECT_EQ(base, run_faulted(&plan, pipelined))
+          << (pipelined ? "pipelined" : "blocking") << " schedule diverged under seed " << s;
+    }
   }
 }
 
 TEST(Fault, LatencyFaultsLeavePipelinedSummaBitwise) {
   ots::Watchdog wd("fault async latency test", std::chrono::seconds(120));
-  // Spikes and a straggler perturb arrival order of the async panels and
+  // Seeded interleavings perturb the arrival order of the async panels and
   // reduces; FIFO matching per (src, tag) must keep the pipelined result
   // bitwise identical anyway — for the broadcast forms and the reduce forms.
   const std::uint64_t seed = ots::test_seed(56);
@@ -445,13 +481,12 @@ TEST(Fault, LatencyFaultsLeavePipelinedSummaBitwise) {
     return C_global;
   };
   const DTensor base = run_faulted(nullptr);
-  oc::FaultPlan plan;
-  plan.seed = seed;
-  plan.spike_prob = 0.5;
-  plan.stall_rank = 1;
-  plan.stall_prob = 0.5;
-  const DTensor faulted = run_faulted(&plan);
-  for (optimus::tensor::index_t i = 0; i < base.numel(); ++i) {
-    ASSERT_EQ(faulted[i], base[i]) << "diverged at " << i;
+  for (const std::uint64_t s : {seed, std::uint64_t{424242}}) {
+    oc::FaultPlan plan;
+    plan.seed = s;
+    const DTensor faulted = run_faulted(&plan);
+    for (optimus::tensor::index_t i = 0; i < base.numel(); ++i) {
+      ASSERT_EQ(faulted[i], base[i]) << "diverged at " << i << " under seed " << s;
+    }
   }
 }

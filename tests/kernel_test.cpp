@@ -601,17 +601,6 @@ TEST(KernelThreadPool, CoversEveryChunkExactlyOnce) {
   ok::set_threads(0);
 }
 
-TEST(KernelThreadPool, ParallelRangesCoverAndAreContiguous) {
-  ok::set_threads(4);
-  std::vector<std::atomic<int>> hits(103);
-  for (auto& h : hits) h.store(0);
-  ok::ThreadPool::global().parallel_ranges(103, 4, [&](index_t b, index_t e) {
-    for (index_t i = b; i < e; ++i) hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
-  ok::set_threads(0);
-}
-
 TEST(KernelThreadPool, PropagatesExceptions) {
   ok::set_threads(4);
   EXPECT_THROW(

@@ -106,7 +106,9 @@ TEST(Misuse, ThrowAfterTheLastCollective) {
   // are still finishing that all-reduce or already wait in a barrier rank 1
   // never enters. The throw aborts the fabric, so this is no deadlock: run()
   // rethrows rank 1's error, and every peer's unwind names the failure and,
-  // if the peer was parked, the op, communicator and seq it waited in.
+  // if the peer was parked, the op, communicator and seq it waited in. Which
+  // peers are parked at the throw depends on the interleaving, so the test
+  // pins FIFO order by running without a fault plan.
   ots::Watchdog wd("misuse throw after last collective", std::chrono::seconds(30));
   std::vector<std::string> unwinds(kP);
   try {

@@ -10,12 +10,14 @@
 //   * eviction + replay is invisible: a request evicted mid-generation and
 //     re-admitted produces the identical token sequence;
 //   * a decode step's simulated cost equals the closed-form predictor exactly;
-//   * injected latency faults never change served tokens; a poisoned
+//   * injected latency faults (seeded interleavings) change no served token,
+//     sim clock, CommStats or trace sim-time; a poisoned
 //     collective aborts loudly, naming the op, and the preserved request state
 //     resumes on a fresh cluster to the identical completion.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -32,6 +34,7 @@
 #include "megatron/megatron_model.hpp"
 #include "mesh/mesh.hpp"
 #include "model/serial_model.hpp"
+#include "obs/trace.hpp"
 #include "perfmodel/validation.hpp"
 #include "serving/serving.hpp"
 #include "serving/traffic.hpp"
@@ -454,21 +457,36 @@ TEST(Serving, EvictionReplayReproducesIdenticalTokens) {
   EXPECT_GT(evictions, 0) << "test failed to exercise any eviction";
 }
 
-TEST(Serving, LatencyFaultsLeaveServedTokensIdentical) {
-  ots::Watchdog wd("serving latency fault test", std::chrono::seconds(240));
-  const om::TransformerConfig cfg = serving_cfg();
-  const auto reqs = serving_traffic(cfg);
-  const auto serial_out = serial_served_outputs(cfg, reqs);
+namespace {
 
-  oc::FaultPlan plan;
-  plan.seed = ots::test_seed(77);
-  OPTIMUS_SEED_TRACE(plan.seed);
-  plan.spike_prob = 0.2;
-  plan.stall_rank = 1;
-  plan.stall_prob = 0.25;
+/// A 2×2 Optimus serving run of `reqs` under `plan`: how many requests'
+/// tokens differ from `want` (summed over ranks), and what the run must
+/// reproduce under any interleaving — each rank's sim clock, utilization and
+/// CommStats, and the sim times of every trace span in a canonical order.
+struct ServedRun {
   int mismatch = 0;
+  std::vector<std::string> clocks_and_stats;  // per rank
+  std::vector<std::string> spans;             // sorted
+};
+
+ServedRun serve_optimus_traced(const om::TransformerConfig& cfg,
+                               const std::vector<osv::Request>& reqs,
+                               const std::vector<std::vector<std::int32_t>>& want,
+                               const oc::FaultPlan& plan) {
+  namespace ob = optimus::obs;
+  struct TraceGuard {
+    TraceGuard() {
+      ob::reset();
+      ob::set_enabled(true);
+    }
+    ~TraceGuard() {
+      ob::set_enabled(false);
+      ob::reset();
+    }
+  } guard;
+  ServedRun run;
   std::mutex mu;
-  oc::run_cluster(4, plan, [&](oc::Context& ctx) {
+  const auto report = oc::run_cluster(4, plan, [&](oc::Context& ctx) {
     optimus::mesh::Mesh2D mesh(ctx.world);
     optimus::core::OptimusTransformer<float> m(cfg, mesh);
     osv::OptimusDecodeEngine<float> eng(m, cfg.batch);
@@ -478,10 +496,55 @@ TEST(Serving, LatencyFaultsLeaveServedTokensIdentical) {
     EXPECT_FALSE(outcome.aborted);
     EXPECT_EQ(outcome.completed.size(), reqs.size());
     for (const auto& r : outcome.completed) {
-      mismatch += r.generated != serial_out[static_cast<std::size_t>(r.id)];
+      run.mismatch += r.generated != want[static_cast<std::size_t>(r.id)];
     }
   });
-  EXPECT_EQ(mismatch, 0);
+  for (const oc::Cluster::RankReport& r : report.ranks) {
+    std::ostringstream os;
+    os << std::hexfloat << r.sim_time << ' ' << r.util.compute << ' ' << r.util.align_wait << ' '
+       << r.util.transfer << ' ' << r.util.idle;
+    const oc::CommStats& s = r.stats;
+    for (const auto* o : {&s.broadcast, &s.reduce, &s.allreduce, &s.allgather, &s.reducescatter,
+                          &s.barrier}) {
+      os << " | " << o->calls << ' ' << o->elems << ' ' << o->bytes << ' ' << o->weighted << ' '
+         << o->time;
+    }
+    os << " | " << s.p2p_messages << ' ' << s.p2p_bytes << ' ' << s.p2p_time;
+    run.clocks_and_stats.push_back(os.str());
+  }
+  for (const ob::SpanRecord& s : ob::snapshot()) {
+    std::ostringstream os;
+    os << std::hexfloat << s.rank << ' ' << s.lane << ' ' << s.depth << ' ' << s.cat << '/'
+       << s.name << ' ' << s.sim_begin << ' ' << s.sim_end;
+    run.spans.push_back(os.str());
+  }
+  std::sort(run.spans.begin(), run.spans.end());
+  return run;
+}
+
+}  // namespace
+
+TEST(Serving, LatencyFaultsLeaveServedTokensIdentical) {
+  ots::Watchdog wd("serving latency fault test", std::chrono::seconds(240));
+  // Latency faults are seeded interleavings (comm/executor.hpp): under every
+  // seed the served tokens must equal the serial engine's, and the sim
+  // clocks, CommStats and trace sim-times must equal the FIFO run's.
+  const om::TransformerConfig cfg = serving_cfg();
+  const auto reqs = serving_traffic(cfg);
+  const auto serial_out = serial_served_outputs(cfg, reqs);
+
+  const ServedRun fifo = serve_optimus_traced(cfg, reqs, serial_out, oc::FaultPlan{});
+  EXPECT_EQ(fifo.mismatch, 0);
+  EXPECT_FALSE(fifo.spans.empty());
+  for (const std::uint64_t seed : {ots::test_seed(77), std::uint64_t{424242}}) {
+    OPTIMUS_SEED_TRACE(seed);
+    oc::FaultPlan plan;
+    plan.seed = seed;
+    const ServedRun run = serve_optimus_traced(cfg, reqs, serial_out, plan);
+    EXPECT_EQ(run.mismatch, 0);
+    EXPECT_EQ(run.clocks_and_stats, fifo.clocks_and_stats);
+    EXPECT_EQ(run.spans, fifo.spans);
+  }
 }
 
 TEST(Serving, PoisonedDecodeCollectiveAbortsAndResumes) {
