@@ -13,17 +13,21 @@
 #      run twice — both runs must pass AND produce byte-identical reports
 #      (the harness promises determinism; a diff here means nondeterminism
 #      leaked into the engines or the report).
-#   4. Serving smoke: bench_serving (fixed seeds, simulated clock) run twice
+#   4. Bitwise gate: tools/fuzz_equivalence --configs 300 --seed 3 --no-shrink
+#      must report 0 failures, and every dtype=f64 config must read 0 ULPs in
+#      every category of both engines and the serial decode (the contract
+#      every ROADMAP item keeps: serial ≡ 2D ≡ 1D bit for bit in f64).
+#   5. Serving smoke: bench_serving (fixed seeds, simulated clock) run twice
 #      with byte-diffed stdout + BENCH_serving.json, then gated against the
 #      checked-in baseline with tools/bench_gate.
-#   5. Fabric and kernel smokes: bench_fabric (host cost per collective)
+#   6. Fabric and kernel smokes: bench_fabric (host cost per collective)
 #      and bench_kernels (GEMM GFLOP/s, including the per-rank shapes the
 #      hostbench workloads call) run end to end; their wall rows are
 #      informational, not gated.
-#   6. Host-cost benchmark: hostbench/ is its own CMake project over src/,
+#   7. Host-cost benchmark: hostbench/ is its own CMake project over src/,
 #      so step 1 never compiles it. Build it standalone into build-hostbench/
 #      and run host_bench_selftest.
-#   7. Fast-label test suite under ASan+UBSan (`asan` preset) and TSan
+#   8. Fast-label test suite under ASan+UBSan (`asan` preset) and TSan
 #      (`tsan` preset). The comm layer runs every simulated device as a fiber
 #      on one runner thread; both sanitizers follow its annotated stack
 #      switches, and TSan checks the runner against the kernel pool's worker
@@ -80,6 +84,27 @@ echo "==> differential fuzz smoke: 25 configs, twice, byte-identical reports"
 ./build/tools/fuzz_equivalence --configs 25 --seed 7 --report "$OBS_TMP/fuzz_b.txt" > /dev/null
 diff "$OBS_TMP/fuzz_a.txt" "$OBS_TMP/fuzz_b.txt"
 echo "    25/25 configs pass (d-extended corpus), reports byte-identical"
+
+echo "==> bitwise gate: 300-config sweep, 0 failures, every f64 config at 0 ULPs"
+./build/tools/fuzz_equivalence --configs 300 --seed 3 --no-shrink \
+    --report "$OBS_TMP/fuzz_gate.txt" > /dev/null
+python3 - "$OBS_TMP/fuzz_gate.txt" <<'PY'
+import re, sys
+lines = open(sys.argv[1]).read().splitlines()
+summary = [l for l in lines if l.startswith("fuzz_equivalence:")]
+assert summary and " 0 failures," in summary[-1], summary
+f64 = [l for l in lines if "dtype=f64" in l]
+assert f64, "no f64 configs in the sweep"
+for line in f64:
+    # Categories follow the config string: "2d ulps: ...", "1d ulps: ...",
+    # "serial decode=N".
+    parts = [p for p in line.split(" | ")[1:] if "ulps:" in p or p.startswith("serial decode=")]
+    ulps = re.findall(r"(\w+)=(\d+)", " ".join(parts))
+    assert len(ulps) == 13, (len(ulps), line)
+    bad = [k for k, v in ulps if v != "0"]
+    assert not bad, (bad, line)
+print(f"    {summary[-1]}; {len(f64)} f64 configs at 0 ULPs")
+PY
 
 echo "==> serving smoke: fixed-seed bench_serving, twice, byte-identical"
 # The serving bench runs entirely on the simulated clock with seeded traffic,

@@ -43,7 +43,9 @@ class Cluster {
  public:
   struct RankReport {
     double sim_time = 0;        // simulated seconds at body exit
-    double comm_time = 0;       // simulated seconds spent in collectives
+    // Nominal simulated seconds of this rank's collectives: the sum of their
+    // CommStats durations, including time hidden behind compute by overlap.
+    double comm_time = 0;
     std::uint64_t mults = 0;    // scalar multiplications executed
     std::uint64_t peak_bytes = 0;
     std::uint64_t live_bytes = 0;  // should be ~0 after clean teardown

@@ -6,6 +6,7 @@
 
 #include "core/layernorm2d.hpp"
 #include "model/attention.hpp"
+#include "model/head.hpp"
 #include "model/param_init.hpp"
 #include "summa/summa.hpp"
 #include "tensor/distribution.hpp"
@@ -288,13 +289,7 @@ TensorT<T> OptimusTransformer<T>::embed(const ITensor& tokens) {
     // Positional slice, hosted on row 0.
     const TensorT<T> pos = bcast_from_row0(
         pos_embedding_, ws_ ? ws_->template alloc<T>(Shape{s, hq}) : TensorT<T>(Shape{s, hq}));
-    for (index_t bi = 0; bi < batch_local(); ++bi) {
-      for (index_t t = 0; t < s; ++t) {
-        T* dst = x0.data() + (bi * s + t) * hq;
-        const T* src = pos.data() + t * hq;
-        for (index_t j = 0; j < hq; ++j) dst[j] += src[j];
-      }
-    }
+    model::add_positions<T>(x0, pos, nullptr);
   }
   return x0;
 }
@@ -572,13 +567,7 @@ const TensorT<T>& OptimusTransformer<T>::forward_decode(
       const index_t v_begin = static_cast<index_t>(l) * vq;
       if (mesh_->row() == l) {
         buf.zero();
-        for (index_t r = 0; r < n_global; ++r) {
-          const index_t tok = tokens[r];
-          if (tok >= v_begin && tok < v_begin + vq) {
-            std::memcpy(buf.data() + r * hq, embedding_.data() + (tok - v_begin) * hq,
-                        static_cast<std::size_t>(hq) * sizeof(T));
-          }
-        }
+        ops::embedding_forward(embedding_, tokens, buf, v_begin);
       }
       mesh_->col_comm().broadcast(buf, /*root=*/l);
       for (index_t r = 0; r < nl; ++r) {
@@ -590,13 +579,7 @@ const TensorT<T>& OptimusTransformer<T>::forward_decode(
         }
       }
     }
-    for (index_t r = 0; r < nl; ++r) {
-      const index_t t = cache.len(r);
-      OPT_CHECK(t < cfg_.seq_len, "decode position " << t << " past seq_len " << cfg_.seq_len);
-      T* dst = x.data() + r * hq;
-      const T* src = decode_pos_.data() + t * hq;
-      for (index_t j = 0; j < hq; ++j) dst[j] += src[j];
-    }
+    model::add_positions(x, decode_pos_, &cache);
   }
 
   // forward()'s layer body on one row per slot. The SUMMA calls and the
@@ -637,52 +620,14 @@ template <typename T>
 T OptimusTransformer<T>::lm_loss(const ITensor& labels) {
   OPT_CHECK(labels.numel() == cfg_.tokens_per_batch(), "labels must be the global [b, s]");
   cfg_.check_vocab_ids(labels, /*labels=*/true, "lm_loss");
-  const index_t rows = rows_local();
-  const index_t vq = vocab_local();
-  lm_labels_local_ =
-      tensor::row_block(labels.reshape(Shape{cfg_.batch, cfg_.seq_len}), mesh_->q(),
-                        mesh_->row());
-  lm_active_ = 0;
-  for (index_t i = 0; i < labels.numel(); ++i) lm_active_ += labels[i] >= 0 ? 1 : 0;
-
-  TensorT<T> logits = lm_logits_block();
+  lm_ce_.set_labels(tensor::row_block(labels.reshape(Shape{cfg_.batch, cfg_.seq_len}),
+                                      mesh_->q(), mesh_->row()));
+  lm_active_ = model::count_labels(labels);
 
   // Distributed softmax + cross-entropy (§3.2.2): the vocab axis spans a
   // mesh row, the batch axis spans a mesh column.
-  comm::Communicator& row = mesh_->row_comm();
-  TensorT<T> m(Shape{rows});
-  for (index_t r = 0; r < rows; ++r) {
-    T mx = logits[r * vq];
-    for (index_t j = 1; j < vq; ++j) mx = std::max(mx, logits[r * vq + j]);
-    m[r] = mx;
-  }
-  row.all_reduce_max(m);
-  lm_exp_ = TensorT<T>(logits.shape());
-  TensorT<T> z(Shape{rows});
-  for (index_t r = 0; r < rows; ++r) {
-    T sum{0};
-    for (index_t j = 0; j < vq; ++j) {
-      const T e = std::exp(logits[r * vq + j] - m[r]);
-      lm_exp_[r * vq + j] = e;
-      sum += e;
-    }
-    z[r] = sum;
-  }
-  row.all_reduce(z);
-  const index_t v_begin = mesh_->col() * vq;
-  TensorT<T> xl = TensorT<T>::zeros(Shape{rows});
-  for (index_t r = 0; r < rows; ++r) {
-    const index_t label = lm_labels_local_[r];
-    if (label >= v_begin && label < v_begin + vq) xl[r] = logits[r * vq + (label - v_begin)];
-  }
-  row.all_reduce(xl);
-
-  lm_inv_z_ = TensorT<T>(Shape{rows});
-  T partial{0};
-  for (index_t r = 0; r < rows; ++r) {
-    lm_inv_z_[r] = T{1} / z[r];
-    if (lm_labels_local_[r] >= 0) partial += std::log(z[r]) + m[r] - xl[r];
-  }
+  const TensorT<T> logits = lm_logits_block();
+  T partial = lm_ce_.forward(logits, mesh_->col() * vocab_local(), mesh_->row_comm());
   // Sum the per-batch-block partials down the column (every device in a mesh
   // row already agrees on its row's partial).
   mesh_->col_comm().all_reduce(&partial, 1);
@@ -739,27 +684,13 @@ void OptimusTransformer<T>::apply_layer_update(index_t l, double lr) {
 
 template <typename T>
 void OptimusTransformer<T>::backward_lm() {
-  OPT_CHECK(lm_exp_.defined(), "call lm_loss() first");
+  OPT_CHECK(lm_ce_.ready(), "call lm_loss() first");
   OPT_CHECK(!options_.fused_update || fused_lr_ > 0,
             "fused_update engines must train via backward_lm_fused_update()");
-  const index_t rows = rows_local();
-  const index_t vq = vocab_local();
-  const index_t v_begin = mesh_->col() * vq;
   const T scale = lm_active_ > 0 ? T{1} / static_cast<T>(lm_active_) : T{0};
-
-  TensorT<T> dlogits(Shape{rows, vq});
-  for (index_t r = 0; r < rows; ++r) {
-    const index_t label = lm_labels_local_[r];
-    T* drow = dlogits.data() + r * vq;
-    if (label < 0) {
-      std::fill(drow, drow + vq, T{0});
-      continue;
-    }
-    const T* erow = lm_exp_.data() + r * vq;
-    for (index_t j = 0; j < vq; ++j) drow[j] = scale * erow[j] * lm_inv_z_[r];
-    if (label >= v_begin && label < v_begin + vq) drow[label - v_begin] -= scale;
-  }
-  TensorT<T> d_hidden(Shape{rows, h_local()});
+  TensorT<T> dlogits(Shape{rows_local(), vocab_local()});
+  lm_ce_.dlogits(scale, dlogits);
+  TensorT<T> d_hidden(Shape{rows_local(), h_local()});
   summa::summa_ab(*mesh_, dlogits, embedding_, d_hidden, false, ws());      // Algorithm 1
   summa::summa_atb(*mesh_, dlogits, hidden_, d_embedding_, true, ws());     // Algorithm 3
   backward_stem(std::move(d_hidden));
@@ -771,11 +702,7 @@ TensorT<T> OptimusTransformer<T>::cls_logits_block() {
   const index_t bq = batch_local();
   const index_t hq = h_local();
   const index_t c = cfg_.num_classes;
-  cls_pooled_ = TensorT<T>(Shape{bq, hq});
-  for (index_t bi = 0; bi < bq; ++bi) {
-    std::memcpy(cls_pooled_.data() + bi * hq, hidden_.data() + bi * cfg_.seq_len * hq,
-                static_cast<std::size_t>(hq) * sizeof(T));
-  }
+  cls_pooled_ = model::pool_first_tokens(hidden_, cfg_.seq_len);
   cls_w_bcast_ = bcast_from_row0(cls_w_, TensorT<T>(Shape{hq, c}));
   TensorT<T> logits(Shape{bq, c});
   ops::gemm(logits, cls_pooled_, cls_w_bcast_);
@@ -825,12 +752,7 @@ void OptimusTransformer<T>::backward_cls() {
 
   TensorT<T> d_pooled(Shape{bq, hq});
   ops::gemm(d_pooled, dlogits, cls_w_bcast_, ops::Trans::No, ops::Trans::Yes);
-  TensorT<T> d_hidden = TensorT<T>::zeros(Shape{rows_local(), hq});
-  for (index_t bi = 0; bi < bq; ++bi) {
-    std::memcpy(d_hidden.data() + bi * cfg_.seq_len * hq, d_pooled.data() + bi * hq,
-                static_cast<std::size_t>(hq) * sizeof(T));
-  }
-  backward_stem(std::move(d_hidden));
+  backward_stem(model::scatter_first_tokens(d_pooled, cfg_.seq_len));
 }
 
 template <typename T>
@@ -876,15 +798,7 @@ void OptimusTransformer<T>::backward_stem(TensorT<T> d_hidden) {
     TensorT<T> temp = ws_ ? ws_->template alloc<T>(Shape{vq, hq}) : TensorT<T>(Shape{vq, hq});
     for (int l = 0; l < q; ++l) {
       temp.zero();
-      const index_t v_begin = l * vq;
-      for (index_t r = 0; r < rows; ++r) {
-        const index_t tok = tokens_local_[r];
-        if (tok >= v_begin && tok < v_begin + vq) {
-          T* dst = temp.data() + (tok - v_begin) * hq;
-          const T* src = d_x0_.data() + r * hq;
-          for (index_t j = 0; j < hq; ++j) dst[j] += src[j];
-        }
-      }
+      ops::embedding_backward(tokens_local_, d_x0_, temp, l * vq);
       mesh_->col_comm().reduce(temp, /*root=*/l);
       if (mesh_->row() == l) ops::add_(d_embedding_, temp);
     }
@@ -892,13 +806,7 @@ void OptimusTransformer<T>::backward_stem(TensorT<T> d_hidden) {
     TensorT<T> pos_part =
         ws_ ? ws_->template alloc<T>(Shape{cfg_.seq_len, hq}) : TensorT<T>(Shape{cfg_.seq_len, hq});
     pos_part.zero();
-    for (index_t bi = 0; bi < batch_local(); ++bi) {
-      for (index_t t = 0; t < cfg_.seq_len; ++t) {
-        const T* src = d_x0_.data() + (bi * cfg_.seq_len + t) * hq;
-        T* dst = pos_part.data() + t * hq;
-        for (index_t j = 0; j < hq; ++j) dst[j] += src[j];
-      }
-    }
+    model::add_position_grads(d_x0_, pos_part);
     reduce_to_row0(pos_part, d_pos_embedding_);
   }
 }

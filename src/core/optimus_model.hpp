@@ -33,6 +33,7 @@
 
 #include "mesh/mesh.hpp"
 #include "model/config.hpp"
+#include "model/head.hpp"
 #include "model/kv_cache.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
@@ -271,8 +272,7 @@ class OptimusTransformer {
   double fused_lr_ = -1.0;
 
   // Loss state.
-  tensor::TensorT<T> lm_exp_, lm_inv_z_;
-  tensor::ITensor lm_labels_local_;  // [b/q, s]
+  model::VocabParallelCrossEntropy<T> lm_ce_;  // over the mesh row, this row block
   tensor::index_t lm_active_ = 0;
   tensor::TensorT<T> cls_probs_, cls_pooled_, cls_w_bcast_;
   tensor::ITensor cls_labels_local_;

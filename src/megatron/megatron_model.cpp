@@ -1,10 +1,7 @@
 #include "megatron/megatron_model.hpp"
 
-#include <cmath>
-
 #include "model/attention.hpp"
 #include "model/param_init.hpp"
-#include "tensor/parallel.hpp"
 
 namespace optimus::megatron {
 
@@ -108,32 +105,15 @@ void MegatronTransformer<T>::init_parameters() {
 template <typename T>
 TensorT<T> MegatronTransformer<T>::embed(const ITensor& tokens,
                                          const model::KvCacheT<T>* cache) {
-  const index_t h = cfg_.hidden;
-  const index_t n = tokens.numel();
-  const index_t v_begin = vocab_begin();
-  const index_t v_local = vocab_per_rank();
   cfg_.check_vocab_ids(tokens, /*labels=*/false, "embedding");
   // Each rank contributes rows for tokens in its vocab slice; the all-reduce
   // assembles the full embedding (Megatron's VocabParallelEmbedding). The
   // contributions are disjoint (one rank's row plus zeros), so any fold
   // order gives the same bits and decode rows match prefill rows.
-  TensorT<T> x = TensorT<T>::zeros(Shape{n, h});
-  for (index_t r = 0; r < n; ++r) {
-    const index_t tok = tokens[r];
-    if (tok >= v_begin && tok < v_begin + v_local) {
-      std::memcpy(x.data() + r * h, embedding_.data() + (tok - v_begin) * h,
-                  static_cast<std::size_t>(h) * sizeof(T));
-    }
-  }
+  TensorT<T> x = TensorT<T>::zeros(Shape{tokens.numel(), cfg_.hidden});
+  ops::embedding_forward(embedding_, tokens, x, vocab_begin());
   comm_->all_reduce(x);
-  // Positional embedding is replicated.
-  for (index_t r = 0; r < n; ++r) {
-    const index_t t = cache != nullptr ? cache->len(r) : r % cfg_.seq_len;
-    OPT_CHECK(t < cfg_.seq_len, "decode position " << t << " past seq_len " << cfg_.seq_len);
-    T* row = x.data() + r * h;
-    const T* pos = pos_embedding_.data() + t * h;
-    for (index_t j = 0; j < h; ++j) row[j] += pos[j];
-  }
+  model::add_positions(x, pos_embedding_, cache);  // replicated table
   return x;
 }
 
@@ -305,84 +285,22 @@ T MegatronTransformer<T>::lm_loss(const ITensor& labels) {
   OPT_CHECK(hidden_.defined(), "call forward() first");
   OPT_CHECK(labels.numel() == cfg_.tokens_per_batch(), "labels must be [b, s]");
   cfg_.check_vocab_ids(labels, /*labels=*/true, "lm_loss");
-  lm_labels_ = labels.clone();
-  const index_t bs = cfg_.tokens_per_batch();
-  const index_t v_local = vocab_per_rank();
-  const index_t v_begin = vocab_begin();
-
+  lm_ce_.set_labels(labels.clone());
+  lm_active_ = model::count_labels(labels);
   // Local logits against this rank's vocab slice (tied weights).
-  TensorT<T> logits = ops::matmul(hidden_, embedding_, ops::Trans::No, ops::Trans::Yes);
-
-  // Vocab-parallel softmax statistics.
-  TensorT<T> m(Shape{bs});
-  tensor::parallel_rows(bs, v_local, [&](index_t r0, index_t r1) {
-    for (index_t r = r0; r < r1; ++r) {
-      T mx = logits[r * v_local];
-      for (index_t j = 1; j < v_local; ++j) mx = std::max(mx, logits[r * v_local + j]);
-      m[r] = mx;
-    }
-  });
-  comm_->all_reduce_max(m);
-  lm_exp_ = TensorT<T>(logits.shape());
-  TensorT<T> z(Shape{bs});
-  tensor::parallel_rows(bs, v_local, [&](index_t r0, index_t r1) {
-    for (index_t r = r0; r < r1; ++r) {
-      T sum{0};
-      for (index_t j = 0; j < v_local; ++j) {
-        const T e = std::exp(logits[r * v_local + j] - m[r]);
-        lm_exp_[r * v_local + j] = e;
-        sum += e;
-      }
-      z[r] = sum;
-    }
-  });
-  comm_->all_reduce(z);
-  // Label term: exactly one rank owns each label column.
-  TensorT<T> xl = TensorT<T>::zeros(Shape{bs});
-  lm_active_ = 0;
-  for (index_t r = 0; r < bs; ++r) {
-    const index_t label = lm_labels_[r];
-    if (label < 0) continue;
-    ++lm_active_;
-    if (label >= v_begin && label < v_begin + v_local) {
-      xl[r] = logits[r * v_local + (label - v_begin)];
-    }
-  }
-  comm_->all_reduce(xl);
-
-  lm_inv_z_ = TensorT<T>(Shape{bs});
-  T loss{0};
-  for (index_t r = 0; r < bs; ++r) {
-    lm_inv_z_[r] = T{1} / z[r];
-    if (lm_labels_[r] >= 0) loss += std::log(z[r]) + m[r] - xl[r];
-  }
+  const TensorT<T> logits = ops::matmul(hidden_, embedding_, ops::Trans::No, ops::Trans::Yes);
+  const T loss = lm_ce_.forward(logits, vocab_begin(), *comm_);
   return lm_active_ > 0 ? loss / static_cast<T>(lm_active_) : T{0};
 }
 
 template <typename T>
 void MegatronTransformer<T>::backward_lm() {
-  OPT_CHECK(lm_exp_.defined(), "call lm_loss() first");
-  const index_t bs = cfg_.tokens_per_batch();
-  const index_t v_local = vocab_per_rank();
-  const index_t v_begin = vocab_begin();
+  OPT_CHECK(lm_ce_.ready(), "call lm_loss() first");
   const T scale = lm_active_ > 0 ? T{1} / static_cast<T>(lm_active_) : T{0};
-
-  TensorT<T> dlogits(Shape{bs, v_local});
-  tensor::parallel_rows(bs, v_local, [&](index_t r0, index_t r1) {
-    for (index_t r = r0; r < r1; ++r) {
-      const index_t label = lm_labels_[r];
-      T* row = dlogits.data() + r * v_local;
-      if (label < 0) {
-        std::fill(row, row + v_local, T{0});
-        continue;
-      }
-      const T* erow = lm_exp_.data() + r * v_local;
-      for (index_t j = 0; j < v_local; ++j) row[j] = scale * erow[j] * lm_inv_z_[r];
-      if (label >= v_begin && label < v_begin + v_local) row[label - v_begin] -= scale;
-    }
-  });
+  TensorT<T> dlogits(Shape{cfg_.tokens_per_batch(), vocab_per_rank()});
+  lm_ce_.dlogits(scale, dlogits);
   // dX partial from this vocab slice, then all-reduce.
-  TensorT<T> d_hidden(Shape{bs, cfg_.hidden});
+  TensorT<T> d_hidden(Shape{cfg_.tokens_per_batch(), cfg_.hidden});
   ops::gemm(d_hidden, dlogits, embedding_);
   comm_->all_reduce(d_hidden);
   // Tied-weight gradient into the local embedding slice.
@@ -395,14 +313,8 @@ T MegatronTransformer<T>::cls_loss(const ITensor& labels) {
   OPT_CHECK(hidden_.defined(), "call forward() first");
   OPT_CHECK(labels.numel() == cfg_.batch, "cls labels must be [b]");
   cls_labels_ = labels.clone();
-  const index_t b = cfg_.batch;
-  const index_t h = cfg_.hidden;
-  cls_pooled_ = TensorT<T>(Shape{b, h});
-  for (index_t bi = 0; bi < b; ++bi) {
-    std::memcpy(cls_pooled_.data() + bi * h, hidden_.data() + bi * cfg_.seq_len * h,
-                static_cast<std::size_t>(h) * sizeof(T));
-  }
-  TensorT<T> logits(Shape{b, cfg_.num_classes});
+  cls_pooled_ = model::pool_first_tokens(hidden_, cfg_.seq_len);
+  TensorT<T> logits(Shape{cfg_.batch, cfg_.num_classes});
   ops::gemm_bias(logits, cls_pooled_, cls_w_, cls_b_);
   cls_probs_ = TensorT<T>(logits.shape());
   return ops::cross_entropy_forward(logits, cls_labels_, cls_probs_);
@@ -419,12 +331,7 @@ void MegatronTransformer<T>::backward_cls() {
   ops::bias_grad(dlogits, d_cls_b_, true);
   TensorT<T> d_pooled(Shape{b, h});
   ops::gemm(d_pooled, dlogits, cls_w_, ops::Trans::No, ops::Trans::Yes);
-  TensorT<T> d_hidden = TensorT<T>::zeros(Shape{cfg_.tokens_per_batch(), h});
-  for (index_t bi = 0; bi < b; ++bi) {
-    std::memcpy(d_hidden.data() + bi * cfg_.seq_len * h, d_pooled.data() + bi * h,
-                static_cast<std::size_t>(h) * sizeof(T));
-  }
-  backward_stem(std::move(d_hidden));
+  backward_stem(model::scatter_first_tokens(d_pooled, cfg_.seq_len));
 }
 
 template <typename T>
@@ -452,23 +359,8 @@ void MegatronTransformer<T>::backward_stem(TensorT<T> d_hidden) {
   d_x0_ = dx;
 
   // Embedding gradients: only this rank's vocab rows.
-  const index_t v_begin = vocab_begin();
-  const index_t v_local = vocab_per_rank();
-  for (index_t r = 0; r < bs; ++r) {
-    const index_t tok = tokens_[r];
-    if (tok >= v_begin && tok < v_begin + v_local) {
-      T* dst = d_embedding_.data() + (tok - v_begin) * h;
-      const T* src = d_x0_.data() + r * h;
-      for (index_t j = 0; j < h; ++j) dst[j] += src[j];
-    }
-  }
-  for (index_t bi = 0; bi < cfg_.batch; ++bi) {
-    for (index_t t = 0; t < cfg_.seq_len; ++t) {
-      const T* src = d_x0_.data() + (bi * cfg_.seq_len + t) * h;
-      T* dst = d_pos_embedding_.data() + t * h;
-      for (index_t j = 0; j < h; ++j) dst[j] += src[j];
-    }
-  }
+  ops::embedding_backward(tokens_, d_x0_, d_embedding_, vocab_begin());
+  model::add_position_grads(d_x0_, d_pos_embedding_);
 }
 
 template <typename T>

@@ -28,6 +28,7 @@
 
 #include "comm/communicator.hpp"
 #include "model/config.hpp"
+#include "model/head.hpp"
 #include "model/kv_cache.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -159,9 +160,7 @@ class MegatronTransformer {
   tensor::TensorT<T> decode_hidden_;  // [slots, h], last forward_decode()
 
   // Loss state.
-  tensor::TensorT<T> lm_exp_;      // [bs, v/p] exp(logits − m)
-  tensor::TensorT<T> lm_inv_z_;    // [bs]
-  tensor::ITensor lm_labels_;
+  model::VocabParallelCrossEntropy<T> lm_ce_;  // over comm_, all b·s rows
   tensor::index_t lm_active_ = 0;
   tensor::TensorT<T> cls_probs_, cls_pooled_;
   tensor::ITensor cls_labels_;

@@ -1,6 +1,7 @@
 #include "model/serial_model.hpp"
 
 #include "model/attention.hpp"
+#include "model/head.hpp"
 #include "model/param_init.hpp"
 #include "util/rng.hpp"
 
@@ -93,18 +94,10 @@ void SerialTransformer<T>::init_parameters() {
 
 template <typename T>
 TensorT<T> SerialTransformer<T>::embed(const ITensor& tokens, const KvCacheT<T>* cache) const {
-  const index_t n = tokens.numel();
-  const index_t h = cfg_.hidden;
   cfg_.check_vocab_ids(tokens, /*labels=*/false, "embedding");
-  TensorT<T> x(Shape{n, h});
+  TensorT<T> x(Shape{tokens.numel(), cfg_.hidden});
   ops::embedding_forward(embedding_, tokens, x);
-  for (index_t r = 0; r < n; ++r) {
-    const index_t t = cache != nullptr ? cache->len(r) : r % cfg_.seq_len;
-    OPT_CHECK(t < cfg_.seq_len, "decode position " << t << " past seq_len " << cfg_.seq_len);
-    T* row = x.data() + r * h;
-    const T* pos = pos_embedding_.data() + t * h;
-    for (index_t j = 0; j < h; ++j) row[j] += pos[j];
-  }
+  add_positions(x, pos_embedding_, cache);
   return x;
 }
 
@@ -231,8 +224,7 @@ T SerialTransformer<T>::lm_loss(const ITensor& labels) {
   lm_labels_ = labels.clone();
   TensorT<T> logits = lm_logits();
   lm_probs_ = TensorT<T>(logits.shape());
-  lm_active_ = 0;
-  for (index_t i = 0; i < labels.numel(); ++i) lm_active_ += labels[i] >= 0 ? 1 : 0;
+  lm_active_ = count_labels(labels);
   return ops::cross_entropy_forward(logits, lm_labels_, lm_probs_);
 }
 
@@ -253,15 +245,8 @@ void SerialTransformer<T>::backward_lm() {
 template <typename T>
 tensor::TensorT<T> SerialTransformer<T>::cls_logits() {
   OPT_CHECK(hidden_.defined(), "call forward() first");
-  const index_t b = cfg_.batch;
-  const index_t h = cfg_.hidden;
-  // Pool the first token of every sequence.
-  cls_pooled_ = TensorT<T>(Shape{b, h});
-  for (index_t bi = 0; bi < b; ++bi) {
-    std::memcpy(cls_pooled_.data() + bi * h, hidden_.data() + bi * cfg_.seq_len * h,
-                static_cast<std::size_t>(h) * sizeof(T));
-  }
-  TensorT<T> logits(Shape{b, cfg_.num_classes});
+  cls_pooled_ = pool_first_tokens(hidden_, cfg_.seq_len);
+  TensorT<T> logits(Shape{cfg_.batch, cfg_.num_classes});
   ops::gemm_bias(logits, cls_pooled_, cls_w_, cls_b_);
   return logits;
 }
@@ -287,13 +272,7 @@ void SerialTransformer<T>::backward_cls() {
   ops::bias_grad(dlogits, d_cls_b_, /*accumulate=*/true);
   TensorT<T> d_pooled(Shape{b, h});
   ops::gemm(d_pooled, dlogits, cls_w_, ops::Trans::No, ops::Trans::Yes);
-  // Scatter back to the first token positions.
-  TensorT<T> d_hidden = TensorT<T>::zeros(Shape{cfg_.tokens_per_batch(), h});
-  for (index_t bi = 0; bi < b; ++bi) {
-    std::memcpy(d_hidden.data() + bi * cfg_.seq_len * h, d_pooled.data() + bi * h,
-                static_cast<std::size_t>(h) * sizeof(T));
-  }
-  backward_stem(std::move(d_hidden));
+  backward_stem(scatter_first_tokens(d_pooled, cfg_.seq_len));
 }
 
 template <typename T>
@@ -351,13 +330,7 @@ void SerialTransformer<T>::backward_stem(TensorT<T> d_hidden) {
   d_x0_ = dx;
   // Embedding gradients: scatter token grads, sum positional grads over batch.
   ops::embedding_backward(tokens_, d_x0_, d_embedding_);
-  for (index_t bi = 0; bi < b; ++bi) {
-    for (index_t t = 0; t < s; ++t) {
-      const T* src = d_x0_.data() + (bi * s + t) * h;
-      T* dst = d_pos_embedding_.data() + t * h;
-      for (index_t j = 0; j < h; ++j) dst[j] += src[j];
-    }
-  }
+  add_position_grads(d_x0_, d_pos_embedding_);
 }
 
 template <typename T>

@@ -10,6 +10,7 @@
 // rank's optimizer steps only the shards it owns.
 
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "obs/flight.hpp"
@@ -20,38 +21,79 @@
 
 namespace optimus::runtime {
 
-/// One LM training step; returns the loss.
-template <typename Engine, typename Optimizer, typename T = float>
-double lm_step(Engine& engine, Optimizer& opt, const LmBatch& batch, double lr) {
-  obs::Span step_span("runtime", "lm_step");
+namespace detail {
+
+/// One training step on the LM or classification branch (chosen by the batch
+/// type); returns the loss.
+template <typename Engine, typename Optimizer, typename Batch>
+double train_step(Engine& engine, Optimizer& opt, const Batch& batch, double lr) {
+  constexpr bool kLm = std::is_same_v<Batch, LmBatch>;
+  const char* step_name = kLm ? "lm_step" : "cls_step";
+  obs::Span step_span("runtime", step_name);
   // Step-phase telemetry on the lead rank only (every rank executes the
   // same step; emitting per-rank would multiply the histogram by p).
   const bool lead_metrics = obs::metrics_enabled() && obs::current_rank() <= 0;
   const double t0 = lead_metrics ? obs::sim_now() : 0;
-  if (obs::flight_enabled()) obs::flight_note("runtime", "lm_step", obs::sim_now(), "");
+  if (obs::flight_enabled()) obs::flight_note("runtime", step_name, obs::sim_now(), "");
   {
     obs::Span span("runtime", "forward");
     engine.forward(batch.tokens);
   }
   double loss = 0;
   {
-    obs::Span span("runtime", "lm_loss");
-    loss = static_cast<double>(engine.lm_loss(batch.labels));
+    obs::Span span("runtime", kLm ? "lm_loss" : "cls_loss");
+    if constexpr (kLm) {
+      loss = static_cast<double>(engine.lm_loss(batch.labels));
+    } else {
+      loss = static_cast<double>(engine.cls_loss(batch.labels));
+    }
   }
   {
     obs::Span span("runtime", "backward");
     engine.zero_grads();
-    engine.backward_lm();
+    if constexpr (kLm) {
+      engine.backward_lm();
+    } else {
+      engine.backward_cls();
+    }
   }
   {
     obs::Span span("runtime", "optimizer");
     opt.step(engine.parameters(), engine.gradients(), lr);
   }
   if (lead_metrics) {
-    obs::metrics_observe("runtime.lm_step_s", obs::sim_now() - t0);
-    obs::metrics_count("runtime.lm_steps");
+    obs::metrics_observe(kLm ? "runtime.lm_step_s" : "runtime.cls_step_s", obs::sim_now() - t0);
+    obs::metrics_count(kLm ? "runtime.lm_steps" : "runtime.cls_steps");
   }
   return loss;
+}
+
+/// Runs `steps` training steps pulling batches from `next_batch`; returns the
+/// loss trace.
+template <typename Batch, typename Engine, typename Optimizer, typename Schedule>
+std::vector<double> train_loop(Engine& engine, Optimizer& opt, const Schedule& schedule,
+                               const std::function<Batch()>& next_batch, int steps,
+                               int log_every) {
+  const char* loss_name = std::is_same_v<Batch, LmBatch> ? "lm_loss" : "cls_loss";
+  std::vector<double> losses;
+  losses.reserve(static_cast<std::size_t>(steps));
+  for (int step = 0; step < steps; ++step) {
+    const Batch batch = next_batch();
+    const double loss = train_step(engine, opt, batch, schedule(step));
+    losses.push_back(loss);
+    if (log_every > 0 && step % log_every == 0) {
+      OPT_LOG(Info) << "step " << step << " " << loss_name << " " << loss;
+    }
+  }
+  return losses;
+}
+
+}  // namespace detail
+
+/// One LM training step; returns the loss.
+template <typename Engine, typename Optimizer>
+double lm_step(Engine& engine, Optimizer& opt, const LmBatch& batch, double lr) {
+  return detail::train_step(engine, opt, batch, lr);
 }
 
 /// Runs `steps` LM steps pulling batches from `next_batch`; returns the loss
@@ -60,66 +102,20 @@ template <typename Engine, typename Optimizer, typename Schedule>
 std::vector<double> train_lm(Engine& engine, Optimizer& opt, const Schedule& schedule,
                              const std::function<LmBatch()>& next_batch, int steps,
                              int log_every = 0) {
-  std::vector<double> losses;
-  losses.reserve(static_cast<std::size_t>(steps));
-  for (int step = 0; step < steps; ++step) {
-    const LmBatch batch = next_batch();
-    const double loss = lm_step(engine, opt, batch, schedule(step));
-    losses.push_back(loss);
-    if (log_every > 0 && step % log_every == 0) {
-      OPT_LOG(Info) << "step " << step << " lm_loss " << loss;
-    }
-  }
-  return losses;
+  return detail::train_loop<LmBatch>(engine, opt, schedule, next_batch, steps, log_every);
 }
 
 /// One classification step; returns the loss.
 template <typename Engine, typename Optimizer>
 double cls_step(Engine& engine, Optimizer& opt, const ClsBatch& batch, double lr) {
-  obs::Span step_span("runtime", "cls_step");
-  const bool lead_metrics = obs::metrics_enabled() && obs::current_rank() <= 0;
-  const double t0 = lead_metrics ? obs::sim_now() : 0;
-  if (obs::flight_enabled()) obs::flight_note("runtime", "cls_step", obs::sim_now(), "");
-  {
-    obs::Span span("runtime", "forward");
-    engine.forward(batch.tokens);
-  }
-  double loss = 0;
-  {
-    obs::Span span("runtime", "cls_loss");
-    loss = static_cast<double>(engine.cls_loss(batch.labels));
-  }
-  {
-    obs::Span span("runtime", "backward");
-    engine.zero_grads();
-    engine.backward_cls();
-  }
-  {
-    obs::Span span("runtime", "optimizer");
-    opt.step(engine.parameters(), engine.gradients(), lr);
-  }
-  if (lead_metrics) {
-    obs::metrics_observe("runtime.cls_step_s", obs::sim_now() - t0);
-    obs::metrics_count("runtime.cls_steps");
-  }
-  return loss;
+  return detail::train_step(engine, opt, batch, lr);
 }
 
 template <typename Engine, typename Optimizer, typename Schedule>
 std::vector<double> train_cls(Engine& engine, Optimizer& opt, const Schedule& schedule,
                               const std::function<ClsBatch()>& next_batch, int steps,
                               int log_every = 0) {
-  std::vector<double> losses;
-  losses.reserve(static_cast<std::size_t>(steps));
-  for (int step = 0; step < steps; ++step) {
-    const ClsBatch batch = next_batch();
-    const double loss = cls_step(engine, opt, batch, schedule(step));
-    losses.push_back(loss);
-    if (log_every > 0 && step % log_every == 0) {
-      OPT_LOG(Info) << "step " << step << " cls_loss " << loss;
-    }
-  }
-  return losses;
+  return detail::train_loop<ClsBatch>(engine, opt, schedule, next_batch, steps, log_every);
 }
 
 /// Gradient accumulation: runs one forward/backward per micro-batch without

@@ -6,12 +6,12 @@
 // (argmax) next token per slot — replicated on every rank, since the
 // scheduler runs identically everywhere and must observe identical outputs.
 //
-// Argmax assembly per engine:
-//   serial    logits are already dense [slots, v]
-//   Megatron  local [slots, v/p] vocab slice → all_gather → scan in global
-//             vocab order (rank-major = column order, ties break low)
+// Argmax assembly per engine, each ending in one greedy_argmax scan over
+// vocab blocks in global vocab order (ties break to the lowest id):
+//   serial    logits are already dense [slots, v]: one block
+//   Megatron  local [slots, v/p] vocab slice → all_gather → p blocks
 //   Optimus   [slots/q, v/q] block → row all_gather (vocab) → column
-//             all_gather (slot blocks) → scan in global vocab order
+//             all_gather (slot blocks) → q blocks per slot block
 //
 // The scans charge no multiplies and run after the final collective, so a
 // decode step's simulated cost is exactly its collectives plus its GEMM
@@ -48,6 +48,29 @@ class DecodeEngine {
   virtual tensor::index_t slot_len(tensor::index_t slot) const = 0;
 };
 
+/// Greedy next token of each of `rows` rows whose vocabulary is stored as
+/// `blocks` column blocks of `width` ids: block k of row r starts at
+/// logits[(k·rows + r)·width] and holds global ids [k·width, (k+1)·width).
+/// The first maximum in global id order wins, so ties break to the lowest id.
+template <typename T>
+void greedy_argmax(const T* logits, tensor::index_t rows, tensor::index_t blocks,
+                   tensor::index_t width, std::int32_t* out) {
+  for (tensor::index_t r = 0; r < rows; ++r) {
+    T best_v{};
+    tensor::index_t best = -1;
+    for (tensor::index_t k = 0; k < blocks; ++k) {
+      const T* blk = logits + (k * rows + r) * width;
+      for (tensor::index_t j = 0; j < width; ++j) {
+        if (best < 0 || blk[j] > best_v) {
+          best_v = blk[j];
+          best = k * width + j;
+        }
+      }
+    }
+    out[r] = static_cast<std::int32_t>(best);
+  }
+}
+
 namespace detail {
 
 inline tensor::ITensor to_itensor(const std::vector<std::int32_t>& v) {
@@ -79,18 +102,9 @@ class SerialDecodeEngine final : public DecodeEngine<T> {
                                  const std::vector<std::uint8_t>& active) override {
     const tensor::ITensor toks = detail::to_itensor(tokens);
     model_->forward_decode(toks, cache_, &active);
-    tensor::TensorT<T> logits = model_->lm_logits_decode();  // [slots, v]
-    const tensor::index_t n = slots();
-    const tensor::index_t v = vocab();
-    std::vector<std::int32_t> out(static_cast<std::size_t>(n), 0);
-    for (tensor::index_t r = 0; r < n; ++r) {
-      const T* row = logits.data() + r * v;
-      tensor::index_t best = 0;
-      for (tensor::index_t j = 1; j < v; ++j) {
-        if (row[j] > row[best]) best = j;
-      }
-      out[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(best);
-    }
+    const tensor::TensorT<T> logits = model_->lm_logits_decode();  // [slots, v]
+    std::vector<std::int32_t> out(static_cast<std::size_t>(slots()));
+    greedy_argmax(logits.data(), slots(), 1, vocab(), out.data());
     if (clock_ != nullptr && cost_ != nullptr) clock_->drain_compute(*cost_);
     return out;
   }
@@ -127,21 +141,8 @@ class MegatronDecodeEngine final : public DecodeEngine<T> {
     const int p = comm_->size();
     std::vector<T> all(static_cast<std::size_t>(p) * static_cast<std::size_t>(n * vl));
     comm_->all_gather(local.data(), n * vl, all.data());
-    std::vector<std::int32_t> out(static_cast<std::size_t>(n), 0);
-    for (tensor::index_t r = 0; r < n; ++r) {
-      T best_v{};
-      tensor::index_t best = -1;
-      for (int k = 0; k < p; ++k) {
-        const T* blk = all.data() + (static_cast<std::size_t>(k) * n + r) * vl;
-        for (tensor::index_t j = 0; j < vl; ++j) {
-          if (best < 0 || blk[j] > best_v) {
-            best_v = blk[j];
-            best = static_cast<tensor::index_t>(k) * vl + j;
-          }
-        }
-      }
-      out[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(best);
-    }
+    std::vector<std::int32_t> out(static_cast<std::size_t>(n));
+    greedy_argmax(all.data(), n, p, vl, out.data());
     return out;
   }
 
@@ -191,22 +192,10 @@ class OptimusDecodeEngine final : public DecodeEngine<T> {
     model_->mesh().row_comm().all_gather(block.data(), nl * vq, row_all.data());
     std::vector<T> all(static_cast<std::size_t>(q * q * nl * vq));
     model_->mesh().col_comm().all_gather(row_all.data(), q * nl * vq, all.data());
-    std::vector<std::int32_t> out(static_cast<std::size_t>(slots_global_), 0);
-    for (tensor::index_t g = 0; g < slots_global_; ++g) {
-      const tensor::index_t i = g / nl;   // slot block (mesh row)
-      const tensor::index_t r = g % nl;
-      T best_v{};
-      tensor::index_t best = -1;
-      for (tensor::index_t j = 0; j < q; ++j) {  // vocab block (mesh col)
-        const T* blk = all.data() + ((i * q + j) * nl + r) * vq;
-        for (tensor::index_t jj = 0; jj < vq; ++jj) {
-          if (best < 0 || blk[jj] > best_v) {
-            best_v = blk[jj];
-            best = j * vq + jj;
-          }
-        }
-      }
-      out[static_cast<std::size_t>(g)] = static_cast<std::int32_t>(best);
+    // Slot block i (mesh row) holds q vocab blocks (mesh columns).
+    std::vector<std::int32_t> out(static_cast<std::size_t>(slots_global_));
+    for (tensor::index_t i = 0; i < q; ++i) {
+      greedy_argmax(all.data() + i * q * nl * vq, nl, q, vq, out.data() + i * nl);
     }
     return out;
   }

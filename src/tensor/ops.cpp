@@ -502,33 +502,38 @@ void cross_entropy_backward(const TensorT<T>& probs, const ITensor& labels, T sc
 }
 
 template <typename T>
-void embedding_forward(const TensorT<T>& table, const ITensor& tokens, TensorT<T>& y) {
+void embedding_forward(const TensorT<T>& table, const ITensor& tokens, TensorT<T>& y,
+                       index_t v_begin) {
   OPT_CHECK(table.ndim() == 2, "embedding table must be 2-D");
-  [[maybe_unused]] const index_t v = table.size(0);
+  const index_t v = table.size(0);
   const index_t h = table.size(1);
   const index_t rows = tokens.numel();
   OPT_CHECK(y.numel() == rows * h, "embedding output mismatch");
   const std::int32_t* tp = tokens.data();
   parallel_rows(rows, h, [&](index_t r0, index_t r1) {
     for (index_t r = r0; r < r1; ++r) {
-      const std::int32_t tok = tp[r];
-      OPT_DCHECK(tok >= 0 && tok < v, "token " << tok << " out of vocab " << v);
-      std::memcpy(y.data() + r * h, table.data() + static_cast<index_t>(tok) * h,
+      const index_t id = tp[r] - v_begin;
+      if (id < 0 || id >= v) continue;
+      std::memcpy(y.data() + r * h, table.data() + id * h,
                   static_cast<std::size_t>(h) * sizeof(T));
     }
   });
 }
 
 template <typename T>
-void embedding_backward(const ITensor& tokens, const TensorT<T>& dy, TensorT<T>& dtable) {
+void embedding_backward(const ITensor& tokens, const TensorT<T>& dy, TensorT<T>& dtable,
+                        index_t v_begin) {
   OPT_CHECK(dtable.ndim() == 2, "embedding table grad must be 2-D");
+  const index_t v = dtable.size(0);
   const index_t h = dtable.size(1);
   const index_t rows = tokens.numel();
   OPT_CHECK(dy.numel() == rows * h, "embedding grad mismatch");
   const std::int32_t* tp = tokens.data();
   const T* dp = dy.data();
   for (index_t r = 0; r < rows; ++r) {
-    T* target = dtable.data() + static_cast<index_t>(tp[r]) * h;
+    const index_t id = tp[r] - v_begin;
+    if (id < 0 || id >= v) continue;
+    T* target = dtable.data() + id * h;
     const T* src = dp + r * h;
     for (index_t j = 0; j < h; ++j) target[j] += src[j];
   }
@@ -651,8 +656,10 @@ TensorT<U> cast(const TensorT<T>& src) {
                                       TensorT<T>&, bool);                                     \
   template T cross_entropy_forward<T>(const TensorT<T>&, const ITensor&, TensorT<T>&);        \
   template void cross_entropy_backward<T>(const TensorT<T>&, const ITensor&, T, TensorT<T>&); \
-  template void embedding_forward<T>(const TensorT<T>&, const ITensor&, TensorT<T>&);         \
-  template void embedding_backward<T>(const ITensor&, const TensorT<T>&, TensorT<T>&);        \
+  template void embedding_forward<T>(const TensorT<T>&, const ITensor&, TensorT<T>&,          \
+                                     index_t);                                                \
+  template void embedding_backward<T>(const ITensor&, const TensorT<T>&, TensorT<T>&,         \
+                                      index_t);                                               \
   template T sum_all<T>(const TensorT<T>&);                                                   \
   template T max_abs<T>(const TensorT<T>&);                                                   \
   template T max_abs_diff<T>(const TensorT<T>&, const TensorT<T>&);                           \

@@ -180,13 +180,17 @@ void cross_entropy_backward(const TensorT<T>& probs, const ITensor& labels, T sc
 // Embedding lookup
 // ---------------------------------------------------------------------------
 
-/// y[r, :] = table[tokens[r], :].
+/// y[r, :] = table[tokens[r] − v_begin, :]. `table` may be a vocab slice
+/// holding ids [v_begin, v_begin + rows): out-of-slice rows of y are untouched.
 template <typename T>
-void embedding_forward(const TensorT<T>& table, const ITensor& tokens, TensorT<T>& y);
+void embedding_forward(const TensorT<T>& table, const ITensor& tokens, TensorT<T>& y,
+                       index_t v_begin = 0);
 
-/// dtable[tokens[r], :] += dy[r, :]  (dtable must be pre-initialised).
+/// dtable[tokens[r] − v_begin, :] += dy[r, :] in row order, for in-slice
+/// tokens only (dtable must be pre-initialised).
 template <typename T>
-void embedding_backward(const ITensor& tokens, const TensorT<T>& dy, TensorT<T>& dtable);
+void embedding_backward(const ITensor& tokens, const TensorT<T>& dy, TensorT<T>& dtable,
+                        index_t v_begin = 0);
 
 // ---------------------------------------------------------------------------
 // Reductions / diagnostics

@@ -298,6 +298,25 @@ TEST(Embedding, BackwardScattersAndAccumulates) {
   EXPECT_DOUBLE_EQ(dtable.at(0, 0), 5.0);
 }
 
+TEST(Embedding, SliceGatherLeavesOutOfSliceRowsUntouched) {
+  // The table holds global ids [2, 4); ids 1 and 4 sit just outside it.
+  DTensor table = DTensor::from_vector(Shape{2, 2}, {20, 21, 30, 31});
+  ITensor tokens = ITensor::from_vector(Shape{5}, {1, 2, 4, 3, 0});
+  DTensor y = DTensor::full(Shape{5, 2}, -7.0);
+  ops::embedding_forward(table, tokens, y, /*v_begin=*/2);
+  const std::vector<double> want{-7, -7, 20, 21, -7, -7, 30, 31, -7, -7};
+  EXPECT_EQ(y.to_vector(), want);
+}
+
+TEST(Embedding, SliceScatterTouchesOnlyInSliceRowsInOrder) {
+  ITensor tokens = ITensor::from_vector(Shape{5}, {3, 1, 2, 4, 3});
+  DTensor dy = DTensor::from_vector(Shape{5, 2}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  DTensor dtable = DTensor::full(Shape{2, 2}, 0.5);  // ids [2, 4)
+  ops::embedding_backward(tokens, dy, dtable, /*v_begin=*/2);
+  const std::vector<double> want{0.5 + 5, 0.5 + 6, (0.5 + 1) + 9, (0.5 + 2) + 10};
+  EXPECT_EQ(dtable.to_vector(), want);
+}
+
 TEST(Reductions, SumMaxNormDiff) {
   DTensor a = DTensor::from_vector(Shape{4}, {1, -2, 3, -4});
   EXPECT_DOUBLE_EQ(ops::sum_all(a), -2.0);

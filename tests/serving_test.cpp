@@ -10,8 +10,10 @@
 //   * eviction + replay is invisible: a request evicted mid-generation and
 //     re-admitted produces the identical token sequence;
 //   * a decode step's simulated cost equals the closed-form predictor exactly;
+//   * the greedy argmax breaks a tie across a vocab-block boundary to the
+//     lowest id in every adapter;
 //   * injected latency faults (seeded interleavings) change no served token,
-//     sim clock, CommStats or trace sim-time; a poisoned
+//     sim clock, CommStats, trace sim-time or metrics JSON; a poisoned
 //     collective aborts loudly, naming the op, and the preserved request state
 //     resumes on a fresh cluster to the identical completion.
 
@@ -30,12 +32,17 @@
 
 #include "comm/cluster.hpp"
 #include "comm/fabric.hpp"
+#include "comm/obs_report.hpp"
 #include "core/optimus_model.hpp"
 #include "megatron/megatron_model.hpp"
 #include "mesh/mesh.hpp"
 #include "model/serial_model.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "perfmodel/validation.hpp"
+#include "runtime/data.hpp"
+#include "runtime/optimizer.hpp"
+#include "runtime/trainer.hpp"
 #include "serving/serving.hpp"
 #include "serving/traffic.hpp"
 #include "summa/summa.hpp"
@@ -547,6 +554,55 @@ TEST(Serving, LatencyFaultsLeaveServedTokensIdentical) {
   }
 }
 
+TEST(Serving, MetricsJsonIsIdenticalUnderSeededSchedules) {
+  ots::Watchdog wd("serving metrics schedule test", std::chrono::seconds(240));
+  // One Optimus training step, then a short serving session, with the
+  // metrics registry armed: the metrics document without its wall-clock
+  // sections must not depend on the schedule seed.
+  namespace ob = optimus::obs;
+  namespace ort = optimus::runtime;
+  struct MetricsGuard {
+    MetricsGuard() {
+      ob::metrics_reset();
+      ob::set_metrics_enabled(true);
+    }
+    ~MetricsGuard() {
+      ob::set_metrics_enabled(false);
+      ob::metrics_reset();
+    }
+  } guard;
+  const om::TransformerConfig cfg = serving_cfg();
+  const auto reqs = serving_traffic(cfg);
+  const ort::LmBatch batch = ort::RandomLmWorkload(cfg.batch, cfg.seq_len, cfg.vocab, 5).next();
+  oc::MetricsReportOptions opts;
+  opts.include_spans = false;
+  opts.include_pool = false;
+  std::string fifo;
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{2}, std::uint64_t{424242}}) {
+    OPTIMUS_SEED_TRACE(seed);
+    ob::metrics_reset();
+    oc::FaultPlan plan;
+    plan.seed = seed;
+    const auto report = oc::run_cluster(4, plan, [&](oc::Context& ctx) {
+      optimus::mesh::Mesh2D mesh(ctx.world);
+      optimus::core::OptimusTransformer<float> m(cfg, mesh);
+      ort::Sgd<float> opt;
+      ort::lm_step(m, opt, batch, 0.05);
+      osv::OptimusDecodeEngine<float> eng(m, cfg.batch);
+      const auto outcome = osv::run_serving<float>(
+          eng, reqs, [&] { return ctx.clock.now(); }, [&](double t) { ctx.clock.set(t); });
+      EXPECT_FALSE(outcome.aborted);
+    });
+    const std::string doc = oc::metrics_json(report, opts).dump(2);
+    EXPECT_NE(doc.find("\"metrics\""), std::string::npos);
+    if (seed == 0) {
+      fifo = doc;
+    } else {
+      EXPECT_EQ(doc, fifo);
+    }
+  }
+}
+
 TEST(Serving, PoisonedDecodeCollectiveAbortsAndResumes) {
   ots::Watchdog wd("serving poison fault test", std::chrono::seconds(240));
   const om::TransformerConfig cfg = serving_cfg();
@@ -658,6 +714,82 @@ std::vector<index_t> warm_uneven(Engine& eng, index_t slots, index_t uneven) {
 }
 
 }  // namespace
+
+TEST(Serving, GreedyArgmaxBreaksTiesToTheLowestGlobalId) {
+  // Two rows over two vocab blocks of width 3 (ids 0–2 | 3–5), block-major.
+  const std::vector<float> logits{
+      0, 1, 5,   // block 0, row 0: id 2 = 5
+      7, 1, 1,   // block 0, row 1: id 0 = 7
+      5, 2, 0,   // block 1, row 0: id 3 = 5 ties id 2
+      7, 9, 0};  // block 1, row 1: id 4 = 9
+  std::vector<std::int32_t> out(2);
+  osv::greedy_argmax(logits.data(), 2, 2, 3, out.data());
+  EXPECT_EQ(out, (std::vector<std::int32_t>{2, 4}));
+}
+
+TEST(Serving, EveryAdapterBreaksAVocabBlockTieToTheLowestId) {
+  ots::Watchdog wd("argmax tie test", std::chrono::seconds(240));
+  // Ids 3 and 4 straddle the vocab split of p = 2 and q = 2 (v = 8). Both
+  // embedding rows are set to slot 0's hidden state, which no input token
+  // reads, so slot 0's logits tie at ids 3 and 4, ahead of every other id.
+  const om::TransformerConfig cfg = tiny_cfg(2);
+  const index_t slots = cfg.batch;
+  const index_t h = cfg.hidden;
+  const std::vector<std::int32_t> tokens{0, 1, 2, 5};
+  const std::vector<std::uint8_t> active(static_cast<std::size_t>(slots), 1);
+  optimus::tensor::Tensor table;
+  {
+    om::SerialTransformer<float> probe(cfg);
+    auto cache = probe.make_kv_cache(slots);
+    ITensor toks(Shape{slots});
+    for (index_t i = 0; i < slots; ++i) toks[i] = tokens[static_cast<std::size_t>(i)];
+    const auto& hidden = probe.forward_decode(toks, cache);
+    table = probe.embedding().clone();
+    for (const index_t id : {index_t{3}, index_t{4}}) {
+      std::memcpy(table.data() + id * h, hidden.data(),
+                  static_cast<std::size_t>(h) * sizeof(float));
+    }
+  }
+
+  om::SerialTransformer<float> serial(cfg);
+  serial.embedding().copy_from(table);
+  osv::SerialDecodeEngine<float> serial_eng(serial, slots);
+  const std::vector<std::int32_t> want = serial_eng.step(tokens, active);
+  EXPECT_EQ(want[0], 3);
+
+  std::vector<std::int32_t> megatron_out, optimus_out;
+  std::mutex mu;
+  oc::run_cluster(2, [&](oc::Context& ctx) {
+    optimus::megatron::MegatronTransformer<float> m(cfg, ctx.world);
+    auto& emb = m.embedding();  // rows [rank·v/p, ...)
+    std::memcpy(emb.data(), table.data() + m.vocab_begin() * h,
+                static_cast<std::size_t>(emb.numel()) * sizeof(float));
+    osv::MegatronDecodeEngine<float> eng(m, ctx.world, slots);
+    const auto out = eng.step(tokens, active);
+    std::lock_guard<std::mutex> lock(mu);
+    if (ctx.rank == 0) megatron_out = out;
+    EXPECT_EQ(out, want) << "megatron rank " << ctx.rank;
+  });
+  oc::run_cluster(4, [&](oc::Context& ctx) {
+    optimus::mesh::Mesh2D mesh(ctx.world);
+    optimus::core::OptimusTransformer<float> m(cfg, mesh);
+    auto& emb = m.embedding_block();  // rows [row·v/q, ...), cols [col·h/q, ...)
+    const index_t vq = m.vocab_local();
+    const index_t hq = m.h_local();
+    for (index_t i = 0; i < vq; ++i) {
+      for (index_t j = 0; j < hq; ++j) {
+        emb[i * hq + j] = table[(mesh.row() * vq + i) * h + mesh.col() * hq + j];
+      }
+    }
+    osv::OptimusDecodeEngine<float> eng(m, slots);
+    const auto out = eng.step(tokens, active);
+    std::lock_guard<std::mutex> lock(mu);
+    if (ctx.rank == 0) optimus_out = out;
+    EXPECT_EQ(out, want) << "optimus rank " << ctx.rank;
+  });
+  EXPECT_EQ(megatron_out, want);
+  EXPECT_EQ(optimus_out, want);
+}
 
 TEST(Serving, DecodeStepTimeMatchesClosedFormSerial) {
   ots::Watchdog wd("serial decode cost test", std::chrono::seconds(120));
