@@ -25,14 +25,20 @@ Communicator::Communicator(Fabric& fabric, std::uint64_t comm_id, std::vector<in
   OPT_CHECK(rank_ >= 0, "world rank " << world_rank << " not in communicator group");
 }
 
-CollectiveTiming Communicator::enter(std::uint64_t seq, const CallSig& sig, double dt) {
+Request Communicator::collective(const Entry& e, const Deposit& mine, Fold fold) {
+  const std::uint64_t seq = seq_++;
+  if (size() == 1) {
+    if (fold) fold(&mine);
+    return {};
+  }
+  Fabric::OpScope op_scope(e.sig.op);
+  obs::Span span("comm", e.sig.op);
   clock_->drain_compute(*cost_);
-  CollectiveTiming t;
-  t.entry_local = clock_->now();
+  const double entry_local = clock_->now();
   // Flight note before the rendezvous: if a peer's fault aborts the fabric
   // while we block in sync_max, the recorder still shows what we entered.
   if (obs::flight_enabled()) {
-    obs::flight_note("comm", Fabric::current_op(), t.entry_local,
+    obs::flight_note("comm", e.sig.op, entry_local,
                      label_.empty() ? "g=" + std::to_string(size())
                                     : label_ + " g=" + std::to_string(size()));
   }
@@ -41,31 +47,26 @@ CollectiveTiming Communicator::enter(std::uint64_t seq, const CallSig& sig, doub
   // blocking flows the clock never lags the link, so this is a pure
   // extension; for pipelined flows it is what serialises back-to-back
   // collectives on one link while row/column links still overlap.
-  t.entry_aligned = std::max(
-      fabric_->sync_max(*rendezvous_, seq, rank_, sig, t.entry_local, label_), link_busy_until_);
-  t.dt = dt;
-  link_busy_until_ = t.entry_aligned + dt;
-  return t;
-}
-
-TreeTopo Communicator::tree_topo(int root) const {
-  TreeTopo t;
-  const int g = static_cast<int>(group_.size());
-  const int relative = (rank_ - root + g) % g;
-  int mask = 1;
-  while (mask < g) {
-    if (relative & mask) {
-      t.parent = ((relative - mask) + root) % g;
-      break;
-    }
-    mask <<= 1;
+  const double entry_aligned =
+      std::max(fabric_->sync_max(*rendezvous_, seq, rank_, e.sig, entry_local, label_, mine, fold),
+               link_busy_until_);
+  link_busy_until_ = entry_aligned + e.dt;
+  if (e.wait_op == nullptr) {
+    // Lands on the modelled completion, split into align_wait and transfer.
+    clock_->align_to(entry_aligned);
+    clock_->advance_transfer(e.dt);
   }
-  mask >>= 1;
-  while (mask > 0) {
-    if (relative + mask < g) t.children.push_back((relative + mask + root) % g);
-    mask >>= 1;
+  if (span.armed()) {
+    if (!label_.empty()) span.arg("comm", label_);
+    span.arg("g", size());
+    span.arg("bytes", e.bytes);
+    span.arg("wait_s", entry_aligned - entry_local);
+    span.arg("transfer_s", e.dt);
+    if (e.chunks > 1) span.arg("chunks", e.chunks);
   }
-  return t;
+  e.op->record(e.elems, e.bytes, e.weighted, e.dt);
+  if (e.wait_op == nullptr) return {};
+  return Request(this, e.wait_op, entry_aligned + e.dt, e.bytes);
 }
 
 void Request::wait() {
@@ -89,7 +90,7 @@ void Request::wait() {
 }
 
 Communicator Communicator::split(int color, int key) {
-  const std::uint64_t seq = next_seq();
+  const std::uint64_t seq = seq_++;
   // The split itself is an out-of-band control operation; it moves no modelled
   // bytes (real backends amortise communicator construction outside the
   // training loop).
@@ -103,7 +104,7 @@ void Communicator::barrier() {
   collective(Entry{.sig = CallSig{"barrier", CallKind::kBarrier},
                    .dt = cost_->barrier_time(group_),
                    .op = &stats_->barrier},
-             [](std::uint64_t, const CollectiveTiming&) {});
+             {}, {});
 }
 
 }  // namespace optimus::comm

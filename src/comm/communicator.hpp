@@ -4,34 +4,42 @@
 //
 // A Communicator names an ordered group of world ranks. Its collectives must
 // be entered by every member in the same order (standard MPI contract), move
-// real bytes through the fabric, and advance the simulated clock by the
-// CostModel's closed-form time for the operation. They block, except
+// real bytes between the members' buffers, and advance the simulated clock by
+// the CostModel's closed-form time for the operation. They block, except
 // ibroadcast/ireduce: those move their bytes at issue like the blocking forms
 // but return a Request, and only Request::wait() advances the clock, so the
 // modelled transfer overlaps whatever compute runs in between.
 //
+// Every collective enters through one path, collective(): one rendezvous on
+// this communicator's own fabric state (Fabric::Group, resolved once at
+// construction) aligns the members' clocks, checks that all of them made the
+// same call, and moves the data: each member deposits its buffers, and the
+// last to arrive runs the op's fold over all of them before anyone leaves.
+// The call is traced and counted under that same name. Each fold keeps the
+// arithmetic order of the algorithm the op is priced as:
+//
 //   broadcast / reduce     — binomial tree  (paper eq. 4: log₂(g)·β·B), priced
-//     ibroadcast / ireduce   as a chunked pipeline when the payload is large
+//     ibroadcast / ireduce   as a chunked pipeline when the payload is large;
+//                            the reduce adds each member's children in
+//                            ascending-mask order, and interior members keep
+//                            their subtree's partial sum
 //   all_reduce             — ring reduce-scatter + ring all-gather
-//                            (paper eq. 5: 2(g−1)/g·β·B)
-//   all_reduce_max / all_reduce_ordered — gather-to-0 fold + flat broadcast,
-//                            charged and counted as the ring all_reduce
-//   all_gather / reduce_scatter — ring
-//   barrier                — dissemination (latency only)
+//                            (paper eq. 5: 2(g−1)/g·β·B): chunk c is summed
+//                            member by member around the ring from member c
+//   all_reduce_max / all_reduce_ordered — members folded in rank order into
+//                            member 0, charged and counted as the ring
+//                            all_reduce
+//   all_gather / reduce_scatter — ring (copies; reduce-scatter sums chunk c
+//                            around the ring from member c + 1)
+//   barrier                — dissemination (latency only, no data)
 //
 // Reduction order is deterministic for a fixed group, so distributed runs are
 // bit-reproducible; they differ from serial execution only by floating-point
-// association.
-//
-// Every collective enters through one path, collective(): one rendezvous on
-// this communicator's own fabric state (Fabric::Group, resolved once at
-// construction) aligns the members' clocks and checks that all of them made
-// the same call, and the call is traced and counted under that same name.
+// association. Point-to-point send/recv go through the fabric's channels.
 
 #include <algorithm>
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,30 +52,7 @@
 
 namespace optimus::comm {
 
-/// Simulated-time breakdown of one collective entry: every participant drains
-/// local compute (clock → entry_local), aligns to the slowest member
-/// (entry_aligned) and advances by the modelled operation time dt. The
-/// align-wait (entry_aligned − entry_local) is this rank's idle time — the
-/// tracer exports it separately from the transfer time.
-struct CollectiveTiming {
-  double entry_local = 0;
-  double entry_aligned = 0;
-  double dt = 0;
-
-  double wait() const { return entry_aligned - entry_local; }
-  double completion() const { return entry_aligned + dt; }
-};
-
 class Communicator;
-
-/// A member's position in the binomial tree rooted at some group rank:
-/// parent (or −1 at the root) and children in descending-mask order — the
-/// order the broadcast forwards in; the reduce accumulates them in reverse
-/// (ascending mask).
-struct TreeTopo {
-  int parent = -1;
-  std::vector<int> children;
-};
 
 /// Handle for a non-blocking collective (ibroadcast/ireduce). The collective
 /// moved its bytes at issue; its modelled transfer is still in flight on the
@@ -142,14 +127,12 @@ class Communicator {
   void broadcast(T* data, tensor::index_t n, int root);
 
   /// In-place sum-reduce; the result is valid only at `root` afterwards.
-  /// `scratch` (n elements) avoids the per-call receive buffer allocation;
-  /// pass nullptr to let the call allocate its own.
   template <typename T>
-  void reduce(T* data, tensor::index_t n, int root, T* scratch = nullptr);
+  void reduce(T* data, tensor::index_t n, int root);
 
   // -- non-blocking collectives ---------------------------------------------
   //
-  // Run the same tree as the blocking forms, bytes included, and return a
+  // Move the same bytes by the same fold as the blocking forms, and return a
   // Request. The modelled cost, clock alignment and stats are identical to
   // the blocking forms (recorded at issue); only this rank's clock advance
   // is deferred to Request::wait(), which is what lets a SUMMA step overlap
@@ -161,9 +144,9 @@ class Communicator {
   Request ibroadcast(T* data, tensor::index_t n, int root);
 
   /// Async sum-reduce toward `root`: `data` holds the local partial at issue
-  /// and, at root, the sum on return. `scratch` as for reduce().
+  /// and, at root, the sum on return.
   template <typename T>
-  Request ireduce(T* data, tensor::index_t n, int root, T* scratch = nullptr);
+  Request ireduce(T* data, tensor::index_t n, int root);
 
   /// In-place ring all-reduce (sum).
   template <typename T>
@@ -183,10 +166,13 @@ class Communicator {
   void all_reduce_ordered(T* data, tensor::index_t n);
 
   /// Gathers each rank's `n` elements into `out` (size n·g), rank order.
+  /// `mine` may be `out + rank()·n` (in place) but no other chunk of any
+  /// member's `out`.
   template <typename T>
   void all_gather(const T* mine, tensor::index_t n, T* out);
 
   /// data has n·g elements; rank r's `out` receives the sum-reduced chunk r.
+  /// `out` must not overlap any member's `data`.
   template <typename T>
   void reduce_scatter(const T* data, tensor::index_t n, T* out);
 
@@ -216,23 +202,27 @@ class Communicator {
   }
 
  private:
-  // Internal tags: [comm_id : 32][seq : 24][phase : 8]. User p2p tags live in
-  // a reserved high-seq band so they can never collide with collectives.
-  std::uint64_t collective_tag(std::uint64_t seq, int phase) const {
-    return (comm_id_ << 32) | (seq << 8) | static_cast<std::uint64_t>(phase);
-  }
+  // Point-to-point tags: [comm_id : 32][user tag : 32], so the same user tag
+  // on two communicators never matches (Fabric::describe_wait decodes it).
   std::uint64_t user_tag(int tag) const {
-    OPT_CHECK(tag >= 0 && tag < (1 << 24), "user tag " << tag << " out of range");
-    return (comm_id_ << 32) | (0xFFull << 24) | static_cast<std::uint64_t>(tag);
-  }
-  std::uint64_t next_seq() {
-    const std::uint64_t s = seq_++;
-    OPT_CHECK(s < (1ull << 24) - (1ull << 16), "collective sequence space exhausted");
-    return s;
+    OPT_CHECK(tag >= 0, "user tag " << tag << " out of range");
+    return (comm_id_ << 32) | static_cast<std::uint64_t>(tag);
   }
   template <typename T>
   static CallSig call(const char* op, CallKind kind, tensor::index_t n, int root = -1) {
     return CallSig{op, kind, static_cast<std::int64_t>(n), root, static_cast<int>(sizeof(T))};
+  }
+  template <typename T>
+  static T* out_of(const Deposit& d) {
+    return static_cast<T*>(d.out);
+  }
+  template <typename T>
+  static const T* in_of(const Deposit& d) {
+    return static_cast<const T*>(d.in);
+  }
+  template <typename T>
+  static void copy(T* dst, const T* src, tensor::index_t n) {
+    if (dst != src && n > 0) std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(T));
   }
 
   /// One collective call as its entry path sees it.
@@ -244,23 +234,29 @@ class Communicator {
     CommStats::Op* op = nullptr;  // where the call is counted,
     std::uint64_t elems = 0;      // with its elements
     double weighted = 0;          // and Table-1 units (elems × the β-multiplier)
+    const char* wait_op = nullptr;  // async forms: the Request's wait-span name
   };
 
-  /// The entry path of every collective. Takes the next sequence number and
-  /// returns a default result at once on a one-member group. Otherwise names
-  /// the op for fault diagnostics and the trace, enters the rendezvous,
-  /// records the stats, then runs `body(seq, timing)` to move the data. A body
-  /// that returns a Request is only issued: Request::wait advances the clock.
-  /// Any other blocks: the clock moves to the modelled completion here.
-  template <typename Body>
-  std::invoke_result_t<Body&, std::uint64_t, const CollectiveTiming&> collective(const Entry& e,
-                                                                                Body&& body);
+  /// The entry path of every collective. Takes the next sequence number; on
+  /// a one-member group runs `fold` over `mine` alone and returns. Otherwise
+  /// names the op for fault diagnostics and the trace, drains local compute
+  /// into the clock and meets the group at the rendezvous, which checks that
+  /// every member made the call `e.sig` and where the last arriver runs
+  /// `fold` over every member's deposit. Entry aligns on max(slowest
+  /// member's clock, this communicator's link availability); the link is
+  /// then reserved through the transfer `e.dt`, so back-to-back collectives
+  /// on one communicator serialise even when issued without waiting (one
+  /// link per communicator — row and column links are distinct and
+  /// genuinely overlap). Records the stats. An async call (`e.wait_op` set)
+  /// returns a Request whose wait advances the clock; a blocking one moves
+  /// the clock to the modelled completion here and returns an inert Request.
+  Request collective(const Entry& e, const Deposit& mine, Fold fold);
 
   /// Entry of a binomial-tree collective: the CostModel's tree plan, counted
   /// in `op` at log₂g units per element.
   template <typename T>
-  Entry tree_entry(const char* name, CallKind kind, tensor::index_t n, int root,
-                   CommStats::Op& op) const {
+  Entry tree_entry(const char* name, const char* wait_op, CallKind kind, tensor::index_t n,
+                   int root, CommStats::Op& op) const {
     const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
     const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
     return Entry{.sig = call<T>(name, kind, n, root),
@@ -269,7 +265,8 @@ class Communicator {
                  .chunks = plan.chunks,
                  .op = &op,
                  .elems = static_cast<std::uint64_t>(n),
-                 .weighted = static_cast<double>(n) * log2_ceil(size())};
+                 .weighted = static_cast<double>(n) * log2_ceil(size()),
+                 .wait_op = wait_op};
   }
 
   /// Entry of an all-reduce: the CostModel's ring time (paper eq. 5),
@@ -286,53 +283,23 @@ class Communicator {
                  .weighted = static_cast<double>(n) * 2.0 * (g - 1) / static_cast<double>(g)};
   }
 
-  /// all_reduce_max / all_reduce_ordered: gather to rank 0, which folds the
-  /// members' payloads into its own in ascending rank order with `combine`,
-  /// then a flat broadcast of the result. Charged and counted as the ring
-  /// all_reduce. `phase` is the gather's tag phase; the broadcast uses the
-  /// next one.
+  /// all_reduce_max / all_reduce_ordered: folds every member's payload into
+  /// member 0's in ascending rank order with `combine`, then copies the
+  /// result to every member. Charged and counted as the ring all_reduce.
   template <typename T, typename Combine>
-  void ordered_fold(const char* name, CallKind kind, int phase, T* data, tensor::index_t n,
+  void ordered_fold(const char* name, CallKind kind, T* data, tensor::index_t n,
                     Combine combine);
 
-  /// g−1 ring hops over a payload split into g chunks, chunk c at `at(c)`
-  /// (a {pointer, count} pair): hop s sends chunk (first − s) to the right
-  /// neighbour and receives chunk (first − s − 1) from the left. With
-  /// `incoming` (room for the largest chunk) the received chunk is added into
-  /// place, a reduce-scatter hop; with nullptr it overwrites it, an all-gather
-  /// hop.
-  template <typename T, typename At>
-  void ring_steps(int first, std::uint64_t tag, const At& at, T* incoming);
-
-  /// Drains local compute into the clock and meets the group at the
-  /// rendezvous (checking that every member made the call `sig`). Entry
-  /// aligns on max(slowest member's clock, this communicator's link
-  /// availability); the link is then reserved through the transfer `dt`, so
-  /// back-to-back collectives on one communicator serialise even when issued
-  /// without waiting (one link per communicator — row and column links are
-  /// distinct and genuinely overlap). Does not advance this rank's clock.
-  CollectiveTiming enter(std::uint64_t seq, const CallSig& sig, double dt);
-
-  /// This rank's position in the binomial tree rooted at group rank `root`.
-  TreeTopo tree_topo(int root) const;
-
-  /// broadcast (kAsync false) and ibroadcast: MPICH-style binomial tree
-  /// rooted at `root`; each member receives the whole payload from its
-  /// parent, then forwards it to every child, one message per tree edge.
-  template <bool kAsync, typename T>
-  std::conditional_t<kAsync, Request, void> tree_broadcast(T* data, tensor::index_t n, int root);
-
-  /// reduce (kAsync false) and ireduce: reverse binomial tree; each member
-  /// adds its children's partials in ascending-mask order, then sends the
-  /// sum to its parent, one message per tree edge.
-  template <bool kAsync, typename T>
-  std::conditional_t<kAsync, Request, void> tree_reduce(T* data, tensor::index_t n, int root,
-                                                        T* scratch);
-
+  /// broadcast and ibroadcast (`wait_op` set): binomial tree rooted at
+  /// `root`; the root's payload is copied to every other member.
   template <typename T>
-  void send_internal(int dst_group_rank, std::uint64_t tag, const T* data, tensor::index_t n);
+  Request tree_broadcast(const char* name, const char* wait_op, T* data, tensor::index_t n,
+                         int root);
+
+  /// reduce and ireduce (`wait_op` set): reverse binomial tree toward `root`.
   template <typename T>
-  void recv_internal(int src_group_rank, std::uint64_t tag, T* data, tensor::index_t n);
+  Request tree_reduce(const char* name, const char* wait_op, T* data, tensor::index_t n,
+                      int root);
 
   Fabric* fabric_;
   Fabric::Group* rendezvous_;  // this communicator's rendezvous state
@@ -356,22 +323,6 @@ class Communicator {
 // ===========================================================================
 // Template implementations
 // ===========================================================================
-
-template <typename T>
-void Communicator::send_internal(int dst_group_rank, std::uint64_t tag, const T* data,
-                                 tensor::index_t n) {
-  // Collective-internal transfer: bytes are accounted by the collective's Op
-  // record, timing by its closed-form cost; no timestamp is carried.
-  fabric_->send(world_rank(), group_[dst_group_rank], tag, data,
-                static_cast<std::size_t>(n) * sizeof(T));
-}
-
-template <typename T>
-void Communicator::recv_internal(int src_group_rank, std::uint64_t tag, T* data,
-                                 tensor::index_t n) {
-  (void)fabric_->recv(world_rank(), group_[src_group_rank], tag, data,
-                      static_cast<std::size_t>(n) * sizeof(T));
-}
 
 template <typename T>
 void Communicator::send(int dst, int tag, const T* data, tensor::index_t n) {
@@ -420,154 +371,112 @@ void Communicator::recv(int src, int tag, T* data, tensor::index_t n) {
   }
 }
 
-template <typename Body>
-std::invoke_result_t<Body&, std::uint64_t, const CollectiveTiming&> Communicator::collective(
-    const Entry& e, Body&& body) {
-  using Result = std::invoke_result_t<Body&, std::uint64_t, const CollectiveTiming&>;
-  const std::uint64_t seq = next_seq();
-  if (size() == 1) return Result();
-  Fabric::OpScope op_scope(e.sig.op);
-  obs::Span span("comm", e.sig.op);
-  const CollectiveTiming ct = enter(seq, e.sig, e.dt);
-  if constexpr (!std::is_same_v<Result, Request>) {
-    // Lands on ct.completion(), split into align_wait and transfer.
-    clock_->align_to(ct.entry_aligned);
-    clock_->advance_transfer(ct.dt);
-  }
-  if (span.armed()) {
-    if (!label_.empty()) span.arg("comm", label_);
-    span.arg("g", size());
-    span.arg("bytes", e.bytes);
-    span.arg("wait_s", ct.wait());
-    span.arg("transfer_s", ct.dt);
-    if (e.chunks > 1) span.arg("chunks", e.chunks);
-  }
-  e.op->record(e.elems, e.bytes, e.weighted, ct.dt);
-  return body(seq, ct);
-}
-
-template <typename T, typename At>
-void Communicator::ring_steps(int first, std::uint64_t tag, const At& at, T* incoming) {
+template <typename T>
+Request Communicator::tree_broadcast(const char* name, const char* wait_op, T* data,
+                                     tensor::index_t n, int root) {
   const int g = size();
-  const int right = (rank_ + 1) % g;
-  const int left = (rank_ - 1 + g) % g;
-  for (int s = 0; s < g - 1; ++s) {
-    const auto [source, source_count] = at(((first - s) % g + g) % g);
-    const auto [target, count] = at(((first - s - 1) % g + g) % g);
-    send_internal(right, tag, source, source_count);
-    if (incoming == nullptr) {
-      recv_internal(left, tag, target, count);
-      continue;
+  const auto fold = [&](const Deposit* d) {
+    const T* src = out_of<T>(d[root]);
+    for (int m = 0; m < g; ++m) {
+      if (m != root) copy(out_of<T>(d[m]), src, n);
     }
-    recv_internal(left, tag, incoming, count);
-    for (tensor::index_t i = 0; i < count; ++i) target[i] += incoming[i];
-  }
+  };
+  return collective(tree_entry<T>(name, wait_op, CallKind::kBroadcast, n, root, stats_->broadcast),
+                    Deposit{data, data, rank_ != root}, fold);
 }
 
-template <bool kAsync, typename T>
-std::conditional_t<kAsync, Request, void> Communicator::tree_broadcast(T* data, tensor::index_t n,
-                                                                       int root) {
-  const Entry e = tree_entry<T>(kAsync ? "ibroadcast" : "broadcast", CallKind::kBroadcast, n,
-                                root, stats_->broadcast);
-  return collective(e, [&](std::uint64_t seq, const CollectiveTiming& ct) {
-    const TreeTopo topo = tree_topo(root);
-    const std::uint64_t tag = collective_tag(seq, 0);
-    if (topo.parent >= 0) recv_internal(topo.parent, tag, data, n);
-    for (int child : topo.children) send_internal(child, tag, data, n);
-    if constexpr (kAsync) return Request(this, "ibroadcast.wait", ct.completion(), e.bytes);
-  });
-}
-
-template <bool kAsync, typename T>
-std::conditional_t<kAsync, Request, void> Communicator::tree_reduce(T* data, tensor::index_t n,
-                                                                    int root, T* scratch) {
-  const Entry e =
-      tree_entry<T>(kAsync ? "ireduce" : "reduce", CallKind::kReduce, n, root, stats_->reduce);
-  return collective(e, [&](std::uint64_t seq, const CollectiveTiming& ct) {
-    const TreeTopo topo = tree_topo(root);
-    const std::uint64_t tag = collective_tag(seq, 1);
-    std::vector<T> owned;
-    if (scratch == nullptr && !topo.children.empty()) {
-      owned.resize(static_cast<std::size_t>(n));
-      scratch = owned.data();
+template <typename T>
+Request Communicator::tree_reduce(const char* name, const char* wait_op, T* data,
+                                  tensor::index_t n, int root) {
+  const int g = size();
+  // Round `mask` adds every member's partial at relative rank rel + mask into
+  // rel's, for rel a multiple of 2·mask: each member adds its children in
+  // ascending-mask order, and a child's subtree (masks below its own) is
+  // complete before it is added. Relative rank rel receives iff it has a
+  // child, i.e. rel is even and rel + 1 < g.
+  const auto fold = [&](const Deposit* d) {
+    for (int mask = 1; mask < g; mask <<= 1) {
+      for (int rel = 0; rel + mask < g; rel += 2 * mask) {
+        T* into = out_of<T>(d[(rel + root) % g]);
+        const T* child = out_of<T>(d[(rel + mask + root) % g]);
+        for (tensor::index_t i = 0; i < n; ++i) into[i] += child[i];
+      }
     }
-    for (auto it = topo.children.rbegin(); it != topo.children.rend(); ++it) {
-      recv_internal(*it, tag, scratch, n);
-      for (tensor::index_t i = 0; i < n; ++i) data[i] += scratch[i];
-    }
-    if (topo.parent >= 0) send_internal(topo.parent, tag, data, n);
-    if constexpr (kAsync) return Request(this, "ireduce.wait", ct.completion(), e.bytes);
-  });
+  };
+  const int rel = (rank_ - root + g) % g;
+  return collective(tree_entry<T>(name, wait_op, CallKind::kReduce, n, root, stats_->reduce),
+                    Deposit{data, data, rel % 2 == 0 && rel + 1 < g}, fold);
 }
 
 template <typename T>
 void Communicator::broadcast(T* data, tensor::index_t n, int root) {
-  tree_broadcast<false>(data, n, root);
+  tree_broadcast("broadcast", nullptr, data, n, root);
 }
 
 template <typename T>
-void Communicator::reduce(T* data, tensor::index_t n, int root, T* scratch) {
-  tree_reduce<false>(data, n, root, scratch);
+void Communicator::reduce(T* data, tensor::index_t n, int root) {
+  tree_reduce("reduce", nullptr, data, n, root);
 }
 
 template <typename T>
 Request Communicator::ibroadcast(T* data, tensor::index_t n, int root) {
-  return tree_broadcast<true>(data, n, root);
+  return tree_broadcast("ibroadcast", "ibroadcast.wait", data, n, root);
 }
 
 template <typename T>
-Request Communicator::ireduce(T* data, tensor::index_t n, int root, T* scratch) {
-  return tree_reduce<true>(data, n, root, scratch);
+Request Communicator::ireduce(T* data, tensor::index_t n, int root) {
+  return tree_reduce("ireduce", "ireduce.wait", data, n, root);
 }
 
 template <typename T>
 void Communicator::all_reduce(T* data, tensor::index_t n) {
   const int g = size();
+  // The ring's reduce-scatter: chunk c (contiguous, sizes differing by at
+  // most one) starts at member c and gains one member's contribution per
+  // hop, own + running, ending fully reduced at member c − 1; the ring's
+  // all-gather then copies it to everyone.
+  const auto fold = [&](const Deposit* d) {
+    for (int c = 0; c < g; ++c) {
+      const tensor::index_t begin = c * (n / g) + std::min<tensor::index_t>(c, n % g);
+      const tensor::index_t count = n / g + (c < n % g ? 1 : 0);
+      const T* running = out_of<T>(d[c]) + begin;
+      for (int k = 1; k < g; ++k) {
+        T* own = out_of<T>(d[(c + k) % g]) + begin;
+        for (tensor::index_t i = 0; i < count; ++i) own[i] += running[i];
+        running = own;
+      }
+      for (int k = 0; k < g - 1; ++k) copy(out_of<T>(d[(c + k) % g]) + begin, running, count);
+    }
+  };
   collective(allreduce_entry<T>("allreduce", CallKind::kAllReduce, n),
-             [&](std::uint64_t seq, const CollectiveTiming&) {
-               // Ring all-reduce: g−1 reduce-scatter hops, then g−1 all-gather
-               // hops, over contiguous chunks whose sizes differ by at most one.
-               const auto at = [&](int c) {
-                 const tensor::index_t begin = c * (n / g) + std::min<tensor::index_t>(c, n % g);
-                 return std::pair{data + begin, n / g + (c < n % g ? 1 : 0)};
-               };
-               std::vector<T> incoming(static_cast<std::size_t>(n / g + 1));
-               ring_steps(rank_, collective_tag(seq, 2), at, incoming.data());
-               ring_steps(rank_ + 1, collective_tag(seq, 3), at, static_cast<T*>(nullptr));
-             });
+             Deposit{data, data, true}, fold);
 }
 
 template <typename T, typename Combine>
-void Communicator::ordered_fold(const char* name, CallKind kind, int phase, T* data,
-                                tensor::index_t n, Combine combine) {
+void Communicator::ordered_fold(const char* name, CallKind kind, T* data, tensor::index_t n,
+                                Combine combine) {
   const int g = size();
-  collective(allreduce_entry<T>(name, kind, n), [&](std::uint64_t seq, const CollectiveTiming&) {
-    const std::uint64_t gather_tag = collective_tag(seq, phase);
-    const std::uint64_t broadcast_tag = collective_tag(seq, phase + 1);
-    if (rank_ != 0) {
-      send_internal(0, gather_tag, data, n);
-      recv_internal(0, broadcast_tag, data, n);
-      return;
+  const auto fold = [&](const Deposit* d) {
+    T* acc = out_of<T>(d[0]);
+    for (int m = 1; m < g; ++m) {
+      const T* x = out_of<T>(d[m]);
+      for (tensor::index_t i = 0; i < n; ++i) acc[i] = combine(acc[i], x[i]);
     }
-    std::vector<T> incoming(static_cast<std::size_t>(n));
-    for (int r = 1; r < g; ++r) {
-      recv_internal(r, gather_tag, incoming.data(), n);
-      for (tensor::index_t i = 0; i < n; ++i) data[i] = combine(data[i], incoming[i]);
-    }
-    for (int r = 1; r < g; ++r) send_internal(r, broadcast_tag, data, n);
-  });
+    for (int m = 1; m < g; ++m) copy(out_of<T>(d[m]), acc, n);
+  };
+  collective(allreduce_entry<T>(name, kind, n), Deposit{data, data, true}, fold);
 }
 
 template <typename T>
 void Communicator::all_reduce_max(T* data, tensor::index_t n) {
-  ordered_fold("allreduce_max", CallKind::kAllReduceMax, 4, data, n,
+  ordered_fold("allreduce_max", CallKind::kAllReduceMax, data, n,
                [](T a, T b) { return std::max(a, b); });
 }
 
 template <typename T>
 void Communicator::all_reduce_ordered(T* data, tensor::index_t n) {
   // Rank 0's value + rank 1's + … + rank (g−1)'s for every element, whatever n.
-  ordered_fold("allreduce_ordered", CallKind::kAllReduceOrdered, 11, data, n,
+  ordered_fold("allreduce_ordered", CallKind::kAllReduceOrdered, data, n,
                [](T a, T b) { return a + b; });
 }
 
@@ -581,11 +490,12 @@ void Communicator::all_gather(const T* mine, tensor::index_t n, T* out) {
                 .op = &stats_->allgather,
                 .elems = static_cast<std::uint64_t>(n) * g,
                 .weighted = static_cast<double>(n) * (g - 1)};
-  const auto at = [&](int c) { return std::pair{out + static_cast<tensor::index_t>(c) * n, n}; };
-  std::memcpy(at(rank_).first, mine, static_cast<std::size_t>(n) * sizeof(T));
-  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
-    ring_steps(rank_, collective_tag(seq, 6), at, static_cast<T*>(nullptr));
-  });
+  const auto fold = [&](const Deposit* d) {
+    for (int m = 0; m < g; ++m) {
+      for (int k = 0; k < g; ++k) copy(out_of<T>(d[k]) + m * n, in_of<T>(d[m]), n);
+    }
+  };
+  collective(e, Deposit{mine, out, true}, fold);
 }
 
 template <typename T>
@@ -598,18 +508,20 @@ void Communicator::reduce_scatter(const T* data, tensor::index_t n, T* out) {
                 .op = &stats_->reducescatter,
                 .elems = static_cast<std::uint64_t>(n) * g,
                 .weighted = static_cast<double>(n) * (g - 1)};
-  std::vector<T> work(data, data + n * g);
-  const auto at = [&](int c) {
-    return std::pair{work.data() + static_cast<tensor::index_t>(c) * n, n};
+  // A running sum for chunk c travels the ring from member c + 1, gaining
+  // one member's contribution per hop, own + running, and lands fully
+  // reduced at member c, which accumulates it in its `out`.
+  const auto fold = [&](const Deposit* d) {
+    for (int c = 0; c < g; ++c) {
+      T* sum = out_of<T>(d[c]);
+      copy(sum, in_of<T>(d[(c + 1) % g]) + c * n, n);
+      for (int k = 2; k <= g; ++k) {
+        const T* own = in_of<T>(d[(c + k) % g]) + c * n;
+        for (tensor::index_t i = 0; i < n; ++i) sum[i] = own[i] + sum[i];
+      }
+    }
   };
-  collective(e, [&](std::uint64_t seq, const CollectiveTiming&) {
-    // A running sum for each chunk travels the ring, gaining one member's
-    // contribution per hop. Starting at chunk (rank−1) makes the fully
-    // reduced chunk r land at rank r.
-    std::vector<T> incoming(static_cast<std::size_t>(n));
-    ring_steps(rank_ - 1, collective_tag(seq, 7), at, incoming.data());
-  });
-  std::memcpy(out, at(rank_).first, static_cast<std::size_t>(n) * sizeof(T));
+  collective(e, Deposit{data, out, true}, fold);
 }
 
 }  // namespace optimus::comm

@@ -8,8 +8,9 @@
 // queue. By default it takes the queue's front (FIFO): first in rank order,
 // then in the order they are woken or yield. An executor with a nonzero
 // schedule seed instead resumes the fiber at a seeded draw over the queue,
-// and every switch_point() (each Fabric send and receive) yields, so each
-// message is a point where the ranks may reorder. A fiber runs until it
+// and every switch_point() (each collective's rendezvous entry and each
+// point-to-point send and receive) yields, so each collective and message is
+// a point where the ranks may reorder. A fiber runs until it
 // returns, parks or yields, and nothing preempts it, so a seed (or FIFO)
 // gives the same interleaving on every run, and state that ranks share needs
 // no lock as long as no fiber switches while it holds that state
@@ -17,7 +18,8 @@
 //
 // Parking is how a rank waits. The Fabric parks a receive on its channel's
 // WaitList and a rendezvous on its slot's, and wakes them when a message
-// arrives, the last member arrives or the fabric aborts. When the ready queue
+// arrives, the last member arrives (and has moved the collective's data) or
+// the fabric aborts. When the ready queue
 // is empty while fibers are still parked, nothing can ever wake them: run()
 // calls its on_deadlock hook, which must wake them (the Cluster aborts its
 // fabric with a diagnostic naming what each rank waits for).

@@ -54,13 +54,16 @@ struct Fabric::Group {
     int first_member = -1;
     CallSig other;  // the first call that differs from `first`
     int other_member = -1;
+    std::vector<Deposit> buffers;  // by member
+    int poisoned = -1;             // the member a poison draw hit, if any
     // split payload: (color, order_key, world_rank)
-    std::vector<std::array<int, 3>> deposits;
+    std::vector<std::array<int, 3>> splits;
     std::map<int, SplitResult> results;  // world_rank -> result
   };
 
   Group(std::uint64_t comm_id, std::vector<int> members) : id(comm_id), ranks(std::move(members)) {
     slots[1].gen = 1;
+    for (Slot& s : slots) s.buffers.resize(ranks.size());
   }
 
   std::uint64_t id;
@@ -133,26 +136,27 @@ void Fabric::throw_if_aborted(int rank) {
 void Fabric::describe_wait(int rank, std::ostream& os) const {
   const Parked& p = parked_[static_cast<std::size_t>(rank)];
   const Group* g = p.group;
-  std::uint64_t seq = p.seq;
   if (p.peer >= 0) {
-    // Communicator tags are [comm_id : 32][seq : 24][phase : 8]; a decoded
-    // group counts only if both ends of the receive belong to it.
+    // A communicator's message tags are [comm_id : 32][user tag : 32]; a
+    // decoded group counts only if both ends of the receive belong to it.
     const auto it = groups_.find(p.tag >> 32);
-    g = nullptr;
     if (it != groups_.end()) {
       const std::vector<int>& m = it->second->ranks;
       if (std::count(m.begin(), m.end(), rank) == 1 && std::count(m.begin(), m.end(), p.peer) == 1) {
         g = it->second.get();
-        seq = (p.tag >> 8) & 0xFFFFFF;
       }
     }
   }
   os << " rank " << rank << " parked in " << p.op;
   if (g != nullptr) {
-    os << " on communicator '" << (g->label.empty() ? "?" : g->label) << "' (id " << g->id
-       << ") seq " << seq;
+    os << " on communicator '" << (g->label.empty() ? "?" : g->label) << "' (id " << g->id << ")";
   }
-  if (p.peer >= 0) os << ", receiving from rank " << p.peer << " (tag " << p.tag << ")";
+  if (p.peer < 0) {
+    os << " seq " << p.seq;
+  } else {
+    os << ", receiving from rank " << p.peer << " (tag "
+       << (g != nullptr ? p.tag & 0xFFFFFFFFu : p.tag) << ")";
+  }
 }
 
 std::string Fabric::describe_parked() const {
@@ -193,18 +197,6 @@ void Fabric::send(int src, int dst, std::uint64_t tag, const void* data, std::si
   Message msg;
   msg.tag = tag;
   msg.timestamp = timestamp;
-  if (bytes > 0) {
-    // Reuse a buffer this channel's receiver released (no allocation, and
-    // assign() below copies without zero-filling first).
-    for (std::size_t i = ch.free.size(); i-- > 0;) {
-      if (ch.free[i].capacity() < bytes) continue;
-      ch.free_bytes -= ch.free[i].capacity();
-      msg.payload = std::move(ch.free[i]);
-      ch.free[i] = std::move(ch.free.back());
-      ch.free.pop_back();
-      break;
-    }
-  }
   const auto* first = static_cast<const std::byte*>(data);
   msg.payload.assign(first, first + bytes);
 
@@ -241,12 +233,7 @@ bool Fabric::try_consume(Channel& ch, int dst, int src, std::uint64_t tag, void*
   }
   if (bytes > 0) std::memcpy(out, it->payload.data(), bytes);
   *ts = it->timestamp;
-  std::vector<std::byte> buf = std::move(it->payload);
   ch.queue.erase(it);
-  if (buf.capacity() > 0 && ch.free_bytes + buf.capacity() <= kPoolBytesPerChannel) {
-    ch.free_bytes += buf.capacity();
-    ch.free.push_back(std::move(buf));
-  }
   return true;
 }
 
@@ -266,13 +253,30 @@ double Fabric::recv(int dst, int src, std::uint64_t tag, void* out, std::size_t 
   }
 }
 
-std::size_t Fabric::pooled_bytes(int dst, int src) const { return channel(dst, src).free_bytes; }
+int Fabric::draw_poisoned_member(const Group& g, std::uint64_t seq, const CallSig& sig,
+                                 const std::vector<Deposit>& deposits) {
+  if (fault_plan_.poison_prob <= 0) return -1;
+  for (int m = 0; m < static_cast<int>(deposits.size()); ++m) {
+    if (!deposits[static_cast<std::size_t>(m)].receives) continue;
+    const std::uint64_t site = util::mix3(g.id, seq, static_cast<std::uint64_t>(m));
+    if (!draw_hits(util::mix3(fault_plan_.seed, site, 0xC011), fault_plan_.poison_prob)) continue;
+    std::ostringstream why;
+    why << "poisoned payload detected in op '" << sig.op << "' on communicator '"
+        << (g.label.empty() ? "?" : g.label) << "' (id " << g.id << ") seq " << seq
+        << ": delivery to rank " << m << " (world " << g.ranks[static_cast<std::size_t>(m)]
+        << ") corrupted";
+    abort(why.str());
+    return m;
+  }
+  return -1;
+}
 
 double Fabric::rendezvous(Group& g, std::uint64_t seq, int member, const CallSig& sig,
-                          double value, const std::string& label,
-                          const std::array<int, 2>* split, SplitResult* split_out) {
+                          double value, const std::string& label, const Deposit& mine,
+                          Fold fold, const std::array<int, 2>* split, SplitResult* split_out) {
   const int size = static_cast<int>(g.ranks.size());
   Group::Slot& s = g.slots[seq & 1];
+  Executor::switch_point();
   throw_if_aborted();
   OPT_CHECK(s.gen == seq, "communicator " << g.id << ": rank " << member << " entered seq "
                                           << seq << " while its slot serves seq " << s.gen);
@@ -288,33 +292,44 @@ double Fabric::rendezvous(Group& g, std::uint64_t seq, int member, const CallSig
       s.other_member = member;
     }
   }
-  if (split != nullptr) s.deposits.push_back({(*split)[0], (*split)[1], g.ranks[member]});
+  s.buffers[static_cast<std::size_t>(member)] = mine;
+  if (split != nullptr) s.splits.push_back({(*split)[0], (*split)[1], g.ranks[member]});
+  const int rank = g.ranks[member];
   if (++s.arrived != size) {
-    const int rank = g.ranks[member];
     Parked& parked = parked_[static_cast<std::size_t>(rank)];
     parked = Parked{sig.op, &g, seq, -1, 0};
     while (s.arrived != size && !failed_) Executor::park(s.waiters);
     // A completed rendezvous reports a mismatch even when a peer that already
-    // threw it has aborted the fabric: every member names the misuse.
-    if (s.arrived != size || s.other_member < 0) throw_if_aborted(rank);
+    // threw it has aborted the fabric: every member names the misuse. The
+    // poisoned member names the poison instead.
+    if (s.poisoned != member && (s.arrived != size || s.other_member < 0)) throw_if_aborted(rank);
     parked = Parked{};
   } else {
     if (split != nullptr && s.other_member < 0) {
-      // Partition the deposits into color groups, order each by
+      // Partition the split deposits into color groups, order each by
       // (key, world_rank) and create each group's rendezvous state under a
       // fresh communicator id — one per color, deterministic by sorting
       // colors.
-      std::sort(s.deposits.begin(), s.deposits.end());
+      std::sort(s.splits.begin(), s.splits.end());
       std::map<int, std::vector<int>> by_color;
-      for (const auto& d : s.deposits) by_color[d[0]].push_back(d[2]);
+      for (const auto& d : s.splits) by_color[d[0]].push_back(d[2]);
       for (auto& [color, members] : by_color) {
         const std::uint64_t id = next_comm_id_++;
         for (int m : members) s.results[m] = SplitResult{id, members};
         add_group(id, std::move(members));
       }
     }
+    if (fold && s.other_member < 0) {
+      s.poisoned = draw_poisoned_member(g, seq, sig, s.buffers);
+      if (s.poisoned < 0) fold(s.buffers.data());
+    }
     Executor::wake_all(s.waiters);
   }
+  if (s.poisoned == member) {
+    obs::flight_note_abort(current_op());
+    throw FaultError(fail_reason_);
+  }
+  if (s.poisoned >= 0) throw_if_aborted(rank);
 
   const double result = s.max_value;
   std::string mismatch;
@@ -334,7 +349,8 @@ double Fabric::rendezvous(Group& g, std::uint64_t seq, int member, const CallSig
     s.departed = 0;
     s.first_member = -1;
     s.other_member = -1;
-    s.deposits.clear();
+    s.poisoned = -1;
+    s.splits.clear();
     s.results.clear();
   }
   if (!mismatch.empty()) throw util::CheckError(mismatch);
@@ -342,8 +358,9 @@ double Fabric::rendezvous(Group& g, std::uint64_t seq, int member, const CallSig
 }
 
 double Fabric::sync_max(Group& g, std::uint64_t seq, int member, const CallSig& sig,
-                        double value, const std::string& label) {
-  return rendezvous(g, seq, member, sig, value, label, nullptr, nullptr);
+                        double value, const std::string& label, const Deposit& mine,
+                        Fold fold) {
+  return rendezvous(g, seq, member, sig, value, label, mine, fold, nullptr, nullptr);
 }
 
 Fabric::SplitResult Fabric::split_sync(Group& g, std::uint64_t seq, int member, int color,
@@ -351,7 +368,7 @@ Fabric::SplitResult Fabric::split_sync(Group& g, std::uint64_t seq, int member, 
   const CallSig sig{"split", CallKind::kSplit};
   const std::array<int, 2> deposit{color, order_key};
   SplitResult result;
-  (void)rendezvous(g, seq, member, sig, 0.0, label, &deposit, &result);
+  (void)rendezvous(g, seq, member, sig, 0.0, label, {}, {}, &deposit, &result);
   return result;
 }
 

@@ -2,48 +2,42 @@
 
 // The shared transport under all simulated devices.
 //
-// Every ordered pair of ranks has its own channel: send(src, dst) deposits a
-// tagged byte payload into channel (dst, src), recv(dst, src) parks on that
-// channel alone until a message with the wanted tag arrives. Matching is FIFO
-// per (src, tag) pair. A send wakes only its receiver; a receive never scans
-// or waits on another peer's traffic. Payload buffers are recycled through a
-// per-channel free list capped at kPoolBytesPerChannel, so steady traffic
-// allocates nothing and retained memory stays bounded.
+// Collectives meet at a rendezvous (sync_max) on their communicator's own
+// state (Group): each member deposits its simulated clock, its call
+// signature and its buffers, and the last member to arrive does the rest
+// while the others are parked. It checks the signatures, takes the clocks'
+// maximum, runs the collective's fold over every member's buffers (the
+// communicator supplies it) and only then wakes the others, so a
+// collective's bytes move once, straight from member to member. split_sync
+// is the same rendezvous for MPI_Comm_split: members deposit (color, key)
+// and learn their new group and a fresh communicator id. A member whose call
+// (op kind, element count, root, element size) differs from the first
+// arriver's makes every member throw a CheckError naming the communicator,
+// the sequence number and both calls, and no data moves.
+//
+// Point-to-point messages (Communicator::send/recv) go through channels:
+// every ordered pair of ranks has its own, send(src, dst) deposits a copy of
+// a tagged payload into channel (dst, src), and recv(dst, src) parks on that
+// channel alone until a message with the wanted tag arrives. Matching is
+// FIFO per (src, tag) pair.
 //
 // The ranks run as fibers of one comm::Executor (executor.hpp), so only one
 // thread ever touches a Fabric and it needs no lock. A rank waits by parking
 // on a channel's or a rendezvous slot's WaitList; a receive that would block
 // outside a fiber throws CheckError instead, because nothing could wake it.
+// Every rendezvous, send and receive enters through Executor::switch_point(),
+// where an executor with a schedule seed may run another rank first; under
+// FIFO order it is a no-op.
 //
-// The fabric also provides two *side channels* that model operations a real
-// backend performs out-of-band (communicator construction, clock agreement in
-// the simulation). These move no modelled bytes and work on one
-// communicator's rendezvous state (Group) only:
-//
-//   * sync_max   — all members of a group deposit a double for one collective
-//                  sequence number; everyone receives the maximum. Used to
-//                  align simulated clocks at collective entry.
-//   * split_sync — MPI_Comm_split-style agreement: members deposit
-//                  (color, key); everyone learns its new group and a fresh
-//                  communicator id.
-//
-// Both also check the collective signature: every member states what it
-// called (op kind, element count, root, element size). A member whose call
-// differs from the first arriver's makes every member throw a CheckError
-// naming the communicator, the sequence number and both calls, instead of
-// letting mismatched collectives hang or exchange garbage.
-//
-// The fabric schedules nothing itself: send and recv enter through
-// Executor::switch_point(), where an executor with a schedule seed may run
-// another rank first (executor.hpp); under FIFO order it is a no-op.
-//
-// Deterministic fault injection: a FaultPlan's poison mode flips payload
-// bits in flight. Poisoned payloads are caught by a per-message checksum at
-// the receiver, which aborts the whole fabric: every rank parked in recv/sync
-// wakes up and throws, so a corrupted run fails loudly with a diagnosable
-// error instead of deadlocking or silently diverging. Poison decisions hash
-// (seed, channel, occurrence), so a given plan replays identically whatever
-// the interleaving.
+// Deterministic fault injection: a FaultPlan's poison mode corrupts
+// deliveries. A rendezvous's last arriver draws once per member the
+// collective delivers bytes to, keyed by (seed, communicator, seq, member); a
+// hit aborts the fabric before anyone leaves, the poisoned member throws
+// FaultError naming the op and its peers unwind with FabricAborted. A
+// point-to-point payload is flipped in flight by a draw keyed by (seed,
+// channel, occurrence) and caught by a checksum at the receiver, which
+// aborts the same way. Neither depends on the interleaving, and a corrupted
+// run fails loudly instead of deadlocking or silently diverging.
 
 #include <array>
 #include <cstddef>
@@ -79,16 +73,17 @@ class FabricAborted : public std::runtime_error {
 /// Seeded fault-injection plan. A nonzero seed makes the cluster's executor
 /// pick ranks by a seeded draw (executor.hpp): the plan reorders the
 /// interleaving without touching payloads. Poison decisions are pure
-/// functions of (seed, src, dst, tag, occurrence), so two runs with the same
-/// plan inject the same faults at the same logical points.
+/// functions of the seed and a logical site — (communicator, seq, member)
+/// for a collective's delivery, (src, dst, tag, occurrence) for a message —
+/// so two runs with the same plan inject the same faults at the same points.
 struct FaultPlan {
   std::uint64_t seed = 0;    // schedule seed; 0 keeps FIFO order
-  double poison_prob = 0.0;  // per-message chance a payload is corrupted in flight
+  double poison_prob = 0.0;  // per-delivery chance the delivered bytes are corrupted
 };
 
-/// Wire protocol of a collective. Members must agree on it; blocking and
-/// non-blocking forms of one collective move the same bytes over the same
-/// tree, so they share a kind.
+/// Data movement of a collective. Members must agree on it; blocking and
+/// non-blocking forms of one collective move the same bytes by the same
+/// fold, so they share a kind.
 enum class CallKind : std::uint8_t {
   kSplit,
   kBarrier,
@@ -114,12 +109,36 @@ struct CallSig {
   }
 };
 
+/// One member's buffers at a rendezvous: what it contributes (`in`) and
+/// where its result goes (`out`; the same buffer for in-place calls).
+/// `receives` marks a member the collective delivers bytes to, which is
+/// what a poison draw can hit.
+struct Deposit {
+  const void* in = nullptr;
+  void* out = nullptr;
+  bool receives = false;
+};
+
+/// The data movement of one collective: called once, by the last member to
+/// arrive, with every member's Deposit in group order while the others are
+/// parked. A non-owning reference to a callable `void(const Deposit*)`.
+class Fold {
+ public:
+  Fold() = default;
+  template <typename F>
+  Fold(const F& f)  // NOLINT(google-explicit-constructor): lambdas convert at the call
+      : fn_(&f),
+        call_([](const void* fn, const Deposit* d) { (*static_cast<const F*>(fn))(d); }) {}
+  explicit operator bool() const { return call_ != nullptr; }
+  void operator()(const Deposit* deposits) const { call_(fn_, deposits); }
+
+ private:
+  const void* fn_ = nullptr;
+  void (*call_)(const void*, const Deposit*) = nullptr;
+};
+
 class Fabric {
  public:
-  /// Payload bytes each channel may keep for reuse; a buffer that would push
-  /// the channel's free list past this is released instead.
-  static constexpr std::size_t kPoolBytesPerChannel = std::size_t{16} << 10;
-
   /// Creates the channels and the world communicator's rendezvous state.
   explicit Fabric(int world_size);
   ~Fabric();
@@ -131,12 +150,11 @@ class Fabric {
   /// Communicator id of the world group (ranks 0..world_size−1).
   std::uint64_t world_comm_id() const { return world_comm_id_; }
 
-  /// Deposits `bytes` bytes for `dst`. Never blocks. `timestamp` carries the
-  /// sender's simulated clock so the receiver can observe causality
-  /// (Lamport-style); collective-internal traffic passes 0 (collectives
-  /// synchronise clocks out-of-band instead).
+  /// Deposits a copy of `bytes` bytes for `dst`. Never blocks. `timestamp`
+  /// carries the sender's simulated clock so the receiver can observe
+  /// causality (Lamport-style).
   void send(int src, int dst, std::uint64_t tag, const void* data, std::size_t bytes,
-            double timestamp = 0.0);
+            double timestamp);
 
   /// Parks until a message from `src` with `tag` arrives at `dst`; copies the
   /// payload into `out` (size must match exactly). Returns the sender's
@@ -144,9 +162,6 @@ class Fabric {
   /// throws FaultError; an abort by any rank wakes the call with
   /// FabricAborted. Throws CheckError if it would park outside a fiber.
   double recv(int dst, int src, std::uint64_t tag, void* out, std::size_t bytes);
-
-  /// Payload bytes currently kept for reuse by channel (dst, src).
-  std::size_t pooled_bytes(int dst, int src) const;
 
   /// Rendezvous state of one communicator: its members and a two-slot ring
   /// indexed by collective sequence number. Opaque outside the fabric.
@@ -156,12 +171,16 @@ class Fabric {
   /// created by split_sync). Communicators resolve it once, at construction.
   Group& group(std::uint64_t comm_id);
 
-  /// Side channel: group-wide max of `value` for collective `seq`. Every
-  /// member (group index `member`) calls exactly once per seq, in seq order.
-  /// Throws CheckError on every member if their signatures disagree; `label`
-  /// names the communicator in that diagnostic.
+  /// The rendezvous of collective `seq`: returns the group-wide max of
+  /// `value`. Every member (group index `member`) calls exactly once per seq,
+  /// in seq order, with its buffers in `mine`; the last to arrive runs `fold`
+  /// (if any) over all members' deposits before it wakes the others. Throws
+  /// CheckError on every member if their signatures disagree (and moves no
+  /// data); `label` names the communicator in diagnostics. Under a poison
+  /// plan a hit on a receiving member aborts the fabric before anyone
+  /// leaves: that member throws FaultError, the others FabricAborted.
   double sync_max(Group& g, std::uint64_t seq, int member, const CallSig& sig, double value,
-                  const std::string& label);
+                  const std::string& label, const Deposit& mine, Fold fold);
 
   struct SplitResult {
     std::uint64_t new_comm_id = 0;
@@ -218,12 +237,10 @@ class Fabric {
     std::vector<std::byte> payload;
   };
 
-  /// Mailbox of one (dst, src) pair plus its recycled payload buffers.
+  /// Mailbox of one (dst, src) pair.
   struct Channel {
     WaitList waiters;            // only dst ever parks here
     std::vector<Message> queue;  // arrival order; FIFO per tag
-    std::vector<std::vector<std::byte>> free;
-    std::size_t free_bytes = 0;  // sum of the free buffers' capacities
   };
 
   Channel& channel(int dst, int src) const {
@@ -243,12 +260,18 @@ class Fabric {
   /// Creates the rendezvous state of a new communicator with members `ranks`.
   void add_group(std::uint64_t comm_id, std::vector<int> ranks);
 
-  /// One rendezvous: deposits `value` (and, for a split, the member's color
-  /// and key), parks until the group arrives, checks signatures, returns the
-  /// max.
+  /// One rendezvous: deposits `value`, the member's buffers (and, for a
+  /// split, its color and key), parks until the group arrives, checks
+  /// signatures, returns the max. The last arriver runs the split or `fold`.
   double rendezvous(Group& g, std::uint64_t seq, int member, const CallSig& sig, double value,
-                    const std::string& label, const std::array<int, 2>* split,
-                    SplitResult* split_out);
+                    const std::string& label, const Deposit& mine, Fold fold,
+                    const std::array<int, 2>* split, SplitResult* split_out);
+
+  /// The last arriver's poison draws over the receiving members of a
+  /// completed rendezvous, in group order; the first hit aborts the fabric
+  /// and is returned (−1: none).
+  int draw_poisoned_member(const Group& g, std::uint64_t seq, const CallSig& sig,
+                           const std::vector<Deposit>& deposits);
 
   /// Tries to match-and-consume a message; copies the payload, returns false
   /// if nothing matches yet. Throws FaultError on a poisoned payload (after
@@ -260,8 +283,8 @@ class Fabric {
   /// `rank` was parked, the message also names what it waited in.
   void throw_if_aborted(int rank = -1);
 
-  /// Writes " rank R parked in OP on communicator 'L' (id I) seq S" and,
-  /// for a receive, its peer and tag.
+  /// Writes " rank R parked in OP on communicator 'L' (id I)" and, for a
+  /// rendezvous, " seq S", for a receive, its peer and tag.
   void describe_wait(int rank, std::ostream& os) const;
 
   /// Deterministic per-message fault draw: the n-th message on the (src, dst,

@@ -73,19 +73,18 @@ MemoryBreakdown optimus_memory(const Workload& w, int p, std::size_t elem_size, 
   mem.working = to_bytes(working_elems, elem_size);
 
   // SUMMA workspace: worst single call under the pipelined schedule —
-  // double-buffered panels plus, for the reduce forms, two C partials and a
-  // persistent reduce scratch (max of 2A+2B, 2B+3C, 2A+3C per call). At
-  // depth > 1 the panels shrink to /d sub-panels but each form adds a
-  // captured C partial and a depth-fold scratch (mirrors
+  // double-buffered panels plus, for the reduce forms, two C partials (max
+  // of 2A+2B, 2B+2C, 2A+2C per call). At depth > 1 the panels shrink to /d
+  // sub-panels but each form adds a captured C partial (mirrors
   // summa::workspace_bytes).
   const auto ws3 = [depth](double a, double bb, double cc) {
     if (depth > 1) {
       const double dd = static_cast<double>(depth);
-      return std::max({2.0 * a / dd + 2.0 * bb / dd + 2.0 * cc,
-                       a / dd + 2.0 * bb / dd + 4.0 * cc,
-                       2.0 * a / dd + bb / dd + 4.0 * cc});
+      return std::max({2.0 * a / dd + 2.0 * bb / dd + cc,
+                       a / dd + 2.0 * bb / dd + 3.0 * cc,
+                       2.0 * a / dd + bb / dd + 3.0 * cc});
     }
-    return std::max({2.0 * a + 2.0 * bb, 2.0 * bb + 3.0 * cc, 2.0 * a + 3.0 * cc});
+    return std::max({2.0 * a + 2.0 * bb, 2.0 * bb + 2.0 * cc, 2.0 * a + 2.0 * cc});
   };
   const double ws_elems = std::max({
       ws3(b * s * h / p, 3.0 * h * h / p, 3.0 * b * s * h / p),  // qkv

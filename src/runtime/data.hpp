@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/device_context.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -95,7 +96,9 @@ class SyntheticClsWorkload {
 /// first consumer to reach a position fills the cache; stragglers replay it).
 /// Copies of the returned functor share one cache, so it can be captured by
 /// value into a cluster body. Replaces the hand-rolled static-cache lambdas
-/// the examples used to carry.
+/// the examples used to carry. The source runs on the sampler's own
+/// DeviceContext: which rank reaches a position first depends on the
+/// interleaving, so the shared cache is charged to no rank.
 template <typename Source>
 auto make_cached_sampler(Source source) {
   using Batch = decltype(source());
@@ -103,6 +106,7 @@ auto make_cached_sampler(Source source) {
     explicit State(Source s) : src(std::move(s)) {}
     std::mutex mu;
     Source src;
+    tensor::DeviceContext host;
     std::vector<Batch> cache;
     std::vector<std::size_t> cursor;  // per-rank read position
   };
@@ -113,7 +117,10 @@ auto make_cached_sampler(Source source) {
       state->cursor.resize(static_cast<std::size_t>(rank) + 1, 0);
     }
     const std::size_t i = state->cursor[static_cast<std::size_t>(rank)]++;
-    if (i >= state->cache.size()) state->cache.push_back(state->src());
+    if (i >= state->cache.size()) {
+      tensor::ScopedDevice on_host(state->host);
+      state->cache.push_back(state->src());
+    }
     return state->cache[i];
   };
 }

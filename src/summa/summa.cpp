@@ -135,10 +135,9 @@ void k_step_args(obs::Span& span, int l, int lookahead) {
 /// the blocking forms would, but charges the whole transfer to align_wait
 /// rather than transfer (the d = 2 rows of SummaReduceForms pin this).
 template <typename T>
-void depth_fold(mesh::Mesh2D& mesh, TensorT<T>& partial, TensorT<T>& C, TensorT<T>& scratch,
-                bool accumulate) {
+void depth_fold(mesh::Mesh2D& mesh, TensorT<T>& partial, TensorT<T>& C, bool accumulate) {
   comm::Communicator& dc = mesh.depth_comm();
-  comm::Request red = dc.ireduce(partial.data(), partial.numel(), /*root=*/0, scratch.data());
+  comm::Request red = dc.ireduce(partial.data(), partial.numel(), /*root=*/0);
   red.wait();
   if (mesh.depth_idx() == 0) {
     if (accumulate) {
@@ -162,11 +161,8 @@ void ab_loop(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, Tenso
   const int nbuf = lookahead + 1;
   const index_t ks = A.size(1) / d;
   const index_t k0 = static_cast<index_t>(mesh.depth_idx()) * ks;
-  TensorT<T> c_part, fold_scratch;
-  if (d > 1) {
-    c_part = make_temp<T>(workspace, C.shape());
-    fold_scratch = make_temp<T>(workspace, C.shape());
-  }
+  TensorT<T> c_part;
+  if (d > 1) c_part = make_temp<T>(workspace, C.shape());
   TensorT<T>& target = d > 1 ? c_part : C;
   const bool acc = d == 1 && accumulate;  // the depth fold applies it at d > 1
   TensorT<T> a_buf[2], b_buf[2];
@@ -189,7 +185,7 @@ void ab_loop(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, Tenso
     const T beta = (l == 0 && !acc) ? T{0} : T{1};
     ops::gemm(target, a_buf[s], b_buf[s], ops::Trans::No, ops::Trans::No, T{1}, beta);
   }
-  if (d > 1) depth_fold(mesh, c_part, C, fold_scratch, accumulate);
+  if (d > 1) depth_fold(mesh, c_part, C, accumulate);
 }
 
 /// Broadcast–reduce loop shared by summa_abt (Algorithm 2) and summa_atb
@@ -221,11 +217,9 @@ void reduce_loop(mesh::Mesh2D& mesh, const TensorT<T>& fixed, const TensorT<T>& 
   const bool acc = d == 1 && accumulate;  // the depth fold applies it at d > 1
   TensorT<T> m_buf[2], c_tmp[2];
   for (int s = 0; s < nbuf; ++s) m_buf[s] = make_temp<T>(workspace, k_range_shape(moving, ks, abt));
+  // At most one reduce is in flight, so a step's partial is never
+  // overwritten before its reduce retires.
   for (int s = 0; s < nbuf; ++s) c_tmp[s] = make_temp<T>(workspace, C.shape());
-  // Receive buffer of every in-loop reduce (and of the depth fold). At most
-  // one reduce is in flight, so a step's partial is never overwritten before
-  // its reduce retires.
-  TensorT<T> r_scratch = make_temp<T>(workspace, C.shape());
   comm::Request m_req[2], r_req;
   int r_step = -1;  // step whose reduce awaits retirement
   const auto issue = [&](int l) {
@@ -259,15 +253,15 @@ void reduce_loop(mesh::Mesh2D& mesh, const TensorT<T>& fixed, const TensorT<T>& 
     // retires before step l's is issued, and a blocking reduce retires at once.
     if (lookahead > 0) retire();
     if (lookahead == 0) {
-      reduce.reduce(c_tmp[s].data(), c_tmp[s].numel(), l, r_scratch.data());
+      reduce.reduce(c_tmp[s].data(), c_tmp[s].numel(), l);
     } else {
-      r_req = reduce.ireduce(c_tmp[s].data(), c_tmp[s].numel(), l, r_scratch.data());
+      r_req = reduce.ireduce(c_tmp[s].data(), c_tmp[s].numel(), l);
     }
     r_step = l;
     if (lookahead == 0) retire();
   }
   retire();
-  if (d > 1) depth_fold(mesh, c_part, C, r_scratch, accumulate);
+  if (d > 1) depth_fold(mesh, c_part, C, accumulate);
 }
 
 /// Shared entry of the three SUMMA forms: op span, workspace scope and the
@@ -400,31 +394,29 @@ std::uint64_t workspace_bytes(std::uint64_t a_block_elems, std::uint64_t b_block
   const auto align = [](std::uint64_t n) { return (n + 63) & ~std::uint64_t{63}; };
   const std::uint64_t c = align(c_block_elems * elem_size);
   if (depth > 1) {
-    // 2.5D schedules broadcast /d sub-panels but add a captured C partial and
-    // a depth-fold scratch (the reduce forms reuse their row/column reduce
-    // scratch for the fold). Pipelined worst case per form:
-    //   summa_ab  : 2·A/d + 2·B/d sub-panels + C partial + depth scratch
-    //   summa_abt : A/d + 2·B/d sub-panels + 2 in-flight partials + scratch
-    //               + captured partial
-    //   summa_atb : 2·A/d + B/d sub-panels + 2 in-flight partials + scratch
-    //               + captured partial
+    // 2.5D schedules broadcast /d sub-panels but add a captured C partial.
+    // Pipelined worst case per form:
+    //   summa_ab  : 2·A/d + 2·B/d sub-panels + C partial
+    //   summa_abt : A/d + 2·B/d sub-panels + 2 in-flight partials + captured
+    //               partial
+    //   summa_atb : 2·A/d + B/d sub-panels + 2 in-flight partials + captured
+    //               partial
     const std::uint64_t d = static_cast<std::uint64_t>(depth);
     const std::uint64_t as = align(a_block_elems / d * elem_size);
     const std::uint64_t bs = align(b_block_elems / d * elem_size);
-    const std::uint64_t ab = 2 * as + 2 * bs + 2 * c;
-    const std::uint64_t bc = as + 2 * bs + 4 * c;
-    const std::uint64_t ac = 2 * as + bs + 4 * c;
+    const std::uint64_t ab = 2 * as + 2 * bs + c;
+    const std::uint64_t bc = as + 2 * bs + 3 * c;
+    const std::uint64_t ac = 2 * as + bs + 3 * c;
     return std::max({ab, bc, ac});
   }
   const std::uint64_t a = align(a_block_elems * elem_size);
   const std::uint64_t b = align(b_block_elems * elem_size);
   // Pipelined worst case across the three forms on these roles: summa_ab
   // double-buffers both panels; the reduce forms double-buffer one panel and
-  // the C partial and keep a persistent reduce scratch. The blocking paths
-  // fit inside the same envelope.
+  // the C partial. The blocking paths fit inside the same envelope.
   const std::uint64_t ab = 2 * a + 2 * b;
-  const std::uint64_t bc = 2 * b + 3 * c;
-  const std::uint64_t ac = 2 * a + 3 * c;
+  const std::uint64_t bc = 2 * b + 2 * c;
+  const std::uint64_t ac = 2 * a + 2 * c;
   return std::max({ab, bc, ac});
 }
 

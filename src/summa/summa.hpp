@@ -111,12 +111,12 @@ void cannon_ab(mesh::Mesh2D& mesh, const tensor::TensorT<T>& A, const tensor::Te
 /// Bytes of workspace one summa_* call needs for blocks of the given sizes
 /// (64-byte-aligned temporaries), sized for the pipelined schedule's worst
 /// case across the three forms on these roles: double-buffered panels plus,
-/// for the reduce forms, two in-flight C partials and a persistent reduce
-/// scratch. Engines size their workspace arenas as the max over the calls
-/// they make — matmuls run sequentially, so one workspace serves all of them
-/// (paper §3.2.3). On a depth-d mesh pass `depth` so the envelope covers the
-/// 2.5D schedule instead: /d sub-panels plus the captured C partial and the
-/// depth-fold scratch. depth = 1 reproduces the 2D envelope exactly.
+/// for the reduce forms, two in-flight C partials. Engines size their
+/// workspace arenas as the max over the calls they make — matmuls run
+/// sequentially, so one workspace serves all of them (paper §3.2.3). On a
+/// depth-d mesh pass `depth` so the envelope covers the 2.5D schedule
+/// instead: /d sub-panels plus the captured C partial. depth = 1 reproduces
+/// the 2D envelope exactly.
 std::uint64_t workspace_bytes(std::uint64_t a_block_elems, std::uint64_t b_block_elems,
                               std::uint64_t c_block_elems, std::size_t elem_size,
                               int depth = 1);

@@ -128,8 +128,8 @@ TEST(CostModel, Log2Ceil) {
 TEST(Fabric, TagMatchingAllowsOutOfOrderArrival) {
   oc::Fabric fabric(2);
   const int a = 1, b = 2;
-  fabric.send(0, 1, /*tag=*/20, &b, sizeof(b));
-  fabric.send(0, 1, /*tag=*/10, &a, sizeof(a));
+  fabric.send(0, 1, /*tag=*/20, &b, sizeof(b), /*timestamp=*/0.0);
+  fabric.send(0, 1, /*tag=*/10, &a, sizeof(a), /*timestamp=*/0.0);
   int out = 0;
   fabric.recv(1, 0, 10, &out, sizeof(out));
   EXPECT_EQ(out, 1);
@@ -139,7 +139,7 @@ TEST(Fabric, TagMatchingAllowsOutOfOrderArrival) {
 
 TEST(Fabric, FifoPerSourceAndTag) {
   oc::Fabric fabric(2);
-  for (int i = 0; i < 5; ++i) fabric.send(0, 1, 7, &i, sizeof(i));
+  for (int i = 0; i < 5; ++i) fabric.send(0, 1, 7, &i, sizeof(i), /*timestamp=*/0.0);
   for (int i = 0; i < 5; ++i) {
     int out = -1;
     fabric.recv(1, 0, 7, &out, sizeof(out));
@@ -150,7 +150,7 @@ TEST(Fabric, FifoPerSourceAndTag) {
 TEST(Fabric, SizeMismatchThrows) {
   oc::Fabric fabric(2);
   const double x = 1.0;
-  fabric.send(0, 1, 3, &x, sizeof(x));
+  fabric.send(0, 1, 3, &x, sizeof(x), /*timestamp=*/0.0);
   float out;
   EXPECT_THROW(fabric.recv(1, 0, 3, &out, sizeof(out)), optimus::util::CheckError);
 }

@@ -1,6 +1,5 @@
 // The fabric under concurrent communicators: per-communicator rendezvous
-// slots, per-peer channels, the bounded payload pool and the collective
-// signature check.
+// slots, per-peer channels and the collective signature check.
 //
 // Every test runs under a watchdog: a regression in the slot ring or the
 // channel wake-ups shows up as a hang, which the watchdog turns into a named
@@ -303,48 +302,13 @@ TEST(Fabric, MismatchedCountFailsByName) {
   }
 }
 
-TEST(Fabric, PayloadPoolStaysWithinItsCap) {
-  // Drives a fabric directly (run_cluster keeps its own) with 3.5 MiB ring
-  // all-reduces, then small ones: retained payload bytes never exceed the
-  // per-channel cap, and the small traffic is recycled.
-  ots::Watchdog wd("fabric payload pool", std::chrono::seconds(120));
-  constexpr int kP = 4;
-  constexpr index_t kLarge = (index_t{7} << 20) / 2 / static_cast<index_t>(sizeof(float));
-  oc::Fabric fabric(kP);
-  oc::Topology topo(kP, /*gpus_per_node=*/4, oc::Arrangement::kBunched, /*mesh_q=*/0);
-  const oc::CostModel cost(topo, oc::MachineParams{});
-  const std::vector<int> world{0, 1, 2, 3};
-  const auto check_caps = [&] {
-    for (int dst = 0; dst < kP; ++dst) {
-      for (int src = 0; src < kP; ++src) {
-        EXPECT_LE(fabric.pooled_bytes(dst, src), oc::Fabric::kPoolBytesPerChannel)
-            << "channel " << dst << " <- " << src;
-      }
-    }
-  };
-  oc::Executor(kP).run(
-      [&](int r) {
-        oc::SimClock clock;
-        oc::CommStats stats;
-        oc::Communicator comm(fabric, fabric.world_comm_id(), world, r, clock, cost, stats);
-        std::vector<float> data(static_cast<std::size_t>(kLarge), 1.0f);
-        for (int i = 0; i < 4; ++i) comm.all_reduce(data.data(), kLarge);
-        for (int i = 0; i < 4; ++i) comm.all_reduce(data.data(), 16);
-      },
-      [] { ADD_FAILURE() << "ranks deadlocked"; });
-  check_caps();
-  std::size_t pooled = 0;
-  for (int r = 0; r < kP; ++r) pooled += fabric.pooled_bytes((r + 1) % kP, r);
-  EXPECT_GT(pooled, 0u) << "small ring traffic was not recycled";
-}
-
 TEST(Fabric, RecvThatWouldParkOutsideAFiberThrows) {
   // A bare fabric has no executor: a receive with nothing to match could
   // never be woken, so it fails by name instead of hanging.
   ots::Watchdog wd("fabric bare recv", std::chrono::seconds(30));
   oc::Fabric fabric(2);
   const int sent = 5;
-  fabric.send(0, 1, /*tag=*/3, &sent, sizeof(sent));
+  fabric.send(0, 1, /*tag=*/3, &sent, sizeof(sent), /*timestamp=*/0.0);
   int out = 0;
   fabric.recv(1, 0, 3, &out, sizeof(out));  // matched: never parks
   EXPECT_EQ(out, sent);

@@ -21,6 +21,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -77,6 +78,34 @@ std::vector<int> pass_order(std::uint64_t schedule_seed) {
   return order;
 }
 
+/// The order in which the ranks of a 4-rank run leave each of three
+/// back-to-back all-reduces: one block of four ranks per collective.
+std::vector<int> leave_order(std::uint64_t schedule_seed) {
+  oc::FaultPlan plan;
+  plan.seed = schedule_seed;
+  std::vector<int> order;
+  oc::run_cluster(4, plan, [&](oc::Context& ctx) {
+    double v = ctx.rank;
+    for (int k = 0; k < 3; ++k) {
+      ctx.world.all_reduce(&v, 1);
+      order.push_back(ctx.rank);
+    }
+  });
+  return order;
+}
+
+/// Whether every collective of a leave_order was first left by the rank that
+/// left the one before it last. That holds whenever nothing switches ranks
+/// between a collective's return and the next one's rendezvous: the last
+/// rank to leave one collective runs straight into the next as its last
+/// arriver, and the last arriver, which moves the data, leaves first.
+bool chained(const std::vector<int>& order) {
+  for (std::size_t k = 1; k < 3; ++k) {
+    if (order[4 * k] != order[4 * k - 1]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 TEST(Fault, LatencySpikesLeaveCollectivesBitwiseUnchanged) {
@@ -120,6 +149,20 @@ TEST(Fault, SeededScheduleReordersRanksAndReplays) {
     reordered += !std::equal(fifo.begin(), fifo.begin() + 4, order.begin());
   }
   EXPECT_GT(reordered, 0) << "no seed changed the order in which the ranks start";
+
+  // Every collective's rendezvous is a switch point: under some seed of the
+  // set another rank runs first there, which breaks the chain of leave_order,
+  // and each seed replays its order. FIFO order never switches there.
+  const std::vector<int> fifo_leaves = leave_order(0);
+  ASSERT_EQ(fifo_leaves.size(), 12u);
+  EXPECT_TRUE(chained(fifo_leaves));
+  int unchained = 0;
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5}) {
+    const std::vector<int> order = leave_order(seed);
+    EXPECT_EQ(order, leave_order(seed)) << "seed " << seed << " did not replay its leave order";
+    unchained += !chained(order);
+  }
+  EXPECT_GT(unchained, 0) << "no seed switched ranks at a collective's rendezvous";
 }
 
 TEST(Fault, PoisonedPayloadFailsLoudlyNamingTheOp) {
@@ -198,6 +241,50 @@ TEST(Fault, PoisonDiagnosticIsDeterministic) {
   EXPECT_EQ(first, poison_what());
 }
 
+TEST(Fault, PoisonedCollectiveDiagnosticIsScheduleIndependent) {
+  ots::Watchdog wd("fault collective poison determinism test", std::chrono::seconds(120));
+  // A collective's poison sites are the members it delivers bytes to, drawn
+  // by its last arriver per (seed, communicator, seq, member). At
+  // poison_prob 1 the first receiving member in group order is hit: rank 0
+  // for an all-reduce; rank 1 for a reduce toward rank 1 on four ranks, where
+  // only the root and relative rank 2 (rank 3) receive. The FaultError must
+  // name the op and that rank, byte-identically under FIFO and two seeded
+  // schedules.
+  const auto poison_what = [](std::uint64_t seed, bool reduce) -> std::string {
+    oc::FaultPlan plan;
+    plan.seed = seed;
+    plan.poison_prob = 1.0;
+    try {
+      oc::run_cluster(4, plan, [&](oc::Context& ctx) {
+        std::vector<double> v(9, 0.5 * (ctx.rank + 1));
+        if (reduce) {
+          oc::Request req = ctx.world.ireduce(v.data(), 9, /*root=*/1);
+          req.wait();
+        } else {
+          ctx.world.all_reduce(v.data(), 9);
+        }
+      });
+      return "";
+    } catch (const oc::FaultError& e) {
+      return e.what();
+    }
+  };
+  const std::tuple<bool, const char*, const char*> inputs[] = {
+      {false, "op 'allreduce'", "rank 0 (world 0)"},
+      {true, "op 'ireduce'", "rank 1 (world 1)"},
+  };
+  for (const auto& [reduce, op, receiver] : inputs) {
+    const std::string first = poison_what(0, reduce);
+    EXPECT_NE(first.find("poisoned payload"), std::string::npos) << "what: " << first;
+    EXPECT_NE(first.find(op), std::string::npos) << "diagnostic does not name the op: " << first;
+    EXPECT_NE(first.find(receiver), std::string::npos)
+        << "diagnostic does not name the receiving rank: " << first;
+    for (const std::uint64_t seed : {2, 424242}) {
+      EXPECT_EQ(first, poison_what(seed, reduce)) << "schedule seed " << seed;
+    }
+  }
+}
+
 TEST(Fault, PoisonedCollectiveLeavesPostmortemOnEveryRank) {
   ots::Watchdog wd("fault postmortem test", std::chrono::seconds(120));
   namespace ob = optimus::obs;
@@ -211,7 +298,7 @@ TEST(Fault, PoisonedCollectiveLeavesPostmortemOnEveryRank) {
 
   oc::FaultPlan plan;
   plan.seed = 7;
-  plan.poison_prob = 1.0;  // every rank poisons its own first receive
+  plan.poison_prob = 1.0;  // every receiving member is hit; the first one throws
   const auto slurp = [](const std::string& path) -> std::string {
     std::ifstream in(path);
     EXPECT_TRUE(in.good()) << "missing post-mortem dump " << path;
