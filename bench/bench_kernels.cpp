@@ -23,6 +23,12 @@
 //                    tile-hot vs the same GEMM followed by separate
 //                    full-tensor bias and GELU passes (the pre-fusion MLP
 //                    h→4h hot loop).
+//   * elementwise  — kernel::gelu / kernel::gelu_backward on one thread at
+//                    the MLP activation shapes the hostbench workloads run
+//                    per rank, and kernel::adam_update over one rank's
+//                    parameters; each against a scalar baseline built here
+//                    with the portable flags (GELU through libm's tanh, the
+//                    plain Adam loop). These rows carry `ns_per_elem`.
 //
 // Results go to stdout as a table and to BENCH_kernels.json
 // ({name, shape, gflops, wall_ms, sim_ms}); sim_ms is 0 here because these
@@ -32,12 +38,14 @@
 // `pool_avg_region_wait_ms`.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "kernel/elementwise.hpp"
 #include "kernel/gemm.hpp"
 #include "kernel/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -246,16 +254,89 @@ void run_fusion_suite(const char* dtype, index_t m, index_t n, index_t k,
       T* row = C.data() + i * n;
       for (index_t j = 0; j < n; ++j) row[j] += bias[j];
     }
-    for (index_t i = 0; i < m; ++i) {
-      T* prow = pre.data() + i * n;
-      T* crow = C.data() + i * n;
-      for (index_t j = 0; j < n; ++j) {
-        prow[j] = crow[j];
-        crow[j] = ok::gelu_scalar(crow[j]);
-      }
-    }
+    std::copy(C.begin(), C.end(), pre.begin());
+    ok::gelu(C.data(), C.data(), m * n);
   });
   ok::set_threads(0);
+  std::printf("\n");
+}
+
+// Scalar baselines: GELU with libm's tanh, forward and derivative.
+template <typename T>
+T gelu_libm(T x) {
+  const T inner = T{0.7978845608028654} * (x + T{0.044715} * x * x * x);
+  return T{0.5} * x * (T{1} + std::tanh(inner));
+}
+
+template <typename T>
+T gelu_grad_libm(T x) {
+  const T c = T{0.7978845608028654};
+  const T t = std::tanh(c * (x + T{0.044715} * x * x * x));
+  const T dinner = c * (T{1} + T{3} * T{0.044715} * x * x);
+  return T{0.5} * (T{1} + t) + T{0.5} * x * (T{1} - t * t) * dinner;
+}
+
+// One ns/element row: `fn` processes `elems` elements per call.
+void record_elementwise(JsonWriter& json, const std::string& name, const std::string& shape,
+                        double elems, const std::function<void()>& fn) {
+  const double ms = time_ms(fn);
+  const double ns = ms * 1e6 / elems;
+  std::printf("%-26s %-18s %12.4f %12.3f\n", name.c_str(), shape.c_str(), ms, ns);
+  json.add(name, shape, 0.0, ms, 0.0, {{"ns_per_elem", ns}});
+}
+
+// GELU forward and backward at the per-rank MLP activation shapes of the
+// hostbench workloads — [b·s/q, 4h/q] = 128x512 in train_2d (train_1d's
+// [b·s, 4h/p] has the same count), the serial 256x1024, and the decode
+// [slots/q, 4h/q] = 4x256 — plus the Adam update over 2^19 elements (about
+// one train_2d rank's 1.7 M / 4 parameters). Inputs span both branches of the
+// tanh. Baseline rows run on the train_2d shape only.
+template <typename T>
+void run_elementwise_suite(const char* dtype, JsonWriter& json) {
+  const std::string d = dtype;
+  std::printf("%-26s %-18s %12s %12s\n", "name", "shape", "wall_ms", "ns/elem");
+  for (const auto& [shape, n] : std::vector<std::pair<std::string, index_t>>{
+           {"4x256", 4 * 256}, {"128x512", 128 * 512}, {"256x1024", 256 * 1024}}) {
+    auto x = random_buffer<T>(n, 5);
+    for (auto& v : x) v *= T{4};
+    const auto dy = random_buffer<T>(n, 6);
+    std::vector<T> y(static_cast<std::size_t>(n));
+    const auto elems = static_cast<double>(n);
+    record_elementwise(json, "gelu_forward_" + d, shape, elems,
+                       [&] { ok::gelu(x.data(), y.data(), n); });
+    record_elementwise(json, "gelu_backward_" + d, shape, elems, [&] {
+      ok::gelu_backward(x.data(), dy.data(), y.data(), n, /*accumulate=*/false);
+    });
+    if (shape != "128x512") continue;
+    record_elementwise(json, "gelu_forward_libm_" + d, shape, elems, [&] {
+      for (index_t i = 0; i < n; ++i) y[i] = gelu_libm(x[i]);
+    });
+    record_elementwise(json, "gelu_backward_libm_" + d, shape, elems, [&] {
+      for (index_t i = 0; i < n; ++i) y[i] = gelu_grad_libm(x[i]) * dy[i];
+    });
+  }
+
+  const index_t n = index_t{1} << 19;
+  auto p = random_buffer<T>(n, 7);
+  const auto g = random_buffer<T>(n, 8);
+  std::vector<T> m(static_cast<std::size_t>(n), T{0}), v(m);
+  const ok::AdamCoefficients<T> c{.beta1 = T(0.9), .one_minus_beta1 = T(1.0 - 0.9),
+                                  .beta2 = T(0.999), .one_minus_beta2 = T(1.0 - 0.999),
+                                  .bias1 = T(0.1), .bias2 = T(0.001), .eps = T(1e-8),
+                                  .weight_decay = T(0), .lr = T(1e-7)};
+  const std::string shape = std::to_string(n);
+  record_elementwise(json, "adam_update_" + d, shape, static_cast<double>(n), [&] {
+    ok::adam_update(p.data(), g.data(), m.data(), v.data(), n, c);
+  });
+  record_elementwise(json, "adam_scalar_loop_" + d, shape, static_cast<double>(n), [&] {
+    for (index_t i = 0; i < n; ++i) {
+      m[i] = c.beta1 * m[i] + c.one_minus_beta1 * g[i];
+      v[i] = c.beta2 * v[i] + c.one_minus_beta2 * g[i] * g[i];
+      const T mhat = m[i] / c.bias1;
+      const T vhat = v[i] / c.bias2;
+      p[i] -= c.lr * (mhat / (std::sqrt(vhat) + c.eps) + c.weight_decay * p[i]);
+    }
+  });
   std::printf("\n");
 }
 
@@ -292,6 +373,9 @@ static int run_main() {
 
   // MLP h→4h epilogue-fusion comparison on the transformer slab shape.
   run_fusion_suite<float>("f32", 2048, 4096, 1024, 4, json);
+
+  run_elementwise_suite<float>("f32", json);
+  run_elementwise_suite<double>("f64", json);
 
   json.write("BENCH_kernels.json");
   return 0;

@@ -17,6 +17,9 @@
 #      must report 0 failures, and every dtype=f64 config must read 0 ULPs in
 #      every category of both engines and the serial decode (the contract
 #      every ROADMAP item keeps: serial ≡ 2D ≡ 1D bit for bit in f64).
+#   4b. tanh accuracy: tools/tanh_ulp_sweep over all 2³² f32 inputs and 10⁸
+#      sampled f64 inputs; every GELU runs this tanh, and each result must be
+#      within 2 ULP of the correctly rounded one (~25 s on 4 threads).
 #   5. Serving smoke: bench_serving (fixed seeds, simulated clock) run twice
 #      with byte-diffed stdout + BENCH_serving.json, then gated against the
 #      checked-in baseline with tools/bench_gate.
@@ -105,6 +108,9 @@ for line in f64:
     assert not bad, (bad, line)
 print(f"    {summary[-1]}; {len(f64)} f64 configs at 0 ULPs")
 PY
+
+echo "==> tanh accuracy: every f32 input and 10^8 f64 samples within 2 ULP"
+./build/tools/tanh_ulp_sweep
 
 echo "==> serving smoke: fixed-seed bench_serving, twice, byte-identical"
 # The serving bench runs entirely on the simulated clock with seeded traffic,

@@ -14,6 +14,7 @@ Communicator::Communicator(Fabric& fabric, std::uint64_t comm_id, std::vector<in
       rank_(-1),
       clock_(&clock),
       cost_(&cost),
+      price_(cost.price(group_)),
       stats_(&stats) {
   OPT_CHECK(!group_.empty(), "communicator group is empty");
   for (std::size_t i = 0; i < group_.size(); ++i) {
@@ -102,7 +103,7 @@ Communicator Communicator::split(int color, int key) {
 void Communicator::barrier() {
   // The rendezvous on entry is the whole barrier; no data moves.
   collective(Entry{.sig = CallSig{"barrier", CallKind::kBarrier},
-                   .dt = cost_->barrier_time(group_),
+                   .dt = cost_->barrier_time(price_),
                    .op = &stats_->barrier},
              {}, {});
 }

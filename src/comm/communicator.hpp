@@ -258,7 +258,7 @@ class Communicator {
   Entry tree_entry(const char* name, const char* wait_op, CallKind kind, tensor::index_t n,
                    int root, CommStats::Op& op) const {
     const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
-    const CostModel::TreePlan plan = cost_->tree_plan(group_, bytes);
+    const CostModel::TreePlan plan = cost_->tree_plan(price_, bytes);
     return Entry{.sig = call<T>(name, kind, n, root),
                  .bytes = bytes,
                  .dt = plan.time,
@@ -277,7 +277,7 @@ class Communicator {
     const std::uint64_t bytes = static_cast<std::uint64_t>(n) * sizeof(T);
     return Entry{.sig = call<T>(name, kind, n),
                  .bytes = bytes,
-                 .dt = cost_->ring_allreduce_time(group_, bytes),
+                 .dt = cost_->ring_allreduce_time(price_, bytes),
                  .op = &stats_->allreduce,
                  .elems = static_cast<std::uint64_t>(n),
                  .weighted = static_cast<double>(n) * 2.0 * (g - 1) / static_cast<double>(g)};
@@ -308,6 +308,7 @@ class Communicator {
   int rank_;                // my index within group_
   SimClock* clock_;
   const CostModel* cost_;
+  GroupCost price_;  // group_ priced once; every collective's time reads it
   CommStats* stats_;
   std::uint64_t seq_ = 0;
   std::string label_;
@@ -486,7 +487,7 @@ void Communicator::all_gather(const T* mine, tensor::index_t n, T* out) {
   const std::uint64_t total_bytes = static_cast<std::uint64_t>(n) * g * sizeof(T);
   const Entry e{.sig = call<T>("allgather", CallKind::kAllGather, n),
                 .bytes = total_bytes,
-                .dt = cost_->ring_allgather_time(group_, total_bytes),
+                .dt = cost_->ring_allgather_time(price_, total_bytes),
                 .op = &stats_->allgather,
                 .elems = static_cast<std::uint64_t>(n) * g,
                 .weighted = static_cast<double>(n) * (g - 1)};
@@ -504,7 +505,7 @@ void Communicator::reduce_scatter(const T* data, tensor::index_t n, T* out) {
   const std::uint64_t total_bytes = static_cast<std::uint64_t>(n) * g * sizeof(T);
   const Entry e{.sig = call<T>("reducescatter", CallKind::kReduceScatter, n),
                 .bytes = total_bytes,
-                .dt = cost_->ring_reducescatter_time(group_, total_bytes),
+                .dt = cost_->ring_reducescatter_time(price_, total_bytes),
                 .op = &stats_->reducescatter,
                 .elems = static_cast<std::uint64_t>(n) * g,
                 .weighted = static_cast<double>(n) * (g - 1)};

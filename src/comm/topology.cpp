@@ -98,18 +98,21 @@ double CostModel::beta_eff(const std::vector<int>& group) const {
   return params_.beta_inter * std::max(1.0, contention);
 }
 
-double CostModel::tree_time(const std::vector<int>& group, std::uint64_t bytes) const {
-  if (group.size() <= 1) return 0.0;
-  const int rounds = log2_ceil(static_cast<int>(group.size()));
-  return rounds * (params_.alpha + beta_eff(group) * static_cast<double>(bytes));
+GroupCost CostModel::price(const std::vector<int>& group) const {
+  return {static_cast<int>(group.size()), beta_eff(group)};
 }
 
-CostModel::TreePlan CostModel::tree_plan(const std::vector<int>& group,
-                                         std::uint64_t bytes) const {
+double CostModel::tree_time(const GroupCost& group, std::uint64_t bytes) const {
+  if (group.size <= 1) return 0.0;
+  const int rounds = log2_ceil(group.size);
+  return rounds * (params_.alpha + group.beta * static_cast<double>(bytes));
+}
+
+CostModel::TreePlan CostModel::tree_plan(const GroupCost& group, std::uint64_t bytes) const {
   TreePlan plan;
   plan.time = tree_time(group, bytes);
-  if (group.size() <= 1) return plan;
-  const int depth = log2_ceil(static_cast<int>(group.size()));
+  if (group.size <= 1) return plan;
+  const int depth = log2_ceil(group.size);
   // Chunking only pays when the tree has at least two rounds (a one-round
   // "tree" is a single hop — no pipeline to fill) and the payload is large
   // enough that per-chunk latency does not dominate. α == 0 models (the
@@ -118,7 +121,7 @@ CostModel::TreePlan CostModel::tree_plan(const std::vector<int>& group,
   constexpr std::uint64_t kMinChunkBytes = 16 * 1024;
   constexpr int kMaxChunks = 16;
   if (depth < 2 || params_.alpha <= 0.0 || bytes < kMinChunkedBytes) return plan;
-  const double beta = beta_eff(group);
+  const double beta = group.beta;
   // Minimise (C + d − 1)·(α + β·B/C) over C: C* = sqrt((d−1)·β·B/α).
   const double c_star =
       std::sqrt((depth - 1) * beta * static_cast<double>(bytes) / params_.alpha);
@@ -136,29 +139,25 @@ CostModel::TreePlan CostModel::tree_plan(const std::vector<int>& group,
   return plan;
 }
 
-double CostModel::ring_allreduce_time(const std::vector<int>& group,
-                                      std::uint64_t bytes) const {
-  const auto g = static_cast<double>(group.size());
-  if (group.size() <= 1) return 0.0;
-  return 2.0 * (g - 1.0) *
-         (params_.alpha + beta_eff(group) * static_cast<double>(bytes) / g);
+double CostModel::ring_allreduce_time(const GroupCost& group, std::uint64_t bytes) const {
+  const auto g = static_cast<double>(group.size);
+  if (group.size <= 1) return 0.0;
+  return 2.0 * (g - 1.0) * (params_.alpha + group.beta * static_cast<double>(bytes) / g);
 }
 
-double CostModel::ring_allgather_time(const std::vector<int>& group,
-                                      std::uint64_t total_bytes) const {
-  const auto g = static_cast<double>(group.size());
-  if (group.size() <= 1) return 0.0;
-  return (g - 1.0) *
-         (params_.alpha + beta_eff(group) * static_cast<double>(total_bytes) / g);
+double CostModel::ring_allgather_time(const GroupCost& group, std::uint64_t total_bytes) const {
+  const auto g = static_cast<double>(group.size);
+  if (group.size <= 1) return 0.0;
+  return (g - 1.0) * (params_.alpha + group.beta * static_cast<double>(total_bytes) / g);
 }
 
-double CostModel::ring_reducescatter_time(const std::vector<int>& group,
+double CostModel::ring_reducescatter_time(const GroupCost& group,
                                           std::uint64_t total_bytes) const {
   return ring_allgather_time(group, total_bytes);
 }
 
-double CostModel::barrier_time(const std::vector<int>& group) const {
-  return 2.0 * log2_ceil(static_cast<int>(group.size())) * params_.alpha;
+double CostModel::barrier_time(const GroupCost& group) const {
+  return 2.0 * log2_ceil(group.size) * params_.alpha;
 }
 
 double CostModel::p2p_time(int src, int dst, std::uint64_t bytes) const {

@@ -82,6 +82,14 @@ struct MachineParams {
   static MachineParams unit_cost();
 };
 
+/// What a collective over one group costs per call, priced once: its size and
+/// its effective per-byte cost (CostModel::beta_eff). A Communicator prices
+/// its group when it is made; the time formulas below take this price.
+struct GroupCost {
+  int size = 1;
+  double beta = 0;
+};
+
 class CostModel {
  public:
   CostModel(const Topology& topo, const MachineParams& params)
@@ -93,7 +101,10 @@ class CostModel {
   /// Effective per-byte cost for a collective over `group`.
   double beta_eff(const std::vector<int>& group) const;
 
-  double tree_time(const std::vector<int>& group, std::uint64_t bytes) const;
+  /// {group size, beta_eff(group)}.
+  GroupCost price(const std::vector<int>& group) const;
+
+  double tree_time(const GroupCost& group, std::uint64_t bytes) const;
 
   /// Chunked-pipeline plan for a tree collective (broadcast/reduce). Large
   /// payloads on deep trees are split into C chunks streamed down the tree:
@@ -106,12 +117,12 @@ class CostModel {
     int chunks = 1;
     double time = 0;
   };
-  TreePlan tree_plan(const std::vector<int>& group, std::uint64_t bytes) const;
-  double ring_allreduce_time(const std::vector<int>& group, std::uint64_t bytes) const;
-  double ring_allgather_time(const std::vector<int>& group, std::uint64_t total_bytes) const;
-  double ring_reducescatter_time(const std::vector<int>& group, std::uint64_t total_bytes) const;
+  TreePlan tree_plan(const GroupCost& group, std::uint64_t bytes) const;
+  double ring_allreduce_time(const GroupCost& group, std::uint64_t bytes) const;
+  double ring_allgather_time(const GroupCost& group, std::uint64_t total_bytes) const;
+  double ring_reducescatter_time(const GroupCost& group, std::uint64_t total_bytes) const;
   /// Dissemination barrier, latency only: 2·⌈log₂g⌉·α.
-  double barrier_time(const std::vector<int>& group) const;
+  double barrier_time(const GroupCost& group) const;
   double p2p_time(int src, int dst, std::uint64_t bytes) const;
 
   double compute_time(std::uint64_t mults) const {

@@ -7,99 +7,38 @@
 #include <new>
 #include <utility>
 
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#endif
-
+#include "kernel/elementwise.hpp"
+#include "kernel/simd.hpp"
 #include "kernel/thread_pool.hpp"
 
 namespace optimus::kernel {
 
 namespace {
 
-// SIMD lanes. The microkernel is written once against Vec<T>, a vector of W
+// The microkernel is written once against simd::Vec<T>, a vector of W
 // elements, using plain operators: the compiler forms a fused multiply-add for
 // `acc += a * b` exactly where it would for the scalar expression, so every
-// ISA below runs the same fold as its scalar reference (one multiply-add per
-// k). Only the vector width, the tile height kMR and the partial (first n
-// lanes) loads and stores differ per ISA; the ISA is the one the compiler
-// targets (-march), chosen by its predefined macros. The tile is kMR rows of
-// two vectors: its 2·kMR accumulators, the two B vectors of a k step and the
-// broadcast A element fit the register file without spilling.
+// ISA runs the same fold as its scalar reference (one multiply-add per k).
+// Only the vector width, the tile height kMR and the partial (first n lanes)
+// loads and stores differ per ISA. The tile is kMR rows of two vectors: its
+// 2·kMR accumulators, the two B vectors of a k step and the broadcast A
+// element fit the register file without spilling.
 #if defined(__GNUC__) || defined(__clang__)
 #if defined(__AVX512F__)
-constexpr int kVecBytes = 64;  // zmm: 24 of the 32 registers accumulate
-constexpr index_t kMR = 12;
-#elif defined(__AVX__)
-constexpr int kVecBytes = 32;  // ymm: 12 of the 16 registers accumulate
-constexpr index_t kMR = 6;
+constexpr index_t kMR = 12;  // zmm: 24 of the 32 registers accumulate
 #else
-constexpr int kVecBytes = 16;  // xmm / NEON q
-constexpr index_t kMR = 6;
+constexpr index_t kMR = 6;  // ymm (12 of the 16 registers accumulate), xmm, NEON q
 #endif
-template <typename T>
-struct VecOf {
-  typedef T type __attribute__((vector_size(kVecBytes)));
-  // The same vector as an lvalue over plain, element-aligned T arrays.
-  typedef T memory __attribute__((vector_size(kVecBytes), aligned(alignof(T)), may_alias));
-};
 #else
-// Portable scalar fallback: one-lane "vectors".
-constexpr index_t kMR = 4;
-template <typename T>
-struct VecOf {
-  using type = T;
-  using memory = T;
-};
+constexpr index_t kMR = 4;  // portable scalar fallback: one-lane "vectors"
 #endif
 
-template <typename T>
-using Vec = typename VecOf<T>::type;
-template <typename T>
-constexpr int kLanes = static_cast<int>(sizeof(Vec<T>) / sizeof(T));
-
-// Whole-vector loads and stores; C rows and packed panels are only
-// element-aligned.
-template <typename T>
-inline Vec<T> load(const T* p) {
-  return *reinterpret_cast<const typename VecOf<T>::memory*>(p);
-}
-template <typename T>
-inline void store(T* p, Vec<T> v) {
-  *reinterpret_cast<typename VecOf<T>::memory*>(p) = v;
-}
-
-// The first n lanes (1 <= n <= W); a partial load zero-fills the rest, a
-// partial store leaves the memory past p[n-1] untouched.
-#if defined(__AVX512F__)
-inline Vec<float> load_n(const float* p, int n) {
-  return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1u), p);
-}
-inline Vec<double> load_n(const double* p, int n) {
-  return _mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << n) - 1u), p);
-}
-inline void store_n(float* p, Vec<float> v, int n) {
-  _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << n) - 1u), v);
-}
-inline void store_n(double* p, Vec<double> v, int n) {
-  _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << n) - 1u), v);
-}
-#else
-template <typename T>
-inline Vec<T> load_n(const T* p, int n) {
-  if (n == kLanes<T>) return load(p);
-  T lanes[kLanes<T>] = {};
-  std::copy_n(p, n, lanes);
-  return load(lanes);
-}
-template <typename T>
-inline void store_n(T* p, Vec<T> v, int n) {
-  if (n == kLanes<T>) return store(p, v);
-  T lanes[kLanes<T>];
-  store(lanes, v);
-  std::copy_n(lanes, n, p);
-}
-#endif
+using simd::kLanes;
+using simd::load;
+using simd::load_n;
+using simd::store;
+using simd::store_n;
+using simd::Vec;
 
 // The microkernel's tile loops have compile-time trip counts; unrolling them
 // fully lets the compiler keep every accumulator in a register.
@@ -300,8 +239,9 @@ void apply_epilogue_block(const EpilogueArgs<T>& ep, T* C, index_t ldc, index_t 
         for (index_t j = 0; j < nr; ++j) {
           const T v = c[j] + bias[j];
           if (pre != nullptr) pre[j] = v;
-          c[j] = gelu_scalar(v);
+          c[j] = v;
         }
+        gelu(c, c, nr);
       }
       return;
     }
@@ -558,24 +498,6 @@ template <typename T>
 index_t gemm_tile_cols() {
   return Tile<T>::NR;
 }
-
-// Single non-inlinable definition of the GELU scalar (see gemm.hpp): keeps
-// every caller — this TU's fused epilogue included — on one bit pattern even
-// though this TU is built with -march=native FP contraction.
-namespace {
-template <typename T>
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-T gelu_scalar_impl(T x) {
-  const T c = T{0.7978845608028654};  // sqrt(2/pi)
-  const T inner = c * (x + T{0.044715} * x * x * x);
-  return T{0.5} * x * (T{1} + std::tanh(inner));
-}
-}  // namespace
-
-float gelu_scalar(float x) { return gelu_scalar_impl(x); }
-double gelu_scalar(double x) { return gelu_scalar_impl(x); }
 
 #define OPTIMUS_INSTANTIATE_KERNEL_GEMM(T)                                                   \
   template void gemm<T>(T*, const T*, const T*, index_t, index_t, index_t, index_t, index_t, \

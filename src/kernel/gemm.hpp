@@ -36,9 +36,11 @@
 // *bitwise identity with the unfused reference*: each epilogue applies the
 // same scalar operations in the same order as the two-pass formulation
 // (gemm, then the elementwise op over C), so fused and unfused paths — and
-// any thread count — agree to 0 ULPs.
+// any thread count — agree to 0 ULPs. BiasGelu runs kernel::gelu
+// (kernel/elementwise.hpp) over each tile row's nr columns; that routine's
+// result for an element does not depend on the extent it is called on, so
+// the tile-sized calls equal the unfused full-row call bit for bit.
 
-#include <cmath>
 #include <cstdint>
 
 namespace optimus::kernel {
@@ -46,16 +48,6 @@ namespace optimus::kernel {
 using index_t = std::int64_t;
 
 enum class Trans : std::uint8_t { No, Yes };
-
-/// GELU, tanh approximation: 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))).
-/// Deliberately out-of-line with exactly one definition (gemm.cpp, marked
-/// non-inlinable): the kernel TU is built with -march=native where FP
-/// contraction may fuse the polynomial differently than portable TUs, so an
-/// inline template would give each caller its own bit pattern. One shared
-/// symbol keeps tensor ops, the fused GEMM epilogue, and tests bitwise
-/// identical.
-float gelu_scalar(float x);
-double gelu_scalar(double x);
 
 /// Fused elementwise tails applied per C tile after its final K panel.
 enum class Epilogue : std::uint8_t {

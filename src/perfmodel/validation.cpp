@@ -25,13 +25,13 @@ SummaAbTimes predict_summa_ab_times(const comm::CostModel& cost, int q, std::int
   const std::uint64_t a_bytes = u64(m / q) * u64(k / q / d) * elem_size;
   const std::uint64_t b_bytes = u64(k / q / d) * u64(n / q) * elem_size;
   const std::uint64_t c_bytes = u64(m / q) * u64(n / q) * elem_size;
-  const double t_row = q > 1 ? cost.tree_plan(row_group, a_bytes).time : 0.0;
-  const double t_col = q > 1 ? cost.tree_plan(col_group, b_bytes).time : 0.0;
+  const double t_row = q > 1 ? cost.tree_plan(cost.price(row_group), a_bytes).time : 0.0;
+  const double t_col = q > 1 ? cost.tree_plan(cost.price(col_group), b_bytes).time : 0.0;
   const double t_gemm = cost.compute_time(u64(m / q) * u64(n / q) * u64(k / q / d));
   // Depth-reduction term: tree reduce of the C partial to depth 0, then the
   // replica broadcast back — same tree, paid twice, never overlapped. A
   // 1-rank depth group costs exactly 0, so d = 1 is the 2D schedule.
-  const double t_depth = 2.0 * cost.tree_plan(depth_group, c_bytes).time;
+  const double t_depth = 2.0 * cost.tree_plan(cost.price(depth_group), c_bytes).time;
 
   SummaAbTimes out;
   // Blocking: each collective entry first drains the pending GEMM, then the
@@ -106,7 +106,7 @@ double predict_serial_decode_step_time(const comm::CostModel& cost, const Worklo
 double predict_megatron_decode_step_time(const comm::CostModel& cost, const Workload& w, int p,
                                          const std::vector<tensor::index_t>& lens,
                                          std::size_t elem_size) {
-  const std::vector<int> world = world_group(p);
+  const comm::GroupCost world = cost.price(world_group(p));
   const std::uint64_t n = static_cast<std::uint64_t>(w.b);
   const std::uint64_t h = static_cast<std::uint64_t>(w.h);
   const std::uint64_t up = static_cast<std::uint64_t>(p);
@@ -140,17 +140,19 @@ double predict_optimus_decode_step_time(const comm::CostModel& cost, const Workl
   const std::uint64_t hq = static_cast<std::uint64_t>(w.h) / static_cast<std::uint64_t>(q);
   const std::uint64_t vq = static_cast<std::uint64_t>(w.v) / static_cast<std::uint64_t>(q);
   const double N = static_cast<double>(w.layers);
-  const auto tree = [&](const std::vector<int>& g, std::uint64_t bytes) {
+  const comm::GroupCost row = cost.price(row_group);
+  const comm::GroupCost col = cost.price(col_group);
+  const auto tree = [&](const comm::GroupCost& g, std::uint64_t bytes) {
     return q > 1 ? cost.tree_plan(g, bytes).time : 0.0;
   };
 
   // Packed embed: q rounds, root row l broadcasting its [n, h/q] packed rows
   // down the columns.
-  double t = static_cast<double>(q) * tree(col_group, n * hq * elem_size);
+  double t = static_cast<double>(q) * tree(col, n * hq * elem_size);
   // Per layer: 2 layernorm stat all-reduces (2 scalars per local row, along
   // the mesh row) + the four blocking SUMMA calls, plus the final layernorm.
   const double t_ln =
-      q > 1 ? cost.ring_allreduce_time(row_group, 2u * nl * elem_size) : 0.0;
+      q > 1 ? cost.ring_allreduce_time(row, 2u * nl * elem_size) : 0.0;
   t += (2.0 * N + 1.0) * t_ln;
   const std::int64_t m = w.b, h = w.h;
   t += N * (predict_summa_ab_times(cost, q, m, h, 3 * h, elem_size).blocking_s +
@@ -160,14 +162,13 @@ double predict_optimus_decode_step_time(const comm::CostModel& cost, const Workl
   // lm-head summa_abt: q steps of column-broadcast E block [v/q, h/q], local
   // GEMM [n/q, v/q], row-reduce of the partial.
   t += static_cast<double>(q) *
-       (tree(col_group, vq * hq * elem_size) + cost.compute_time(nl * vq * hq) +
-        tree(row_group, nl * vq * elem_size));
+       (tree(col, vq * hq * elem_size) + cost.compute_time(nl * vq * hq) +
+        tree(row, nl * vq * elem_size));
   // Argmax assembly: vocab direction along the row, slot blocks down the
   // column (the column payload carries the full row-gathered [q·n/q, v/q]).
   if (q > 1) {
-    t += cost.ring_allgather_time(row_group, static_cast<std::uint64_t>(q) * nl * vq * elem_size);
-    t += cost.ring_allgather_time(
-        col_group, static_cast<std::uint64_t>(q) * q * nl * vq * elem_size);
+    t += cost.ring_allgather_time(row, static_cast<std::uint64_t>(q) * nl * vq * elem_size);
+    t += cost.ring_allgather_time(col, static_cast<std::uint64_t>(q) * q * nl * vq * elem_size);
   }
   // Attention: mesh row i hosts slots [i·n/q, (i+1)·n/q) on heads/q heads; the
   // row clocks re-align at the next column collective, so each layer pays the

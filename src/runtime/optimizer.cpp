@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "kernel/elementwise.hpp"
+
 namespace optimus::runtime {
 
 namespace {
@@ -64,27 +66,21 @@ void Adam<T>::step(const std::vector<TensorT<T>*>& params,
   t_ += 1;
   const double b1 = options_.beta1;
   const double b2 = options_.beta2;
-  const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t_));
-  const T eps = static_cast<T>(options_.eps);
-  const T wd = static_cast<T>(options_.weight_decay);
-  const T step_size = static_cast<T>(lr);
+  const kernel::AdamCoefficients<T> c{
+      .beta1 = static_cast<T>(b1),
+      .one_minus_beta1 = static_cast<T>(1.0 - b1),
+      .beta2 = static_cast<T>(b2),
+      .one_minus_beta2 = static_cast<T>(1.0 - b2),
+      .bias1 = static_cast<T>(1.0 - std::pow(b1, static_cast<double>(t_))),
+      .bias2 = static_cast<T>(1.0 - std::pow(b2, static_cast<double>(t_))),
+      .eps = static_cast<T>(options_.eps),
+      .weight_decay = static_cast<T>(options_.weight_decay),
+      .lr = static_cast<T>(lr)};
   for (std::size_t i = 0; i < params.size(); ++i) {
     TensorT<T>& p = *params[i];
     const TensorT<T>& g = *grads[i];
     OPT_CHECK(p.numel() == g.numel(), "param/grad shape mismatch at index " << i);
-    const index_t n = p.numel();
-    T* pp = p.data();
-    const T* gp = g.data();
-    T* mp = m_[i].data();
-    T* vp = v_[i].data();
-    for (index_t k = 0; k < n; ++k) {
-      mp[k] = static_cast<T>(b1) * mp[k] + static_cast<T>(1.0 - b1) * gp[k];
-      vp[k] = static_cast<T>(b2) * vp[k] + static_cast<T>(1.0 - b2) * gp[k] * gp[k];
-      const T mhat = mp[k] / static_cast<T>(bc1);
-      const T vhat = vp[k] / static_cast<T>(bc2);
-      pp[k] -= step_size * (mhat / (std::sqrt(vhat) + eps) + wd * pp[k]);
-    }
+    kernel::adam_update(p.data(), g.data(), m_[i].data(), v_[i].data(), p.numel(), c);
   }
 }
 

@@ -124,7 +124,9 @@ template <typename T>
 void bias_gelu_(TensorT<T>& x, const TensorT<T>& bias, TensorT<T>& y);
 
 // ---------------------------------------------------------------------------
-// GELU (tanh approximation, as in GPT/Megatron)
+// GELU (tanh approximation, as in GPT/Megatron). Both directions run the
+// kernel layer's vectorized routines (kernel/elementwise.hpp), as do
+// bias_gelu_ and the fused BiasGelu epilogue.
 // ---------------------------------------------------------------------------
 
 template <typename T>

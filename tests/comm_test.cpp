@@ -74,9 +74,9 @@ TEST(CostModel, TreeTimeFollowsLogFormula) {
   oc::CostModel cost(topo, mp);
   const std::vector<int> group{0, 1, 2, 3};
   // ceil(log2 4) = 2 rounds × β × B
-  EXPECT_DOUBLE_EQ(cost.tree_time(group, 10), 2 * 2.0 * 10);
+  EXPECT_DOUBLE_EQ(cost.tree_time(cost.price(group), 10), 2 * 2.0 * 10);
   const std::vector<int> three{0, 1, 2};
-  EXPECT_DOUBLE_EQ(cost.tree_time(three, 10), 2 * 2.0 * 10);  // ceil(log2 3) = 2
+  EXPECT_DOUBLE_EQ(cost.tree_time(cost.price(three), 10), 2 * 2.0 * 10);  // ceil(log2 3) = 2
 }
 
 TEST(CostModel, RingAllReduceMatchesPaperEq5) {
@@ -87,7 +87,7 @@ TEST(CostModel, RingAllReduceMatchesPaperEq5) {
   oc::CostModel cost(topo, mp);
   const std::vector<int> group{0, 1, 2, 3};
   // 2(p−1)βB/p with p=4, B=100 → 150.
-  EXPECT_DOUBLE_EQ(cost.ring_allreduce_time(group, 100), 150.0);
+  EXPECT_DOUBLE_EQ(cost.ring_allreduce_time(cost.price(group), 100), 150.0);
 }
 
 TEST(CostModel, ContentionPenalisesNaiveColumns) {
@@ -109,8 +109,8 @@ TEST(CostModel, ContentionPenalisesNaiveColumns) {
 TEST(CostModel, SingleRankGroupsAreFree) {
   oc::Topology topo(4, 4, oc::Arrangement::kNaive);
   oc::CostModel cost(topo, oc::MachineParams{});
-  EXPECT_DOUBLE_EQ(cost.tree_time({2}, 1000), 0.0);
-  EXPECT_DOUBLE_EQ(cost.ring_allreduce_time({2}, 1000), 0.0);
+  EXPECT_DOUBLE_EQ(cost.tree_time(cost.price({2}), 1000), 0.0);
+  EXPECT_DOUBLE_EQ(cost.ring_allreduce_time(cost.price({2}), 1000), 0.0);
 }
 
 TEST(CostModel, Log2Ceil) {
@@ -470,9 +470,9 @@ TEST(AsyncCollectives, ChunkedBroadcastIsCheaperAndBitwise) {
   const oc::MachineParams mp;
   const oc::CostModel cost(topo, mp);
   const std::vector<int> group{0, 1, 2, 3};
-  const auto plan = cost.tree_plan(group, n * sizeof(double));
+  const auto plan = cost.tree_plan(cost.price(group), n * sizeof(double));
   EXPECT_GT(plan.chunks, 1);
-  EXPECT_LT(plan.time, cost.tree_time(group, n * sizeof(double)));
+  EXPECT_LT(plan.time, cost.tree_time(cost.price(group), n * sizeof(double)));
 
   oc::Cluster cluster(p, topo, mp);
   auto report = cluster.run([&](oc::Context& ctx) {
@@ -525,7 +525,8 @@ TEST(AsyncCollectives, TreeBytesMoveAtIssueAndWaitOnlyMovesTheClock) {
     const oc::MachineParams mp;
     std::vector<int> group(static_cast<std::size_t>(p));
     std::iota(group.begin(), group.end(), 0);
-    const auto plan = oc::CostModel(topo, mp).tree_plan(group, n * sizeof(double));
+    const oc::CostModel cost(topo, mp);
+    const auto plan = cost.tree_plan(cost.price(group), n * sizeof(double));
     ASSERT_GT(plan.chunks, 1);
 
     oc::Cluster cluster(p, topo, mp);

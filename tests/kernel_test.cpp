@@ -1,8 +1,9 @@
 // Tests for the dense kernel layer (src/kernel/): packed GEMM correctness
 // across all transpose forms / odd shapes / alpha-beta combinations, bitwise
 // determinism across thread counts, the k-order rounding contract, beta==0
-// store semantics over poisoned memory, the shared thread budget, and the
-// pool itself.
+// store semantics over poisoned memory, the vectorized tanh/GELU special
+// values and lane independence, the shared thread budget, and the pool
+// itself.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "kernel/elementwise.hpp"
 #include "kernel/gemm.hpp"
 #include "kernel/thread_pool.hpp"
 #include "tensor/ops.hpp"
+#include "testing/ulp.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -413,10 +416,10 @@ void epilogue_reference(ok::Epilogue op, T* C, const T* bias, const T* res, T* p
         break;
       case ok::Epilogue::BiasGelu:
         for (index_t j = 0; j < n; ++j) {
-          const T v = row[j] + bias[j];
-          pre[i * n + j] = v;
-          row[j] = ok::gelu_scalar(v);
+          row[j] += bias[j];
+          pre[i * n + j] = row[j];
         }
+        ok::gelu(row, row, n);
         break;
       case ok::Epilogue::ResidualAdd:
         for (index_t j = 0; j < n; ++j) row[j] = (row[j] + bias[j]) + res[i * n + j];
@@ -538,6 +541,123 @@ TEST(KernelGemm, BetaZeroStoresOverNaN) {
   ok::gemm_packed(C.data(), A.data(), B.data(), m, n, /*k=*/0, k, n, n, ok::Trans::No,
                   ok::Trans::No, 1.0f, 0.0f);
   for (float v : C) ASSERT_EQ(v, 0.0f);
+}
+
+// The reference tanh, rounded once to T: double for f32, long double for f64.
+float tanh_reference(float x) { return static_cast<float>(std::tanh(static_cast<double>(x))); }
+double tanh_reference(double x) {
+  return static_cast<double>(std::tanh(static_cast<long double>(x)));
+}
+
+template <typename T>
+T kernel_tanh(T x) {
+  T y{};
+  ok::tanh(&x, &y, 1);
+  return y;
+}
+
+template <typename T>
+void check_tanh_special_values() {
+  using L = std::numeric_limits<T>;
+  SCOPED_TRACE(sizeof(T) == 4 ? "f32" : "f64");
+  // ±0 keep their sign.
+  const T pz = kernel_tanh(T{0});
+  const T nz = kernel_tanh(-T{0});
+  EXPECT_TRUE(pz == T{0} && !std::signbit(pz));
+  EXPECT_TRUE(nz == T{0} && std::signbit(nz));
+  // NaN propagates, whatever its sign.
+  EXPECT_TRUE(std::isnan(kernel_tanh(L::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(kernel_tanh(-L::quiet_NaN())));
+  // ±inf and everything from the saturation clamp (10 in f32, 20 in f64) on
+  // give exactly ±1.
+  const T clamp = sizeof(T) == 4 ? T{10} : T{20};
+  for (const T x : {L::infinity(), L::max(), T{1e30}, T{25}, clamp}) {
+    EXPECT_EQ(kernel_tanh(x), T{1}) << x;
+    EXPECT_EQ(kernel_tanh(-x), T{-1}) << -x;
+  }
+  // Subnormals (and the smallest normal) return themselves.
+  for (const T x : {L::denorm_min(), T{3} * L::denorm_min(), L::min() - L::denorm_min(),
+                    L::min()}) {
+    EXPECT_EQ(kernel_tanh(x), x) << x;
+    EXPECT_EQ(kernel_tanh(-x), -x) << -x;
+  }
+  // Both sides of the polynomial/exp split at 0.625 and of the f32 (10) and
+  // f64 (20) clamps: within 1 ULP of the reference, and monotone across each.
+  for (const T edge : {T{0.625}, T{10}, T{20}}) {
+    const T below = std::nextafter(edge, T{0});
+    const T above = std::nextafter(edge, T{100});
+    T prev = kernel_tanh(std::nextafter(below, T{0}));
+    for (const T x : {below, edge, above}) {
+      const T got = kernel_tanh(x);
+      EXPECT_LE(optimus::testing::ulp_distance(got, tanh_reference(x)), 1u) << x;
+      EXPECT_EQ(kernel_tanh(-x), -got) << x;
+      EXPECT_GE(got, prev) << x;
+      prev = got;
+    }
+  }
+}
+
+TEST(KernelTanh, SpecialValues) {
+  check_tanh_special_values<float>();
+  check_tanh_special_values<double>();
+}
+
+TEST(KernelGelu, NanPropagates) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float x : {nan, -nan}) {
+    float y = 0, dx = 0;
+    const float dy = 1;
+    ok::gelu(&x, &y, 1);
+    ok::gelu_backward(&x, &dy, &dx, 1, /*accumulate=*/false);
+    EXPECT_TRUE(std::isnan(y));
+    EXPECT_TRUE(std::isnan(dx));
+  }
+}
+
+// An element's bits depend on its own value only: for every n up to two full
+// AVX-512 vectors plus one and several misalignments, a call over n elements
+// equals n one-element calls, bitwise, for tanh, GELU forward and GELU
+// backward (plain and accumulating).
+template <typename T>
+void check_elementwise_lanes() {
+  constexpr index_t kMaxLanes = 64 / sizeof(T);
+  optimus::util::Rng rng(17);
+  std::vector<T> x(3 * kMaxLanes + 8), dy(x.size()), dx0(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    // Magnitudes from 1e-4 to 1e2, both branches of tanh and its clamp.
+    x[i] = static_cast<T>(rng.uniform(-1, 1) * std::pow(10.0, rng.uniform(-4, 2)));
+    dy[i] = static_cast<T>(rng.uniform(-1, 1));
+    dx0[i] = static_cast<T>(rng.uniform(-1, 1));
+  }
+  x[1] = T{0};
+  x[2] = -T{0};
+  for (index_t n = 1; n <= 2 * kMaxLanes + 1; ++n) {
+    for (const index_t off : {index_t{0}, index_t{1}, index_t{3}, kMaxLanes - 1}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " offset=" << off);
+      const T* xs = x.data() + off;
+      std::vector<T> t(n), g(n), gb(n), ga(dx0.begin() + off, dx0.begin() + off + n);
+      ok::tanh(xs, t.data(), n);
+      ok::gelu(xs, g.data(), n);
+      ok::gelu_backward(xs, dy.data() + off, gb.data(), n, /*accumulate=*/false);
+      ok::gelu_backward(xs, dy.data() + off, ga.data(), n, /*accumulate=*/true);
+      for (index_t i = 0; i < n; ++i) {
+        T t1{}, g1{}, gb1{}, ga1 = dx0[off + i];
+        ok::tanh(xs + i, &t1, 1);
+        ok::gelu(xs + i, &g1, 1);
+        ok::gelu_backward(xs + i, dy.data() + off + i, &gb1, 1, false);
+        ok::gelu_backward(xs + i, dy.data() + off + i, &ga1, 1, true);
+        ASSERT_EQ(0, std::memcmp(&t[i], &t1, sizeof(T))) << "tanh at " << i;
+        ASSERT_EQ(0, std::memcmp(&g[i], &g1, sizeof(T))) << "gelu at " << i;
+        ASSERT_EQ(0, std::memcmp(&gb[i], &gb1, sizeof(T))) << "gelu_backward at " << i;
+        ASSERT_EQ(0, std::memcmp(&ga[i], &ga1, sizeof(T))) << "accumulating at " << i;
+      }
+    }
+  }
+}
+
+TEST(KernelGelu, EachElementIndependentOfLaneAndLength) {
+  check_elementwise_lanes<float>();
+  check_elementwise_lanes<double>();
 }
 
 TEST(KernelRowOps, DeterministicAcrossThreadCounts) {

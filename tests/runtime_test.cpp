@@ -89,6 +89,64 @@ TEST(Adam, FirstStepIsLrSized) {
   EXPECT_NEAR(x[0], -0.01, 1e-6);
 }
 
+// Adam::step runs a vectorized update; it must round every element exactly as
+// the scalar loop below does (same operations, same order, no fused
+// multiply-add). Tensors of 37 and 5 elements end in a partial vector at
+// every SIMD width.
+template <typename T>
+void check_adam_matches_scalar_loop() {
+  const typename ort::Adam<T>::Options o{.beta1 = 0.9, .beta2 = 0.999, .eps = 1e-8,
+                                         .weight_decay = 0.01};
+  optimus::util::Rng rng(23);
+  std::vector<ot::TensorT<T>> params, grads;
+  for (const ot::index_t n : {37, 5}) {
+    ot::TensorT<T> p(Shape{n}), g(Shape{n});
+    for (ot::index_t i = 0; i < n; ++i) {
+      p[i] = static_cast<T>(rng.uniform(-1, 1));
+      g[i] = static_cast<T>(rng.uniform(-1, 1) * std::pow(10.0, rng.uniform(-6, 1)));
+    }
+    params.push_back(p);
+    grads.push_back(g);
+  }
+  std::vector<ot::TensorT<T>> want;
+  for (const auto& p : params) want.push_back(p.clone());
+  std::vector<std::vector<T>> m, v;
+  for (const auto& p : params) {
+    m.emplace_back(static_cast<std::size_t>(p.numel()), T{0});
+    v.emplace_back(static_cast<std::size_t>(p.numel()), T{0});
+  }
+
+  ort::Adam<T> opt(o);
+  std::vector<ot::TensorT<T>*> pp{&params[0], &params[1]}, gp{&grads[0], &grads[1]};
+  for (int t = 1; t <= 3; ++t) {
+    const double lr = 0.01 * t;
+    opt.step(pp, gp, lr);
+    const double bc1 = 1.0 - std::pow(o.beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(o.beta2, static_cast<double>(t));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      T* w = want[i].data();
+      const T* g = grads[i].data();
+      for (ot::index_t k = 0; k < want[i].numel(); ++k) {
+        T& mk = m[i][static_cast<std::size_t>(k)];
+        T& vk = v[i][static_cast<std::size_t>(k)];
+        mk = static_cast<T>(o.beta1) * mk + static_cast<T>(1.0 - o.beta1) * g[k];
+        vk = static_cast<T>(o.beta2) * vk + static_cast<T>(1.0 - o.beta2) * g[k] * g[k];
+        const T mhat = mk / static_cast<T>(bc1);
+        const T vhat = vk / static_cast<T>(bc2);
+        w[k] -= static_cast<T>(lr) * (mhat / (std::sqrt(vhat) + static_cast<T>(o.eps)) +
+                                      static_cast<T>(o.weight_decay) * w[k]);
+      }
+      ASSERT_EQ(0, std::memcmp(want[i].data(), params[i].data(), want[i].numel() * sizeof(T)))
+          << "step " << t << ", tensor " << i;
+    }
+  }
+}
+
+TEST(Adam, VectorizedStepMatchesScalarLoopBitwise) {
+  check_adam_matches_scalar_loop<float>();
+  check_adam_matches_scalar_loop<double>();
+}
+
 TEST(Optimizer, MismatchedListsThrow) {
   DTensor x(Shape{2}), g(Shape{3});
   ort::Sgd<double> opt;
