@@ -18,7 +18,8 @@
 //                    a greppable record.
 //   * per-rank shapes — threads1 f32 rows at the small products the
 //                    hostbench workloads issue per simulated rank (SUMMA
-//                    k-steps, decode projections, decode attention heads).
+//                    k-steps, decode projections, decode attention heads),
+//                    named gemm_threads1_{nn,nt}_f32 by transpose form.
 //   * fused/unfused bias_gelu — gemm_ex with the BiasGelu epilogue applied
 //                    tile-hot vs the same GEMM followed by separate
 //                    full-tensor bias and GELU passes (the pre-fusion MLP
@@ -189,26 +190,40 @@ void run_gemm_suite(const char* dtype, const std::vector<Problem<T>>& problems,
   std::printf("\n");
 }
 
-// The per-rank products hostbench's workloads call, one thread each: the
-// SUMMA k-steps of train_2d, the decode projections (8 slots and h = 128
-// split over q = 2) and decode attention's per-head Q·Kᵀ (1×L×16) and P·V
-// (1×16×L) at L = 64. Every tile of the decode rows is an edge tile.
+// The per-rank products hostbench's workloads call, one thread each, named
+// by their transpose form (nn: C = A·B, nt: C = A·Bᵀ with B stored n×k):
+//   - train_2d's SUMMA k-steps (128×128×128, 128×512×128);
+//   - decode's SUMMA k-steps at 4 slot rows: the projections 4×64×64,
+//     4×192×64, 4×256×64 and 4×64×256 NN, and the lm-head 4×128×64 NT;
+//   - decode attention's per-head Q·Kᵀ (1×L×16, NT) and P·V (1×16×L, NN) at
+//     L = 64, and prefill's 64×64×16 Q·Kᵀ.
+// NN rows at 4×64×64, 1×64×16 and 64×64×16 give the NT rows a same-shape
+// baseline. Every tile of the decode rows is an edge tile.
 void run_rank_shape_suite(JsonWriter& json) {
-  const std::vector<Problem<float>> shapes = {
-      {"128x128x128", 128, 128, 128}, {"128x512x128", 128, 512, 128},
-      {"4x64x64", 4, 64, 64},         {"1x64x16", 1, 64, 16},
-      {"1x16x64", 1, 16, 64},
+  struct RankShape {
+    const char* form;
+    Problem<float> p;
+  };
+  const std::vector<RankShape> shapes = {
+      {"nn", {"128x128x128", 128, 128, 128}}, {"nn", {"128x512x128", 128, 512, 128}},
+      {"nn", {"4x64x64", 4, 64, 64}},         {"nn", {"4x192x64", 4, 192, 64}},
+      {"nn", {"4x256x64", 4, 256, 64}},       {"nn", {"4x64x256", 4, 64, 256}},
+      {"nn", {"1x64x16", 1, 64, 16}},         {"nn", {"1x16x64", 1, 16, 64}},
+      {"nn", {"64x64x16", 64, 64, 16}},       {"nt", {"4x64x64", 4, 64, 64}},
+      {"nt", {"4x128x64", 4, 128, 64}},       {"nt", {"1x64x16", 1, 64, 16}},
+      {"nt", {"64x64x16", 64, 64, 16}},
   };
   std::printf("%-26s %-18s %12s %12s\n", "name", "shape", "wall_ms", "GFLOP/s");
   ok::set_threads(1);
-  for (const auto& p : shapes) {
+  for (const auto& [form, p] : shapes) {
+    const bool nt = std::string(form) == "nt";
     auto A = random_buffer<float>(p.m * p.k, 1);
     auto B = random_buffer<float>(p.k * p.n, 2);
     std::vector<float> C(static_cast<std::size_t>(p.m * p.n), 0.0f);
     const Recorder record{json, p.tag, 2.0 * static_cast<double>(p.m) * p.n * p.k};
-    record("gemm_threads1_f32", [&] {
-      ok::gemm(C.data(), A.data(), B.data(), p.m, p.n, p.k, p.k, p.n, p.n, ok::Trans::No,
-               ok::Trans::No, 1.0f, 0.0f);
+    record(std::string("gemm_threads1_") + form + "_f32", [&] {
+      ok::gemm(C.data(), A.data(), B.data(), p.m, p.n, p.k, p.k, nt ? p.k : p.n, p.n,
+               ok::Trans::No, nt ? ok::Trans::Yes : ok::Trans::No, 1.0f, 0.0f);
     });
   }
   ok::set_threads(0);

@@ -150,14 +150,20 @@ echo "==> kernel smoke: bench_kernels runs and writes the per-rank shape rows"
 # GFLOP/s depend on the host, so BENCH_kernels.json is informational and not
 # gated: this checks that the whole sweep (~40 s) runs end to end and that
 # each per-rank shape the hostbench workloads call has one well-formed
-# threads1 f32 row.
+# threads1 f32 row in its transpose form (nn: A·B, nt: A·Bᵀ): the SUMMA
+# k-steps of train_2d and decode, decode attention's per-head Q·Kᵀ (nt) and
+# P·V (nn), and same-shape nn baselines for the nt rows.
 (cd "$OBS_TMP" && "$ROOT/build/bench/bench_kernels" > /dev/null)
 python3 - "$OBS_TMP/BENCH_kernels.json" <<'PY'
 import json, math, sys
 rows = json.load(open(sys.argv[1]))
-for shape in ("128x128x128", "128x512x128", "4x64x64", "1x64x16", "1x16x64"):
-    hits = [r for r in rows if r["name"] == "gemm_threads1_f32" and r["shape"] == shape]
-    assert len(hits) == 1, (shape, len(hits))
+required = [("nn", s) for s in ("128x128x128", "128x512x128", "4x64x64", "4x192x64",
+                                "4x256x64", "4x64x256", "1x64x16", "1x16x64", "64x64x16")]
+required += [("nt", s) for s in ("4x64x64", "4x128x64", "1x64x16", "64x64x16")]
+for form, shape in required:
+    name = "gemm_threads1_" + form + "_f32"
+    hits = [r for r in rows if r["name"] == name and r["shape"] == shape]
+    assert len(hits) == 1, (name, shape, len(hits))
     for key in ("gflops", "wall_ms"):
         value = hits[0][key]
         assert isinstance(value, (int, float)) and math.isfinite(value) and value > 0, (shape, key, value)

@@ -126,6 +126,13 @@ class Communicator {
   template <typename T>
   void broadcast(T* data, tensor::index_t n, int root);
 
+  /// Broadcast out of place: the root's `src` is the payload, every other
+  /// member receives it in `dst`. The root only reads `src` (it may be a
+  /// const block) and leaves its own `dst` untouched; other members' `src`
+  /// is never read. broadcast(data, n, root) is broadcast(data, data, n, root).
+  template <typename T>
+  void broadcast(const T* src, T* dst, tensor::index_t n, int root);
+
   /// In-place sum-reduce; the result is valid only at `root` afterwards.
   template <typename T>
   void reduce(T* data, tensor::index_t n, int root);
@@ -142,6 +149,11 @@ class Communicator {
   /// Async broadcast: every member holds the root's payload on return.
   template <typename T>
   Request ibroadcast(T* data, tensor::index_t n, int root);
+
+  /// Async out-of-place broadcast: the root reads `src`, every other member
+  /// holds the payload in `dst` on return (see the blocking form).
+  template <typename T>
+  Request ibroadcast(const T* src, T* dst, tensor::index_t n, int root);
 
   /// Async sum-reduce toward `root`: `data` holds the local partial at issue
   /// and, at root, the sum on return.
@@ -291,10 +303,10 @@ class Communicator {
                     Combine combine);
 
   /// broadcast and ibroadcast (`wait_op` set): binomial tree rooted at
-  /// `root`; the root's payload is copied to every other member.
+  /// `root`; the root's `src` is copied to every other member's `dst`.
   template <typename T>
-  Request tree_broadcast(const char* name, const char* wait_op, T* data, tensor::index_t n,
-                         int root);
+  Request tree_broadcast(const char* name, const char* wait_op, const T* src, T* dst,
+                         tensor::index_t n, int root);
 
   /// reduce and ireduce (`wait_op` set): reverse binomial tree toward `root`.
   template <typename T>
@@ -373,17 +385,17 @@ void Communicator::recv(int src, int tag, T* data, tensor::index_t n) {
 }
 
 template <typename T>
-Request Communicator::tree_broadcast(const char* name, const char* wait_op, T* data,
-                                     tensor::index_t n, int root) {
+Request Communicator::tree_broadcast(const char* name, const char* wait_op, const T* src,
+                                     T* dst, tensor::index_t n, int root) {
   const int g = size();
   const auto fold = [&](const Deposit* d) {
-    const T* src = out_of<T>(d[root]);
+    const T* payload = in_of<T>(d[root]);
     for (int m = 0; m < g; ++m) {
-      if (m != root) copy(out_of<T>(d[m]), src, n);
+      if (m != root) copy(out_of<T>(d[m]), payload, n);
     }
   };
   return collective(tree_entry<T>(name, wait_op, CallKind::kBroadcast, n, root, stats_->broadcast),
-                    Deposit{data, data, rank_ != root}, fold);
+                    Deposit{src, dst, rank_ != root}, fold);
 }
 
 template <typename T>
@@ -411,7 +423,12 @@ Request Communicator::tree_reduce(const char* name, const char* wait_op, T* data
 
 template <typename T>
 void Communicator::broadcast(T* data, tensor::index_t n, int root) {
-  tree_broadcast("broadcast", nullptr, data, n, root);
+  tree_broadcast("broadcast", nullptr, data, data, n, root);
+}
+
+template <typename T>
+void Communicator::broadcast(const T* src, T* dst, tensor::index_t n, int root) {
+  tree_broadcast("broadcast", nullptr, src, dst, n, root);
 }
 
 template <typename T>
@@ -421,7 +438,12 @@ void Communicator::reduce(T* data, tensor::index_t n, int root) {
 
 template <typename T>
 Request Communicator::ibroadcast(T* data, tensor::index_t n, int root) {
-  return tree_broadcast("ibroadcast", "ibroadcast.wait", data, n, root);
+  return tree_broadcast("ibroadcast", "ibroadcast.wait", data, data, n, root);
+}
+
+template <typename T>
+Request Communicator::ibroadcast(const T* src, T* dst, tensor::index_t n, int root) {
+  return tree_broadcast("ibroadcast", "ibroadcast.wait", src, dst, n, root);
 }
 
 template <typename T>

@@ -118,13 +118,24 @@ void pack_b(const T* B, index_t ldb, Trans tb, index_t k0, index_t j0, index_t k
         Bp += width;
       }
     } else {
-      // op(B)(k, j) = B[j, k]: gather one stored row per packed column.
-      for (index_t l = 0; l < kc; ++l) {
-        const T* src = B + (j0 + js) * ldb + k0 + l;
-        for (index_t j = 0; j < nr; ++j) Bp[j] = src[j * ldb];
-        for (index_t j = nr; j < width; ++j) Bp[j] = T{0};
-        Bp += width;
+      // op(B)(k, j) = B[j, k]: W stored rows j × W columns k at a time are
+      // loaded as W vectors, transposed in registers and stored as W packed
+      // rows. Rows past nr load as zeros; a short k block loads and stores
+      // only its live k.
+      for (index_t v = 0; v < nv; ++v) {
+        const index_t live_j = std::min(W, nr - v * W);
+        const T* src = B + (j0 + js + v * W) * ldb + k0;
+        for (index_t l = 0; l < kc; l += W) {
+          const index_t live_k = std::min(W, kc - l);
+          Vec<T> rows[W];
+          for (index_t r = 0; r < W; ++r) {
+            rows[r] = r < live_j ? load_n(src + r * ldb + l, static_cast<int>(live_k)) : Vec<T>{};
+          }
+          simd::transpose<T>(rows);
+          for (index_t t = 0; t < live_k; ++t) store(Bp + (l + t) * width + v * W, rows[t]);
+        }
       }
+      Bp += kc * width;
     }
   }
 }
@@ -133,13 +144,15 @@ void pack_b(const T* B, index_t ldb, Trans tb, index_t k0, index_t j0, index_t k
 // written in place: R (1 ≤ R ≤ MR) is the live row count and NV the live
 // vector count, both compile-time, so an edge tile is just a smaller kernel;
 // the last vector's first nr − (NV−1)·W lanes are live and move through
-// partial loads and stores. The accumulators start from beta·C (zeros when
-// beta == 0, never scaled — NaN/Inf in C must not survive), then take one
-// multiply-add acc[i][v] += Ap[l][i]·Bp[l][v] per l in order, and are stored
-// back.
+// partial loads and stores. B's rows are ldb apart: a packed strip's width,
+// or the caller's row stride when B is read in place. A short last B vector
+// loads its live lanes only and zeros past them, as a zero-filled strip
+// would give, so an in-place row is never read past its end. The accumulators start from beta·C (zeros when beta == 0,
+// never scaled — NaN/Inf in C must not survive), then take one multiply-add
+// acc[i][v] += Ap[l][i]·B[l][v] per l in order, and are stored back.
 template <typename T, int R, int NV>
-void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict Bp, T* __restrict c,
-                  index_t ldc, index_t nr, T beta) {
+void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict Bp, index_t ldb,
+                  T* __restrict c, index_t ldc, index_t nr, T beta) {
   constexpr int W = kLanes<T>;
   const int tail = static_cast<int>(nr) - (NV - 1) * W;
   Vec<T> acc[R][NV];
@@ -159,12 +172,14 @@ void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict Bp, T*
   }
   for (index_t l = 0; l < kc; ++l) {
     Vec<T> b[NV];
-    OPTIMUS_UNROLL for (int v = 0; v < NV; ++v) b[v] = load(Bp + v * W);
+    OPTIMUS_UNROLL for (int v = 0; v < NV - 1; ++v) b[v] = load(Bp + v * W);
+    // A masked load costs more than a plain one: only a short vector takes it.
+    b[NV - 1] = tail < W ? load_n(Bp + (NV - 1) * W, tail) : load(Bp + (NV - 1) * W);
     OPTIMUS_UNROLL for (int i = 0; i < R; ++i) {
       OPTIMUS_UNROLL for (int v = 0; v < NV; ++v) acc[i][v] += Ap[i] * b[v];
     }
     Ap += R;
-    Bp += NV * W;
+    Bp += ldb;
   }
   OPTIMUS_UNROLL for (int i = 0; i < R; ++i) {
     T* ci = c + i * ldc;
@@ -176,7 +191,7 @@ void micro_kernel(index_t kc, const T* __restrict Ap, const T* __restrict Bp, T*
 // Every (R, NV) specialisation, so any mr×nr tile — interior or edge — runs a
 // kernel of exactly its live extent.
 template <typename T>
-using MicroKernel = void (*)(index_t, const T*, const T*, T*, index_t, index_t, T);
+using MicroKernel = void (*)(index_t, const T*, const T*, index_t, T*, index_t, index_t, T);
 
 template <typename T, int R, std::size_t... Vs>
 constexpr std::array<MicroKernel<T>, sizeof...(Vs)> kernel_row(std::index_sequence<Vs...>) {
@@ -192,12 +207,13 @@ constexpr auto kernel_table(std::index_sequence<Rs...>) {
 template <typename T>
 constexpr auto kKernels = kernel_table<T>(std::make_index_sequence<Tile<T>::MR>{});
 
-// Runs the kernel for the mr×nr tile at c (1 ≤ mr ≤ MR, 1 ≤ nr ≤ NR).
+// Runs the kernel for the mr×nr tile at c (1 ≤ mr ≤ MR, 1 ≤ nr ≤ NR) on B
+// rows ldb apart.
 template <typename T>
-inline void run_tile(index_t kc, const T* Ap, const T* Bp, T* c, index_t ldc, index_t mr,
-                     index_t nr, T beta) {
+inline void run_tile(index_t kc, const T* Ap, const T* Bp, index_t ldb, T* c, index_t ldc,
+                     index_t mr, index_t nr, T beta) {
   const index_t nv = (nr + kLanes<T> - 1) / kLanes<T>;
-  kKernels<T>[mr - 1][nv - 1](kc, Ap, Bp, c, ldc, nr, beta);
+  kKernels<T>[mr - 1][nv - 1](kc, Ap, Bp, ldb, c, ldc, nr, beta);
 }
 
 // C = beta·C (beta == 0 stores zeros) — the k == 0 / alpha == 0 degenerate.
@@ -363,6 +379,11 @@ struct CoopCtx {
 //      the block is register/L1-hot.
 //   4. barrier — the next stage may repack the shared buffers.
 //
+// When op(A) is one register strip tall (m ≤ MR) and B is not transposed,
+// each B element is used exactly once, so packing it would only copy it: the
+// pack stage packs A alone and the microkernel reads B in place, its rows ldb
+// apart. Decode's SUMMA k-steps and per-head P·V are all this shape.
+//
 // Every C element is produced by exactly one claimed unit as one running
 // fold — beta·C, then one multiply-add per k in ascending order — so its
 // value depends on neither the thread count nor m, n, the register tile or
@@ -371,7 +392,9 @@ template <typename T>
 void coop_body(Region& r, const CoopCtx<T>& cx) {
   constexpr index_t MR = Tile<T>::MR;
   constexpr index_t NR = Tile<T>::NR;
+  constexpr index_t W = kLanes<T>;
   const index_t m = cx.m, n = cx.n, k = cx.k;
+  const bool b_in_place = m <= MR && cx.tb == Trans::No;
   index_t stage = 0;
   for (index_t jc = 0; jc < n; jc += kNC) {
     const index_t nc = std::min(kNC, n - jc);
@@ -386,7 +409,7 @@ void coop_body(Region& r, const CoopCtx<T>& cx) {
         const index_t mlen = std::min(kMOuter, m - mo);
         const index_t a_blocks = (mlen + kMC - 1) / kMC;
         // B belongs to the whole (jc, pc) panel: packed on the first M chunk.
-        const index_t pack_tasks = a_blocks + (mo == 0 ? n_strips : 0);
+        const index_t pack_tasks = a_blocks + (mo == 0 && !b_in_place ? n_strips : 0);
         const bool shared = cx.counters != nullptr;
         Claim pack(shared ? &cx.counters[2 * stage] : nullptr);
         Claim tile(shared ? &cx.counters[2 * stage + 1] : nullptr);
@@ -412,12 +435,13 @@ void coop_body(Region& r, const CoopCtx<T>& cx) {
           const index_t js = t % n_strips;
           const index_t jr = js * NR;
           const index_t nr = std::min(NR, nc - jr);
-          const T* bp = cx.bpack + js * kc * NR;
+          const T* bp = b_in_place ? cx.B + pc * cx.ldb + jc + jr : cx.bpack + js * kc * NR;
+          const index_t ldbp = b_in_place ? cx.ldb : (nr + W - 1) / W * W;
           const T* ablock = cx.apack + (t / n_strips) * kMC * kc;
           for (index_t ir = 0; ir < mc; ir += MR) {
             const index_t mr = std::min(MR, mc - ir);
             T* ct = cx.C + (ic + ir) * cx.ldc + jc + jr;
-            run_tile<T>(kc, ablock + ir * kc, bp, ct, cx.ldc, mr, nr, beta);
+            run_tile<T>(kc, ablock + ir * kc, bp, ldbp, ct, cx.ldc, mr, nr, beta);
             if (last_panel) apply_epilogue_block(cx.ep, ct, cx.ldc, ic + ir, jc + jr, mr, nr);
           }
         }

@@ -8,7 +8,17 @@
 // ISA the compiler targets (12×32 f32 tiles under AVX-512, 6×16 under AVX2),
 // and instantiated for every live edge extent so edge tiles read and write C
 // in place. All four transpose forms are handled in the packing routines, so
-// one microkernel serves NN/NT/TN/TT.
+// one microkernel serves NN/NT/TN/TT. A transposed B is packed W×W blocks at a
+// time through an in-register transpose (W the vector width), not gathered
+// element by element.
+//
+// B read in place: when op(A) is one register strip tall (m ≤ MR, 12 under
+// AVX-512) and B is not transposed, each B element is used exactly once, so
+// only A is packed and the microkernel reads B's rows where they are (its B
+// row stride is a parameter: a packed strip's width, or ldb). A short last
+// vector loads only its live lanes, so nothing is read past a row's end.
+// Decode's SUMMA k-steps (4 slot rows per rank) and per-head P·V take this
+// path; the fold, and so every bit, is the packed path's.
 //
 // Threading (gemm / gemm_ex): one GEMM is computed *cooperatively* by a
 // single parallel region. For each (jc, pc) panel the packed A blocks and

@@ -8,12 +8,14 @@
 // otherwise. IVec<T> is the integer vector of the same lane count and lane
 // width (int32 lanes for float, int64 for double), for bit manipulation. Only
 // the width and the partial (first n lanes) loads and stores differ per ISA.
+// transpose() turns W vectors into their W×W transpose in registers.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 
-#if defined(__AVX512F__)
+#if defined(__AVX__)
 #include <immintrin.h>
 #endif
 
@@ -87,6 +89,29 @@ inline void store_n(float* p, Vec<float> v, int n) {
 inline void store_n(double* p, Vec<double> v, int n) {
   _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << n) - 1u), v);
 }
+#elif defined(__AVX__)
+// Lane i of a mask is all ones iff i < n: a window into a run of W ones
+// followed by W zeros.
+inline constexpr std::int32_t kOnes32[16] = {-1, -1, -1, -1, -1, -1, -1, -1};
+inline constexpr std::int64_t kOnes64[8] = {-1, -1, -1, -1};
+inline __m256i lane_mask32(int n) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kOnes32 + 8 - n));
+}
+inline __m256i lane_mask64(int n) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kOnes64 + 4 - n));
+}
+inline Vec<float> load_n(const float* p, int n) {
+  return _mm256_maskload_ps(p, lane_mask32(n));
+}
+inline Vec<double> load_n(const double* p, int n) {
+  return _mm256_maskload_pd(p, lane_mask64(n));
+}
+inline void store_n(float* p, Vec<float> v, int n) {
+  _mm256_maskstore_ps(p, lane_mask32(n), v);
+}
+inline void store_n(double* p, Vec<double> v, int n) {
+  _mm256_maskstore_pd(p, lane_mask64(n), v);
+}
 #else
 template <typename T>
 inline Vec<T> load_n(const T* p, int n) {
@@ -130,6 +155,43 @@ template <typename T>
 inline Vec<T> from_bits(IVec<T> v) {
   return std::bit_cast<Vec<T>>(v);
 }
+
+// In-register transpose of a W×W block held as W vectors: afterwards lane j
+// of rows[i] holds what lane i of rows[j] held. Stage H (W/2, …, 2, 1)
+// exchanges bit H of the row index with bit H of the lane index: each pair
+// of rows (i, i + H), bit H of i clear, swaps its off-diagonal H-lane halves
+// with two two-source shuffles. Only values move, so no bit changes.
+#if defined(__GNUC__) || defined(__clang__)
+constexpr int low_lane(int j, int h, int w) { return (j & h) != 0 ? w + j - h : j; }
+constexpr int high_lane(int j, int h, int w) { return (j & h) != 0 ? w + j : j + h; }
+
+template <typename T, int H, std::size_t... J>
+inline void swap_off_diagonal(Vec<T>& a, Vec<T>& b, std::index_sequence<J...>) {
+  constexpr int W = kLanes<T>;
+  const Vec<T> lo = __builtin_shufflevector(a, b, low_lane(static_cast<int>(J), H, W)...);
+  const Vec<T> hi = __builtin_shufflevector(a, b, high_lane(static_cast<int>(J), H, W)...);
+  a = lo;
+  b = hi;
+}
+
+template <typename T, int H>
+inline void transpose_stage(Vec<T>* rows) {
+  for (int i = 0; i < kLanes<T>; ++i) {
+    if ((i & H) == 0) {
+      swap_off_diagonal<T, H>(rows[i], rows[i + H], std::make_index_sequence<kLanes<T>>{});
+    }
+  }
+  if constexpr (H > 1) transpose_stage<T, H / 2>(rows);
+}
+
+template <typename T>
+inline void transpose(Vec<T>* rows) {
+  transpose_stage<T, kLanes<T> / 2>(rows);
+}
+#else
+template <typename T>
+inline void transpose(Vec<T>*) {}  // one-lane vectors: a 1×1 block
+#endif
 
 // Covers [0, n) one vector at a time, the last one possibly partial:
 // body(i, w) handles elements i .. i+w-1 with 1 <= w <= W. Callers load and

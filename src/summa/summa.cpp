@@ -81,11 +81,14 @@ namespace {
 //               The loop then leaves a pure partial of the C block, which a
 //               depth tree reduction to layer 0 (ascending depth = ascending
 //               k), the accumulate epilogue and a replica broadcast finish.
-//               At d = 1 the loop works on the caller's blocks directly.
+//               At d = 1 the loop works on the caller's blocks directly,
+//               and each step's root broadcasts and multiplies its own
+//               block without packing it.
 
 /// Copies the k-range [k0, k0 + extent) of `src` into `dst`, where the
 /// contraction runs along columns (`by_cols`) or rows and `dst` is the
-/// range's shape. At d = 1 the range is the whole block: a plain copy.
+/// range's shape. Only depth d > 1 packs: at d = 1 the range is the whole
+/// block, which the loops use as it is.
 template <typename T>
 void pack_k_range(TensorT<T>& dst, const TensorT<T>& src, index_t k0, bool by_cols) {
   if (!by_cols) {
@@ -107,19 +110,36 @@ Shape k_range_shape(const TensorT<T>& t, index_t extent, bool by_cols) {
   return by_cols ? Shape{t.size(0), extent} : Shape{extent, t.size(1)};
 }
 
-/// Step `root`'s panel broadcast over `comm`: the root (mesh row/column `root`
-/// of the k-loop) packs its k-range of `src` into `buf`, then the broadcast is
-/// issued — as the blocking call at lookahead 0 (the returned request is
-/// inert), asynchronously otherwise.
+/// One step's broadcast panel: the in-flight request and the tensor the
+/// step's GEMM reads once it is waited on.
 template <typename T>
-comm::Request broadcast_panel(comm::Communicator& comm, int root, TensorT<T>& buf,
-                              const TensorT<T>& src, index_t k0, bool by_cols, int lookahead) {
-  if (comm.rank() == root) pack_k_range(buf, src, k0, by_cols);
+struct Panel {
+  comm::Request req;
+  const TensorT<T>* data = nullptr;
+};
+
+/// Step `root`'s panel broadcast over `comm`, issued as the blocking call at
+/// lookahead 0 (the returned request is inert) and asynchronously otherwise.
+/// Every member but the root receives into `buf`. At d = 1 the root's
+/// k-range is its whole block, so it broadcasts `src` itself and multiplies
+/// it in place; at d > 1 it packs its sub-panel into `buf` and broadcasts
+/// that. The root's `buf` is allocated either way, so the workspace and
+/// every rank's peak bytes do not depend on the rank's role.
+template <typename T>
+Panel<T> broadcast_panel(comm::Communicator& comm, int root, TensorT<T>& buf,
+                         const TensorT<T>& src, index_t k0, bool by_cols, int depth,
+                         int lookahead) {
+  const bool is_root = comm.rank() == root;
+  if (is_root && depth > 1) pack_k_range(buf, src, k0, by_cols);
+  const TensorT<T>& from = is_root && depth == 1 ? src : buf;
+  Panel<T> p;
+  p.data = &from;
   if (lookahead == 0) {
-    comm.broadcast(buf.data(), buf.numel(), root);
-    return {};
+    comm.broadcast(from.data(), buf.data(), buf.numel(), root);
+  } else {
+    p.req = comm.ibroadcast(from.data(), buf.data(), buf.numel(), root);
   }
-  return comm.ibroadcast(buf.data(), buf.numel(), root);
+  return p;
 }
 
 void k_step_args(obs::Span& span, int l, int lookahead) {
@@ -168,11 +188,11 @@ void ab_loop(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, Tenso
   TensorT<T> a_buf[2], b_buf[2];
   for (int s = 0; s < nbuf; ++s) a_buf[s] = make_temp<T>(workspace, k_range_shape(A, ks, true));
   for (int s = 0; s < nbuf; ++s) b_buf[s] = make_temp<T>(workspace, k_range_shape(B, ks, false));
-  comm::Request a_req[2], b_req[2];
+  Panel<T> a[2], b[2];
   const auto issue = [&](int l) {
     const int s = l % nbuf;
-    a_req[s] = broadcast_panel(mesh.row_comm(), l, a_buf[s], A, k0, true, lookahead);
-    b_req[s] = broadcast_panel(mesh.col_comm(), l, b_buf[s], B, k0, false, lookahead);
+    a[s] = broadcast_panel(mesh.row_comm(), l, a_buf[s], A, k0, true, d, lookahead);
+    b[s] = broadcast_panel(mesh.col_comm(), l, b_buf[s], B, k0, false, d, lookahead);
   };
   for (int l = 0; l < lookahead; ++l) issue(l);
   for (int l = 0; l < q; ++l) {
@@ -180,10 +200,10 @@ void ab_loop(mesh::Mesh2D& mesh, const TensorT<T>& A, const TensorT<T>& B, Tenso
     k_step_args(step_span, l, lookahead);
     if (l + lookahead < q) issue(l + lookahead);
     const int s = l % nbuf;
-    a_req[s].wait();
-    b_req[s].wait();
+    a[s].req.wait();
+    b[s].req.wait();
     const T beta = (l == 0 && !acc) ? T{0} : T{1};
-    ops::gemm(target, a_buf[s], b_buf[s], ops::Trans::No, ops::Trans::No, T{1}, beta);
+    ops::gemm(target, *a[s].data, *b[s].data, ops::Trans::No, ops::Trans::No, T{1}, beta);
   }
   if (d > 1) depth_fold(mesh, c_part, C, accumulate);
 }
@@ -220,10 +240,11 @@ void reduce_loop(mesh::Mesh2D& mesh, const TensorT<T>& fixed, const TensorT<T>& 
   // At most one reduce is in flight, so a step's partial is never
   // overwritten before its reduce retires.
   for (int s = 0; s < nbuf; ++s) c_tmp[s] = make_temp<T>(workspace, C.shape());
-  comm::Request m_req[2], r_req;
+  Panel<T> mv[2];
+  comm::Request r_req;
   int r_step = -1;  // step whose reduce awaits retirement
   const auto issue = [&](int l) {
-    m_req[l % nbuf] = broadcast_panel(bcast, l, m_buf[l % nbuf], moving, k0, abt, lookahead);
+    mv[l % nbuf] = broadcast_panel(bcast, l, m_buf[l % nbuf], moving, k0, abt, d, lookahead);
   };
   // Retire = wait + capture of the reduced partial at the step's owner.
   const auto retire = [&] {
@@ -244,8 +265,8 @@ void reduce_loop(mesh::Mesh2D& mesh, const TensorT<T>& fixed, const TensorT<T>& 
     k_step_args(step_span, l, lookahead);
     if (l + lookahead < q) issue(l + lookahead);
     const int s = l % nbuf;
-    m_req[s].wait();
-    ops::gemm(c_tmp[s], abt ? fix : m_buf[s], abt ? m_buf[s] : fix,
+    mv[s].req.wait();
+    ops::gemm(c_tmp[s], abt ? fix : *mv[s].data, abt ? *mv[s].data : fix,
               abt ? ops::Trans::No : ops::Trans::Yes, abt ? ops::Trans::Yes : ops::Trans::No,
               T{1}, T{0});
     // The capture's position relative to the next collective decides which

@@ -35,7 +35,9 @@
 //              reduction of the C partials to layer 0, the accumulate
 //              epilogue, and a replica broadcast finish the call with all
 //              depth replicas bitwise identical. At d = 1 the loop works on
-//              the caller's blocks directly (the 2D schedule).
+//              the caller's blocks directly (the 2D schedule): each step's
+//              root broadcasts its own block, unpacked, and multiplies it
+//              in place; the other members receive into the panel buffer.
 //
 // If `workspace` is non-null the broadcast/reduce temporaries are carved from
 // it (and released on return), implementing the paper's §3.2.3 pre-allocated

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -554,6 +555,94 @@ TEST(AsyncCollectives, TreeBytesMoveAtIssueAndWaitOnlyMovesTheClock) {
       red.wait();
       EXPECT_DOUBLE_EQ(ctx.clock.now(), 2 * plan.time);
     });
+  }
+}
+
+namespace {
+
+// One broadcast of `n` floats from `root` on a g-rank world, by the
+// one-pointer (in-place) or two-pointer (out-of-place) form, blocking or
+// async, after skewed compute (so align_wait is non-zero). Returns every
+// rank's `src` and `dst` after the call, and the report.
+struct BroadcastRun {
+  std::vector<std::vector<float>> src, dst;
+  oc::Cluster::Report report;
+};
+
+BroadcastRun run_broadcast(int g, int root, bool out_of_place, bool async, float sentinel) {
+  constexpr optimus::tensor::index_t n = 37;
+  BroadcastRun run;
+  run.src.resize(static_cast<std::size_t>(g));
+  run.dst.resize(static_cast<std::size_t>(g));
+  run.report = oc::run_cluster(g, [&](oc::Context& ctx) {
+    std::vector<float> payload(n, 0.0f);
+    optimus::util::Rng rng(900 + static_cast<std::uint64_t>(g));
+    for (auto& v : payload) v = static_cast<float>(rng.uniform(-1, 1));
+    const bool is_root = ctx.rank == root;
+    // The root's source is const; the in-place form broadcasts from `dst`.
+    const std::vector<float> src = is_root ? payload : std::vector<float>(n, -sentinel);
+    std::vector<float> dst(n, sentinel);
+    if (!out_of_place && is_root) dst = payload;
+    ctx.device.on_mults(30000ull * (ctx.rank + 1));
+    if (async) {
+      oc::Request req = out_of_place ? ctx.world.ibroadcast(src.data(), dst.data(), n, root)
+                                     : ctx.world.ibroadcast(dst.data(), n, root);
+      ctx.device.on_mults(30000ull * (g - ctx.rank));
+      req.wait();
+    } else if (out_of_place) {
+      ctx.world.broadcast(src.data(), dst.data(), n, root);
+    } else {
+      ctx.world.broadcast(dst.data(), n, root);
+    }
+    run.src[ctx.rank] = src;
+    run.dst[ctx.rank] = dst;
+  });
+  return run;
+}
+
+void expect_same_op(const oc::CommStats::Op& a, const oc::CommStats::Op& b) {
+  EXPECT_EQ(a.calls, b.calls);
+  EXPECT_EQ(a.elems, b.elems);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.weighted, b.weighted);
+  EXPECT_EQ(a.time, b.time);
+}
+
+}  // namespace
+
+TEST(Collectives, OutOfPlaceBroadcastMatchesInPlace) {
+  const float sentinel = 7.5f;
+  for (int g = 1; g <= 5; ++g) {
+    for (int root = 0; root < g; ++root) {
+      for (const bool async : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "g=" << g << " root=" << root << " async=" << async);
+        const BroadcastRun in_place = run_broadcast(g, root, false, async, sentinel);
+        const BroadcastRun out = run_broadcast(g, root, true, async, sentinel);
+        const std::vector<float>& payload = in_place.dst[root];
+        for (int r = 0; r < g; ++r) {
+          if (r == root) {
+            // The root's const source is unchanged and its dst untouched.
+            EXPECT_EQ(out.src[r], payload);
+            EXPECT_EQ(out.dst[r], std::vector<float>(payload.size(), sentinel));
+          } else {
+            EXPECT_EQ(0, std::memcmp(out.dst[r].data(), payload.data(),
+                                     payload.size() * sizeof(float)))
+                << "rank " << r << " did not receive the root's bytes";
+            EXPECT_EQ(out.dst[r], in_place.dst[r]);
+          }
+          const auto& a = in_place.report.ranks[r];
+          const auto& b = out.report.ranks[r];
+          EXPECT_EQ(a.sim_time, b.sim_time) << "rank " << r;
+          EXPECT_EQ(a.util.compute, b.util.compute) << "rank " << r;
+          EXPECT_EQ(a.util.align_wait, b.util.align_wait) << "rank " << r;
+          EXPECT_EQ(a.util.transfer, b.util.transfer) << "rank " << r;
+          EXPECT_EQ(a.util.idle, b.util.idle) << "rank " << r;
+          expect_same_op(a.stats.broadcast, b.stats.broadcast);
+          EXPECT_EQ(a.stats.total_weighted(), b.stats.total_weighted());
+        }
+      }
+    }
   }
 }
 

@@ -506,6 +506,148 @@ TEST(KernelGemmEpilogue, DegenerateKStillAppliesEpilogue) {
     for (index_t j = 0; j < n; ++j) ASSERT_EQ(C[i * n + j], bias[j]);
 }
 
+// A rows×cols matrix stored with row stride ld > cols: the padding holds NaN,
+// so a padding element that reaches a stored element of C shows up, and the
+// buffer ends exactly at the last live element, so the ASan pass catches any
+// read past it.
+template <typename T>
+std::vector<T> padded_matrix(index_t rows, index_t cols, index_t ld, std::uint64_t seed) {
+  std::vector<T> v(static_cast<std::size_t>((rows - 1) * ld + cols),
+                   std::numeric_limits<T>::quiet_NaN());
+  const auto live = random_buffer<T>(rows * cols, seed);
+  for (index_t r = 0; r < rows; ++r) {
+    std::copy_n(live.data() + r * cols, cols, v.data() + r * ld);
+  }
+  return v;
+}
+
+// A product one register strip tall (m ≤ MR) with B not transposed reads B in
+// place. For every such m, n within one strip, across strips and across the
+// 1024-column panel, k within one KC panel and across two, 1 and 4 threads
+// and every epilogue, each element must be the reference fold followed by
+// the unfused epilogue, bit for bit.
+template <typename T>
+void check_in_place_b() {
+  const index_t MR = ok::gemm_tile_rows<T>();
+  const index_t NR = ok::gemm_tile_cols<T>();
+  const bool fused = kernel_fuses_multiply_add<T>();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  for (const index_t k : {index_t{7}, index_t{513}}) {
+    for (const index_t n : {index_t{1}, NR + 3, index_t{1100}}) {
+      const index_t ldb = n + 5;
+      const auto B = padded_matrix<T>(k, n, ldb, 500 + n + k);
+      const auto bias = random_buffer<T>(n, 501);
+      for (index_t m = 1; m <= MR; ++m) {
+        const auto A = random_buffer<T>(m * k, 502 + m);
+        const auto res = random_buffer<T>(m * n, 503 + m);
+        const T alpha = m % 2 == 0 ? T{-0.5} : T{1};
+        const T beta = m % 3 == 0 ? T{0.5} : T{0};
+        const std::vector<T> c0 = beta == T{0}
+                                      ? std::vector<T>(static_cast<std::size_t>(m * n), nan)
+                                      : random_buffer<T>(m * n, 504 + m);
+        std::vector<T> fold(c0.size());
+        for (index_t i = 0; i < m; ++i) {
+          for (index_t j = 0; j < n; ++j) {
+            fold[i * n + j] = reference_fold(A.data(), B.data(), i, j, k, k, ldb, ok::Trans::No,
+                                             ok::Trans::No, alpha, beta, c0[i * n + j], fused);
+          }
+        }
+        for (const ok::Epilogue op : {ok::Epilogue::None, ok::Epilogue::BiasAdd,
+                                      ok::Epilogue::BiasGelu, ok::Epilogue::ResidualAdd}) {
+          std::vector<T> want = fold;
+          std::vector<T> want_pre(c0.size(), T{0});
+          epilogue_reference<T>(op, want.data(), bias.data(), res.data(), want_pre.data(), m, n);
+          std::vector<T> got_pre(c0.size(), T{0});
+          ok::EpilogueArgs<T> ep;
+          ep.op = op;
+          ep.bias = bias.data();
+          if (op == ok::Epilogue::ResidualAdd) {
+            ep.residual = res.data();
+            ep.ldr = n;
+          }
+          if (op == ok::Epilogue::BiasGelu) {
+            ep.pre = got_pre.data();
+            ep.ldp = n;
+          }
+          for (const int threads : {1, 4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "bytes=" << sizeof(T) << " m=" << m << " n=" << n << " k=" << k
+                         << " op=" << int(op) << " threads=" << threads);
+            ok::set_threads(threads);
+            std::vector<T> got = c0;
+            std::fill(got_pre.begin(), got_pre.end(), T{0});
+            ok::gemm_ex(got.data(), A.data(), B.data(), m, n, k, k, ldb, n, ok::Trans::No,
+                        ok::Trans::No, alpha, beta, ep);
+            ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * sizeof(T)))
+                << "differs from the fold + unfused epilogue";
+            if (op == ok::Epilogue::BiasGelu) {
+              ASSERT_EQ(0, std::memcmp(want_pre.data(), got_pre.data(),
+                                       want_pre.size() * sizeof(T)))
+                  << "pre-activation differs";
+            }
+          }
+        }
+      }
+    }
+  }
+  ok::set_threads(0);
+}
+
+TEST(KernelGemm, OneStripProductsReadBInPlace) {
+  check_in_place_b<float>();
+  check_in_place_b<double>();
+}
+
+// Transposed B is packed W×W blocks at a time through an in-register
+// transpose. With n not a multiple of the vector width, k on both sides of
+// it and across a KC panel, and B's rows ldb > k apart with NaN padding,
+// each element must be the reference fold bit for bit, on 1 and 4 threads.
+template <typename T>
+void check_transposed_pack() {
+  const index_t MR = ok::gemm_tile_rows<T>();
+  const index_t NR = ok::gemm_tile_cols<T>();
+  const bool fused = kernel_fuses_multiply_add<T>();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  int case_idx = 0;
+  for (const index_t k : {index_t{1}, index_t{7}, index_t{9}, index_t{16}, index_t{17},
+                          index_t{257}}) {
+    for (const index_t n : {index_t{1}, index_t{3}, index_t{17}, NR - 1, NR + 5, 2 * NR + 9}) {
+      for (const index_t m : {index_t{1}, index_t{4}, MR + 1}) {
+        ++case_idx;
+        const index_t ldb = k + 3;
+        const auto B = padded_matrix<T>(n, k, ldb, 600 + case_idx);
+        const auto A = random_buffer<T>(m * k, 700 + case_idx);
+        const T beta = case_idx % 2 == 0 ? T{1} : T{0};
+        const std::vector<T> c0 = beta == T{0}
+                                      ? std::vector<T>(static_cast<std::size_t>(m * n), nan)
+                                      : random_buffer<T>(m * n, 800 + case_idx);
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE(::testing::Message() << "bytes=" << sizeof(T) << " m=" << m << " n="
+                                            << n << " k=" << k << " threads=" << threads);
+          ok::set_threads(threads);
+          std::vector<T> got = c0;
+          ok::gemm(got.data(), A.data(), B.data(), m, n, k, k, ldb, n, ok::Trans::No,
+                   ok::Trans::Yes, T{1}, beta);
+          for (index_t i = 0; i < m; ++i) {
+            for (index_t j = 0; j < n; ++j) {
+              const T want = reference_fold(A.data(), B.data(), i, j, k, k, ldb, ok::Trans::No,
+                                            ok::Trans::Yes, T{1}, beta, c0[i * n + j], fused);
+              ASSERT_EQ(0, std::memcmp(&want, &got[i * n + j], sizeof(T)))
+                  << "at " << i << "," << j << ": " << got[i * n + j] << " vs fold " << want;
+            }
+          }
+        }
+      }
+    }
+  }
+  ok::set_threads(0);
+}
+
+TEST(KernelGemm, TransposedPackMatchesTheFold) {
+  check_transposed_pack<float>();
+  check_transposed_pack<double>();
+}
+
 TEST(KernelGemm, BetaZeroStoresOverNaN) {
   // beta == 0 must *store*, never scale: a C buffer full of NaN (as carved
   // from an uninitialised Arena) must come out finite.
